@@ -103,8 +103,20 @@ def cmd_simulate_only(args) -> int:
     except KeyError:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
         return 2
-    field = load_field(args.field)
+    try:
+        field = load_field(args.field)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load field: {exc}", file=sys.stderr)
+        return 2
     model = build_model(cfg["model"])
+    T = model.horizon_T
+    if (field.provenance.get("model_hash") != model.model_hash()
+            or abs(field.grid.horizon - T) > 1e-12 * max(1.0, T)):
+        print(f"field {args.field} (model {field.provenance.get('model_hash')}, "
+              f"horizon {field.grid.horizon}) does not fit scenario "
+              f"{cfg['name']!r} (model {model.model_hash()}, horizon {T})",
+              file=sys.stderr)
+        return 2
     scfg = cfg["sim"]
     from .experiments import make_we, cone_start
     we = make_we(model)

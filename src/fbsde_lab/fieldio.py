@@ -2,14 +2,14 @@
 
 Binary layout: a plain-text header of ``key: value`` lines terminated by a
 blank line, followed by the raw little-endian float64 array, row-major.
-The header describes the grid (t/e/p axes as first, step, count) and the
-provenance, so a dump is self-describing.
+The header lists every grid axis node by node (JSON floats round-trip
+exactly) and the provenance, so a dump is self-describing.  Older files,
+which describe the e- and p-axes as first, step, count, still load.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 
@@ -20,9 +20,8 @@ from .value_pde import Grid, ValueField
 _MAGIC = "fbsde-lab value field v1"
 
 
-def _axis_desc(nodes: np.ndarray) -> str:
-    step = float(nodes[1] - nodes[0]) if len(nodes) > 1 else 0.0
-    return json.dumps({"first": float(nodes[0]), "step": step, "count": len(nodes)})
+def _nodes_text(nodes: np.ndarray) -> str:
+    return json.dumps([float(x) for x in nodes])
 
 
 def dump_field(field: ValueField, path) -> None:
@@ -30,12 +29,12 @@ def dump_field(field: ValueField, path) -> None:
     g = field.grid
     header = [
         f"format: {_MAGIC}",
-        f"t_nodes: {json.dumps([float(x) for x in g.t_nodes])}",
-        f"e_axis: {_axis_desc(g.e_nodes)}",
+        f"t_nodes: {_nodes_text(g.t_nodes)}",
+        f"e_nodes: {_nodes_text(g.e_nodes)}",
         f"p_dims: {g.dim}",
     ]
     for k, p in enumerate(g.p_nodes):
-        header.append(f"p_axis_{k}: {_axis_desc(p)}")
+        header.append(f"p_nodes_{k}: {_nodes_text(p)}")
     header.append(f"shape: {json.dumps(list(field.values.shape))}")
     header.append(f"provenance: {json.dumps(field.provenance, default=str)}")
     blob = "\n".join(header) + "\n\n"
@@ -44,8 +43,10 @@ def dump_field(field: ValueField, path) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def _axis_from_desc(desc: str) -> np.ndarray:
-    d = json.loads(desc)
+def _axis(kv: dict, key: str, legacy: str) -> np.ndarray:
+    if key in kv:
+        return np.asarray(json.loads(kv[key]), dtype=float)
+    d = json.loads(kv[legacy])
     return d["first"] + d["step"] * np.arange(d["count"])
 
 
@@ -58,14 +59,16 @@ def load_field(path) -> ValueField:
         key, _, val = line.partition(": ")
         kv[key] = val
     if kv.get("format") != _MAGIC:
-        raise ValueError(f"not a {_MAGIC} file")
-    t_nodes = np.asarray(json.loads(kv["t_nodes"]), dtype=float)
-    e_nodes = _axis_from_desc(kv["e_axis"])
-    dims = int(kv["p_dims"])
-    p_nodes = tuple(_axis_from_desc(kv[f"p_axis_{k}"]) for k in range(dims))
+        raise ValueError(f"{path}: format {kv.get('format')!r}, expected {_MAGIC!r}")
+    p_nodes = tuple(_axis(kv, f"p_nodes_{k}", f"p_axis_{k}")
+                    for k in range(int(kv["p_dims"])))
     shape = tuple(json.loads(kv["shape"]))
+    if len(payload) != 8 * int(np.prod(shape)):
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, shape "
+                         f"{list(shape)} needs {8 * int(np.prod(shape))}")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes, p_nodes=p_nodes)
+    grid = Grid(t_nodes=np.asarray(json.loads(kv["t_nodes"]), dtype=float),
+                e_nodes=_axis(kv, "e_nodes", "e_axis"), p_nodes=p_nodes)
     return ValueField(grid=grid, values=values,
                       provenance=json.loads(kv["provenance"]))
 
@@ -101,11 +104,3 @@ def export_slice_csv(field: ValueField, path, t: float, p=None) -> None:
             sl = sl[i]
     write_csv(path, ["e", "v"], zip(field.grid.e_nodes, sl))
 
-
-def csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(x) for x in row])
-    return buf.getvalue()

@@ -15,6 +15,12 @@ the sign of f at the previous slice), implicit tridiagonal diffusion-drift
 sweeps in each p-direction, implicit e-diffusion when present.  Every
 sub-step is monotone under the enforced step bound, so fields stay in [0,1],
 stay non-decreasing in e and obey the discrete comparison principle.
+
+Transport and p-sweeps allocate nothing per sub-step: the transport keeps
+the plain formula's ufunc order (bit for bit) on scratch buffers made once per
+solve, and each p-direction matrix is factored once per stored span (fixed
+step) for an in-place, row-vectorised Thomas sweep.  ``_tridiag`` assembles
+every tridiagonal M-matrix; the long e-axis systems go to ``solve_banded``.
 """
 
 from __future__ import annotations
@@ -123,18 +129,6 @@ def time_nodes_with_tail(t0: float, T: float, n: int, s_min: float,
     return np.union1d(uniform, T - np.asarray(tail))
 
 
-def geometric_time_nodes(t0: float, T: float, s_min: float, ratio: float = 1.07,
-                         s_switch: Optional[float] = None,
-                         coarse_ratio: float = 1.25) -> np.ndarray:
-    """Purely geometric slices in time-to-go, from s_min up to T - t0."""
-    tail = [s_min]
-    cap = T - t0
-    while tail[-1] < cap:
-        r = ratio if (s_switch is None or tail[-1] < s_switch) else coarse_ratio
-        tail.append(min(tail[-1] * r, cap))
-    return np.union1d(np.array([t0, T]), T - np.asarray(tail))
-
-
 def e_nodes_for(model: ModelSpec, de: float, pad: float = 0.0) -> np.ndarray:
     """Uniform e-axis covering [cap - 2LT - pad, cap + 2LT + pad]."""
     half = 2.0 * model.lipschitz_L * model.horizon_T + pad
@@ -220,10 +214,6 @@ class ValueField:
         sl = self.values_at(t)
         return _interp_space(self.grid, sl, p, e)
 
-    def escaped_mask(self, e) -> np.ndarray:
-        e = np.asarray(e, dtype=float)
-        return (e < self.grid.e_nodes[0]) | (e > self.grid.e_nodes[-1])
-
 
 def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
     """Multilinear interpolation of one stored slice at points (p, e)."""
@@ -263,10 +253,6 @@ class DerivativeFields:
     de_v: np.ndarray
     dp_v: Optional[np.ndarray]   # last axis = p-direction; None for dim 0
 
-    def de_at(self, t, p, e) -> np.ndarray:
-        sl = self.de_v[int(_slice_index(self.grid.t_nodes, t))]
-        return _interp_space(self.grid, sl, p, e)
-
     def dp_at(self, t, p, e, direction: int = 0) -> np.ndarray:
         if self.dp_v is None:
             raise ValueError("reduced fields carry no dp_v")
@@ -290,36 +276,42 @@ def _snap_unit(u: np.ndarray, context: str):
         np.clip(u, 0.0, 1.0, out=u)
 
 
-def _upwind_transport(u: np.ndarray, speed: np.ndarray, dt_over_de: float):
-    """In-place explicit upwind step of u_t + speed * u_e = 0 (last axis e)."""
-    back = np.empty_like(u)
-    back[..., 1:] = u[..., 1:] - u[..., :-1]
+def _upwind_transport(u: np.ndarray, speed: np.ndarray, dt_over_de: float,
+                      back, fwd, a_plus, a_minus):
+    """In-place explicit upwind step of u_t + speed * u_e = 0 (last axis e),
+    u -= dt_over_de * (a_plus * back + a_minus * fwd), on scratch buffers
+    shaped like ``u``."""
+    np.subtract(u[..., 1:], u[..., :-1], out=back[..., 1:])
     back[..., 0] = 0.0
-    fwd = np.empty_like(u)
-    fwd[..., :-1] = u[..., 1:] - u[..., :-1]
+    np.subtract(u[..., 1:], u[..., :-1], out=fwd[..., :-1])
     fwd[..., -1] = 0.0
-    a_plus = np.maximum(speed, 0.0)
-    a_minus = np.minimum(speed, 0.0)
-    u -= dt_over_de * (a_plus * back + a_minus * fwd)
+    np.maximum(speed, 0.0, out=a_plus)
+    np.minimum(speed, 0.0, out=a_minus)
+    a_plus *= back
+    a_minus *= fwd
+    a_plus += a_minus
+    a_plus *= dt_over_de
+    u -= a_plus
 
 
-def _banded_matrix(n: int, diff: np.ndarray, drift: np.ndarray, dt: float,
-                   dx: float, neumann: bool) -> np.ndarray:
-    """Banded (I - dt*(diff*D2 + drift*D1)) solved backward in time.
+def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
+    """Banded I - (r*D2 + q*D1) of order n (``solve_banded`` layout).
 
-    In time-to-go coordinates the equation reads u_s = diff*u_xx + drift*u_x,
-    so for drift > 0 the upwind neighbour is the right one.  Off-diagonals
-    stay non-positive (M-matrix), which keeps the sweep monotone.
+    r = dt*diff/dx^2 and q = dt*drift/dx (time-to-go, so drift > 0 upwinds to
+    the right) are scalars or arrays with the system axis first; further axes
+    batch systems.  Off-diagonals stay non-positive and the diagonal dominates
+    (M-matrix), which keeps the sweep monotone.  Neumann edges fold the ghost
+    node into the diagonal; otherwise the edge rows are Dirichlet identities.
     """
-    r = dt * np.broadcast_to(diff, (n,)) / dx**2
-    q = dt * np.broadcast_to(drift, (n,)) / dx
+    # scalar coefficients broadcast only on assignment: no n-sized temporaries
+    shape = (n,) + np.broadcast(r, q).shape[1:]
     qp, qm = np.maximum(q, 0.0), np.minimum(q, 0.0)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + 2.0 * r + qp - qm
-    ab[0, 1:] = -(r[:-1] + qp[:-1])          # ab[0, j+1] = A[j, j+1]
-    ab[2, :-1] = -(r[1:] - qm[1:])           # ab[2, j]   = A[j+1, j]
+    ab = np.zeros((3,) + shape)
+    ab[1] = 1.0 + 2.0 * r + qp - qm
+    ab[0, 1:] = np.broadcast_to(-(r + qp), shape)[:-1]    # ab[0, j+1] = A[j, j+1]
+    ab[2, :-1] = np.broadcast_to(-(r - qm), shape)[1:]    # ab[2, j]   = A[j+1, j]
     if neumann:
-        # ghost = edge value: the outward couplings fold into the diagonal
+        r, qp, qm = (np.broadcast_to(x, shape) for x in (r, qp, qm))
         ab[1, 0] = 1.0 + r[0] + qp[0]
         ab[1, -1] = 1.0 + r[-1] - qm[-1]
     else:
@@ -330,11 +322,37 @@ def _banded_matrix(n: int, diff: np.ndarray, drift: np.ndarray, dt: float,
 
 
 def _solve_axis(u: np.ndarray, axis: int, ab: np.ndarray):
-    """Solve the banded system along ``axis`` for every other index."""
+    """Solve along ``axis`` for every other index; ``ab`` is overwritten (in
+    place, the long e-axis solves make no fresh allocations to re-fault)."""
     moved = np.moveaxis(u, axis, 0)
     flat = moved.reshape(moved.shape[0], -1)
-    sol = solve_banded((1, 1), ab, flat)
+    sol = solve_banded((1, 1), ab, flat, overwrite_ab=True, overwrite_b=True)
     moved[...] = sol.reshape(moved.shape)
+
+
+def _thomas_factors(ab: np.ndarray):
+    """(multipliers, pivots, upper diagonal) of a ``_tridiag`` matrix; its
+    diagonal dominance makes pivoting unnecessary."""
+    piv = ab[1].copy()
+    low = np.empty_like(piv[:-1])
+    up = ab[0, 1:]
+    for i in range(len(low)):
+        low[i] = ab[2, i] / piv[i]
+        piv[i + 1] = piv[i + 1] - low[i] * up[i]
+    return low, piv, up
+
+
+def _thomas_sweep(x: np.ndarray, low, piv, up, row: np.ndarray):
+    """Solve in place along axis 0 of ``x``, a whole row ``x[i]`` per step;
+    ``row`` is a scratch buffer shaped like ``x[0]``."""
+    for i in range(len(low)):
+        np.multiply(low[i], x[i], out=row)
+        x[i + 1] -= row
+    x[-1] /= piv[-1]
+    for i in range(len(up) - 1, -1, -1):
+        np.multiply(up[i], x[i + 1], out=row)
+        x[i] -= row
+        x[i] /= piv[i]
 
 
 # ---------------------------------------------------------------------------
@@ -400,44 +418,31 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
 
     t_nodes = grid.t_nodes
     eps_e = 0.5 * eps2 / de**2
-
-    def p_sweeps(u, dt):
-        for k in range(grid.dim):
-            # matrix varies along the other p-axis: batch by fixed other index
-            diff_k = 0.5 * (a_diag[..., k] + eps2)
-            drift_k = b_val[..., k]
-            dx = grid.dp[k]
-            if grid.dim == 1:
-                ab = _banded_matrix(len(p_axes[0]), diff_k, drift_k, dt, dx, True)
-                _solve_axis(u, 0, ab)
-            else:
-                other = 1 - k
-                for j in range(len(p_axes[other])):
-                    idx = (slice(None), j) if k == 0 else (j, slice(None))
-                    ab = _banded_matrix(len(p_axes[k]), diff_k[idx], drift_k[idx],
-                                        dt, dx, True)
-                    sub = u[idx]
-                    sub[...] = solve_banded((1, 1), ab, sub)
+    # p-sweep coefficients and views of u with the swept axis first; the
+    # trailing unit axis broadcasts the factors over e
+    p_coef = [(np.moveaxis(0.5 * (a_diag[..., k] + eps2), k, 0)[..., None],
+               np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
+              for k in range(grid.dim)]
+    u_swept = [np.moveaxis(u, k, 0) for k in range(grid.dim)]
+    rows = [np.empty(x.shape[1:]) for x in u_swept]
+    scratch = [np.empty_like(u) for _ in range(4)]
 
     p_bcast = p_stack[..., None, :]          # broadcasts against (*p_shape, ne)
     for j in range(len(t_nodes) - 2, -1, -1):
         span = float(t_nodes[j + 1] - t_nodes[j])
         n_sub = max(1, int(np.ceil(span / dt_cfl)))
         dt = span / n_sub
+        factors = [_thomas_factors(_tridiag(dt * diff / dx**2, dt * drift / dx,
+                                            len(diff), True))
+                   for diff, drift, dx in p_coef]
         for _ in range(n_sub):
             speed = model.feedback.value(p_bcast, u)
-            _upwind_transport(u, speed, dt / de)
+            _upwind_transport(u, speed, dt / de, *scratch)
             u[..., 0], u[..., -1] = 0.0, 1.0
-            p_sweeps(u, dt)
+            for x, row, fac in zip(u_swept, rows, factors):
+                _thomas_sweep(x, *fac, row)
             if eps_e > 0.0:
-                ab = np.zeros((3, len(grid.e_nodes)))
-                r = dt * eps_e
-                ab[1, :] = 1.0 + 2.0 * r
-                ab[0, 1:] = -r
-                ab[2, :-1] = -r
-                ab[1, 0] = ab[1, -1] = 1.0
-                ab[0, 1] = 0.0
-                ab[2, -2] = 0.0
+                ab = _tridiag(dt * eps_e, 0.0, len(grid.e_nodes), False)
                 _solve_axis(u, u.ndim - 1, ab)
             u[..., 0], u[..., -1] = 0.0, 1.0
         _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
@@ -523,24 +528,23 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     out = np.empty((len(grid.t_nodes), ne))
     out[-1] = u
 
+    # u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2]), through two scratch buffers
+    mid, left = u[1:-1], u[:-2]
+    slope, flux = np.empty(ne - 2), np.empty(ne - 2)
     for j in range(1, len(s_store)):
         s0, s1 = float(s_store[j - 1]), float(s_store[j])
         n_sub = max(1, int(np.ceil((s1 - s0) / dt_cfl)))
         dt = (s1 - s0) / n_sub
         c = dt * gamma / de
         for _ in range(n_sub):
-            u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2])
+            np.subtract(mid, left, out=slope)
+            np.multiply(c, mid, out=flux)
+            flux *= slope
+            mid -= flux
             u[0], u[-1] = 0.0, 1.0
         r = d_int(s0, s1) / de**2
         if r > 0.0:
-            ab = np.zeros((3, ne))
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[0, 1:] = -r
-            ab[2, :-1] = -r
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = 0.0
-            ab[2, -2] = 0.0
-            u = solve_banded((1, 1), ab, u)
+            _solve_axis(u, 0, _tridiag(r, 0.0, ne, False))
         _snap_unit(u, f"reduced slice s={s1:.6g}")
         out[len(s_store) - 1 - j] = u
 
@@ -562,21 +566,14 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
 # derivative fields and diagnostics
 # ---------------------------------------------------------------------------
 
-def _central_diff(arr: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    out = np.gradient(arr, dx, axis=axis)
-    return out
-
-
 def gradient_fields(field: ValueField) -> DerivativeFields:
     """Central differences inside, one-sided at the boundary nodes."""
     g = field.grid
-    de_v = _central_diff(field.values, field.values.ndim - 1, g.de)
+    de_v = np.gradient(field.values, g.de, axis=-1)
     if g.dim == 0:
         return DerivativeFields(grid=g, de_v=de_v, dp_v=None)
-    dp_list = [
-        _central_diff(field.values, 1 + k, g.dp[k]) for k in range(g.dim)
-    ]
-    dp_v = np.stack(dp_list, axis=-1)
+    dp_v = np.stack([np.gradient(field.values, g.dp[k], axis=1 + k)
+                     for k in range(g.dim)], axis=-1)
     return DerivativeFields(grid=g, de_v=de_v, dp_v=dp_v)
 
 
@@ -634,12 +631,6 @@ def extract_limit(fields: Sequence[ValueField], delta: float = 0.05,
         flagged_non_convergent=(nontrivial and not dec))
 
 
-def grad_tolerance(model: ModelSpec, s: float, de: float,
-                   curvature: float) -> float:
-    """Slack separating scheme error from genuine band violations."""
-    return max(0.05 / (model.ell1 * s), 2.0 * de * curvature)
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
@@ -675,7 +666,7 @@ def gradient_band_violation(field: ValueField, derivs: DerivativeFields,
         if s < 2 * dt_min:
             continue
         sl = derivs.de_v[j]
-        curv = np.abs(_central_diff(sl, sl.ndim - 1, g.de))
+        curv = np.abs(np.gradient(sl, g.de, axis=-1))
         tol = np.maximum(0.05 / (model.ell1 * s), 2.0 * g.de * curv)
         over = sl - (1.0 / (model.ell1 * s) + tol)
         under = -(sl + 1e-6)

@@ -3,7 +3,9 @@ import pytest
 
 from fbsde_lab.fieldio import dump_field, export_slice_csv, load_field, write_csv
 from fbsde_lab.model_core import affine_model, heaviside_tc
-from fbsde_lab.value_pde import Grid, e_nodes_for, solve_mollified, solve_reduced_1d, uniform_time_nodes
+from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, solve_mollified,
+                                 solve_reduced_1d, time_nodes_with_tail,
+                                 uniform_time_nodes)
 
 
 def test_roundtrip_full_field(tmp_path):
@@ -63,3 +65,31 @@ def test_write_csv_is_deterministic(tmp_path):
     write_csv(a, ["x", "n"], rows)
     write_csv(b, ["x", "n"], rows)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_roundtrip_keeps_every_axis_exactly(tmp_path):
+    # first + step * arange misses these e- and p-nodes by up to 4e-13
+    m = affine_model(alpha=[0.5, 0.3], gamma=1.0, sigma=1.0, horizon_T=0.1)
+    g = Grid(t_nodes=time_nodes_with_tail(0.0, 0.1, 1, s_min=2e-2, ratio=2.0),
+             e_nodes=e_nodes_for(m, 8e-6),
+             p_nodes=(np.linspace(0.1, 0.7, 3), np.linspace(-0.3, 0.9, 3)))
+    vf = ValueField(grid=g, values=np.zeros((len(g.t_nodes),) + g.space_shape()))
+    path = tmp_path / "axes.bin"
+    dump_field(vf, path)
+    back = load_field(path).grid
+    assert np.array_equal(back.t_nodes, g.t_nodes)
+    assert np.array_equal(back.e_nodes, g.e_nodes)
+    for a, b in zip(back.p_nodes, g.p_nodes, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_truncated_payload_names_both_sizes(tmp_path):
+    m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 1e-2))
+    path = tmp_path / "cut.bin"
+    dump_field(ValueField(grid=g, values=np.zeros((5, len(g.e_nodes)))), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match=rf"{5 * len(g.e_nodes) * 8 - 8} bytes.*"
+                                         rf"\[5, {len(g.e_nodes)}\]"):
+        load_field(path)

@@ -157,3 +157,37 @@ def test_cli_solve_and_simulate_only(tmp_path):
     lines = term.read_text().strip().splitlines()
     assert lines[0] == "E_T,Y_T,Ebar_T,escaped"
     assert len(lines) == 2001
+
+
+def _solve_only(tmp_path, scenario):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"de_reduced": 1e-4},
+                                   "sim": {"n_paths": 200, "n_steps": 50}}))
+    assert main(["solve-only", "--scenario", scenario, "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 0
+    return cfgfile, tmp_path / f"{scenario}_field.bin"
+
+
+def test_simulate_only_refuses_field_of_another_model(tmp_path, capsys):
+    cfgfile, field = _solve_only(tmp_path, "degenerate_characteristics")
+    code = main(["simulate-only", "--scenario", "affine_dirac", "--field",
+                 str(field), "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert code == 2
+    assert "model" in capsys.readouterr().err
+    assert not (tmp_path / "affine_dirac_terminal.csv").exists()
+
+
+def test_simulate_only_refuses_field_of_another_horizon(tmp_path, capsys):
+    from fbsde_lab.fieldio import dump_field, load_field
+    from fbsde_lab.value_pde import Grid, ValueField
+    cfgfile, path = _solve_only(tmp_path, "degenerate_characteristics")
+    vf = load_field(path)
+    g = vf.grid
+    short = Grid(t_nodes=g.t_nodes[:-1], e_nodes=g.e_nodes)
+    dump_field(ValueField(grid=short, values=vf.values[:-1],
+                          provenance=vf.provenance), path)
+    code = main(["simulate-only", "--scenario", "degenerate_characteristics",
+                 "--field", str(path), "--config", str(cfgfile),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "horizon" in capsys.readouterr().err

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from fbsde_lab.burgers_ref import WEvaluator, psi
 from fbsde_lab.model_core import (affine_model, default_mollifier, heaviside_tc,
                                   mollify, smooth_ramp_tc)
-from fbsde_lab.value_pde import (CFLError, Grid, conservation_gap, e_nodes_for,
-                                 extract_limit, geometric_time_nodes,
-                                 gradient_fields, gradient_band_violation,
+from fbsde_lab.scenarios import build_model
+from fbsde_lab.value_pde import (CFLError, Grid, _thomas_factors, _thomas_sweep,
+                                 _tridiag, _upwind_transport, conservation_gap,
+                                 e_nodes_for, extract_limit, gradient_fields,
+                                 gradient_band_violation, reduced_diffusion_integral,
                                  solve_mollified, solve_reduced_1d,
                                  time_nodes_with_tail, uniform_time_nodes)
 
@@ -275,5 +279,121 @@ def test_time_node_builders():
     assert t[0] == 0.0 and t[-1] == 1.0
     assert np.all(np.diff(t) > 0)
     assert np.min(1.0 - t[t < 1.0]) == pytest.approx(1e-3)
-    t2 = geometric_time_nodes(0.0, 1.0, 1e-3)
+    t2 = time_nodes_with_tail(0.0, 1.0, 0, s_min=1e-3)
     assert t2[0] == 0.0 and t2[-1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# allocation-free sub-steps against the plain formulas
+# ---------------------------------------------------------------------------
+
+def _transport_reference(u, speed, dt_over_de):
+    """The allocating upwind step the scratch-buffer version replaces."""
+    back = np.empty_like(u)
+    back[..., 1:] = u[..., 1:] - u[..., :-1]
+    back[..., 0] = 0.0
+    fwd = np.empty_like(u)
+    fwd[..., :-1] = u[..., 1:] - u[..., :-1]
+    fwd[..., -1] = 0.0
+    a_plus = np.maximum(speed, 0.0)
+    a_minus = np.minimum(speed, 0.0)
+    u -= dt_over_de * (a_plus * back + a_minus * fwd)
+
+
+@pytest.mark.parametrize("p_shape", [(), (7,), (5, 6)])
+def test_upwind_transport_is_bit_identical_to_formula(p_shape):
+    rng = np.random.default_rng(len(p_shape))
+    u = np.sort(rng.uniform(0.0, 1.0, p_shape + (50,)), axis=-1)
+    speed = rng.uniform(-2.0, 2.0, u.shape)
+    ref = u.copy()
+    _transport_reference(ref, speed, 0.3)
+    scratch = [np.full_like(u, np.nan) for _ in range(4)]
+    for _ in range(2):          # stale scratch contents must not leak in
+        v = u.copy()
+        _upwind_transport(v, speed, 0.3, *scratch)
+        assert np.array_equal(v, ref)
+
+
+def _reduced_reference(model, grid, tc):
+    """The reduced march with the allocating transport and inline matrix."""
+    gamma, d_int, de = model.family_params["gamma"], reduced_diffusion_integral(model), grid.de
+    dt_cfl = 0.85 * de / (2.0 * gamma)
+    u = tc(grid.e_nodes).astype(float)
+    u[0], u[-1] = 0.0, 1.0
+    s = np.sort(grid.horizon - grid.t_nodes)
+    out = [u.copy()]
+    for s0, s1 in zip(s[:-1], s[1:]):
+        n_sub = max(1, int(np.ceil((s1 - s0) / dt_cfl)))
+        c = (s1 - s0) / n_sub * gamma / de
+        for _ in range(n_sub):
+            u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2])
+            u[0], u[-1] = 0.0, 1.0
+        r = d_int(s0, s1) / de**2
+        if r > 0.0:
+            ab = np.zeros((3, len(u)))
+            ab[1, :] = 1.0 + 2.0 * r
+            ab[0, 1:] = -r
+            ab[2, :-1] = -r
+            ab[1, 0] = ab[1, -1] = 1.0
+            ab[0, 1] = 0.0
+            ab[2, -2] = 0.0
+            u = solve_banded((1, 1), ab, u)
+        np.clip(u, 0.0, 1.0, out=u)        # the solver's roundoff snap
+        out.append(u.copy())
+    return np.array(out[::-1])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.8])
+def test_reduced_solve_is_bit_identical_to_formula(alpha):
+    m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=0.2)
+    g = Grid(t_nodes=time_nodes_with_tail(0.0, 0.2, 10, s_min=2e-3),
+             e_nodes=e_nodes_for(m, 1e-3))
+    tc = heaviside_tc(0.0)
+    assert np.array_equal(solve_reduced_1d(m, g, tc).values,
+                          _reduced_reference(m, g, tc))
+
+
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_thomas_sweep_matches_solve_banded(batch):
+    rng = np.random.default_rng(3)
+    n, ne = 11, 40
+    r = rng.uniform(0.0, 5.0, (n,) + batch + (1,))
+    q = rng.uniform(-3.0, 3.0, (n,) + batch + (1,))
+    ab = _tridiag(r, q, n, True)
+    # a Neumann M-matrix: non-positive off-diagonals, diagonally dominant
+    assert np.all(ab[0] <= 0.0) and np.all(ab[2] <= 0.0)
+    assert np.all(ab[1] >= -np.roll(ab[0], -1, axis=0) - np.roll(ab[2], 1, axis=0))
+    x = rng.uniform(0.0, 1.0, (n,) + batch + (ne,))
+    ref = np.empty_like(x)
+    for idx in np.ndindex(batch):
+        sub = (slice(None),) + idx
+        ref[sub] = solve_banded((1, 1), ab[(slice(None),) + sub][..., 0], x[sub])
+    _thomas_sweep(x, *_thomas_factors(ab), np.empty(x.shape[1:]))
+    assert np.max(np.abs(x - ref)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# scheme invariants on random small problems
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["affine", "nonlinear", "reduced"]),
+       coef=st.floats(0.0, 0.9), T=st.floats(0.05, 0.2),
+       shift=st.floats(0.0, 0.1), width=st.floats(0.02, 0.3),
+       n_p=st.integers(3, 9), n_t=st.integers(2, 8))
+def test_scheme_invariants_on_random_grids(family, coef, T, shift, width, n_p, n_t):
+    if family == "nonlinear":
+        m = build_model({"family": "nonlinear_1d", "f0_amplitude": 0.2 * coef,
+                         "sigma": 0.75, "horizon_T": T})
+    else:
+        m = affine_model(alpha=coef, gamma=1.0, sigma=1.0, horizon_T=T)
+    e = e_nodes_for(m, 5e-3, pad=0.2)
+    p = () if family == "reduced" else (np.linspace(-1.5, 1.5, n_p),)
+    g = Grid(t_nodes=uniform_time_nodes(0.0, T, n_t), e_nodes=e, p_nodes=p)
+    solve = solve_reduced_1d if family == "reduced" else solve_mollified
+    hi = solve(m, g, smooth_ramp_tc(-shift, width)).values
+    lo = solve(m, g, smooth_ramp_tc(shift, width)).values
+    for v in (hi, lo):
+        assert v.min() >= 0.0 and v.max() <= 1.0
+        assert np.min(np.diff(v, axis=-1)) >= -1e-12
+    assert np.max(lo - hi) <= 1e-12
