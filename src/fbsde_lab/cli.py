@@ -26,6 +26,7 @@ from .experiments import emit_plot_data, run_scenario
 from .fieldio import dump_field, load_field, write_csv
 from .scenarios import build_model, build_tc, registry_list, scenario_config
 from .mc_engine import SimConfig, simulate_forward
+from .value_pde import check_domain
 
 
 def _output_root(args) -> Path:
@@ -109,12 +110,13 @@ def cmd_simulate_only(args) -> int:
         print(f"cannot load field: {exc}", file=sys.stderr)
         return 2
     model = build_model(cfg["model"])
-    T = model.horizon_T
-    if (field.provenance.get("model_hash") != model.model_hash()
-            or abs(field.grid.horizon - T) > 1e-12 * max(1.0, T)):
-        print(f"field {args.field} (model {field.provenance.get('model_hash')}, "
-              f"horizon {field.grid.horizon}) does not fit scenario "
-              f"{cfg['name']!r} (model {model.model_hash()}, horizon {T})",
+    try:
+        if field.provenance.get("model_hash") != model.model_hash():
+            raise ValueError(f"model {field.provenance.get('model_hash')}, "
+                             f"scenario model {model.model_hash()}")
+        check_domain(model, field.grid)
+    except ValueError as exc:
+        print(f"field {args.field} does not fit scenario {cfg['name']!r}: {exc}",
               file=sys.stderr)
         return 2
     scfg = cfg["sim"]

@@ -3,8 +3,7 @@
 Binary layout: a plain-text header of ``key: value`` lines terminated by a
 blank line, followed by the raw little-endian float64 array, row-major.
 The header lists every grid axis node by node (JSON floats round-trip
-exactly) and the provenance, so a dump is self-describing.  Older files,
-which describe the e- and p-axes as first, step, count, still load.
+exactly) and the provenance, so a dump is self-describing.
 """
 
 from __future__ import annotations
@@ -43,13 +42,6 @@ def dump_field(field: ValueField, path) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def _axis(kv: dict, key: str, legacy: str) -> np.ndarray:
-    if key in kv:
-        return np.asarray(json.loads(kv[key]), dtype=float)
-    d = json.loads(kv[legacy])
-    return d["first"] + d["step"] * np.arange(d["count"])
-
-
 def load_field(path) -> ValueField:
     raw = Path(path).read_bytes()
     sep = raw.index(b"\n\n")
@@ -60,17 +52,22 @@ def load_field(path) -> ValueField:
         kv[key] = val
     if kv.get("format") != _MAGIC:
         raise ValueError(f"{path}: format {kv.get('format')!r}, expected {_MAGIC!r}")
-    p_nodes = tuple(_axis(kv, f"p_nodes_{k}", f"p_axis_{k}")
-                    for k in range(int(kv["p_dims"])))
-    shape = tuple(json.loads(kv["shape"]))
+
+    def header(key):
+        if key not in kv:
+            raise ValueError(f"{path}: header has no {key!r} line")
+        return json.loads(kv[key])
+
+    p_nodes = tuple(np.asarray(header(f"p_nodes_{k}"), dtype=float)
+                    for k in range(int(header("p_dims"))))
+    shape = tuple(header("shape"))
     if len(payload) != 8 * int(np.prod(shape)):
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, shape "
                          f"{list(shape)} needs {8 * int(np.prod(shape))}")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    grid = Grid(t_nodes=np.asarray(json.loads(kv["t_nodes"]), dtype=float),
-                e_nodes=_axis(kv, "e_nodes", "e_axis"), p_nodes=p_nodes)
-    return ValueField(grid=grid, values=values,
-                      provenance=json.loads(kv["provenance"]))
+    grid = Grid(t_nodes=np.asarray(header("t_nodes"), dtype=float),
+                e_nodes=np.asarray(header("e_nodes"), dtype=float), p_nodes=p_nodes)
+    return ValueField(grid=grid, values=values, provenance=header("provenance"))
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -137,7 +137,8 @@ def e_nodes_for(model: ModelSpec, de: float, pad: float = 0.0) -> np.ndarray:
     return lo + de * np.arange(n + 1)
 
 
-def _check_domain(model: ModelSpec, grid: Grid):
+def check_domain(model: ModelSpec, grid: Grid):
+    """Raise ValueError unless the grid covers the model's e-domain and horizon."""
     half = 2.0 * model.lipschitz_L * model.horizon_T
     lo, hi = model.cap_lambda - half, model.cap_lambda + half
     tol = 1e-9 * max(1.0, abs(hi))
@@ -376,7 +377,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     """
     if grid.dim not in (1, 2):
         raise ValueError("solve_mollified needs a (t, p, e) grid of p-dim 1 or 2")
-    _check_domain(model, grid)
+    check_domain(model, grid)
     de = grid.de
     eps2 = float(epsilon) ** 2
 
@@ -507,7 +508,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     """
     if grid.dim != 0:
         raise ValueError("solve_reduced_1d needs a dim-0 grid")
-    _check_domain(model, grid)
+    check_domain(model, grid)
     gamma = model.family_params.get("gamma")
     if gamma is None:
         raise ValueError("reduced solve needs an affine-type family with gamma")

@@ -93,3 +93,16 @@ def test_truncated_payload_names_both_sizes(tmp_path):
     with pytest.raises(ValueError, match=rf"{5 * len(g.e_nodes) * 8 - 8} bytes.*"
                                          rf"\[5, {len(g.e_nodes)}\]"):
         load_field(path)
+
+
+@pytest.mark.parametrize("key", ["shape", "p_dims", "t_nodes", "e_nodes", "provenance"])
+def test_missing_header_line_is_named(tmp_path, key):
+    m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 1e-2))
+    path = tmp_path / "f.bin"
+    dump_field(ValueField(grid=g, values=np.zeros((5, len(g.e_nodes)))), path)
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    kept = [ln for ln in head.split(b"\n") if not ln.startswith(key.encode() + b": ")]
+    path.write_bytes(b"\n".join(kept) + b"\n\n" + payload)
+    with pytest.raises(ValueError, match=f"no '{key}' line"):
+        load_field(path)

@@ -191,3 +191,15 @@ def test_simulate_only_refuses_field_of_another_horizon(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "horizon" in capsys.readouterr().err
+
+
+def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
+    cfgfile, path = _solve_only(tmp_path, "degenerate_characteristics")
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    kept = [ln for ln in head.split(b"\n") if not ln.startswith(b"shape: ")]
+    path.write_bytes(b"\n".join(kept) + b"\n\n" + payload)
+    code = main(["simulate-only", "--scenario", "degenerate_characteristics",
+                 "--field", str(path), "--config", str(cfgfile),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "cannot load field" in capsys.readouterr().err
