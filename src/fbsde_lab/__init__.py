@@ -8,7 +8,7 @@ from .model_core import (
 )
 from .burgers_ref import (
     BurgersProfile, GapTable, WEvaluator, burgers_gap, characteristic,
-    inviscid_value, psi, w_eval,
+    inviscid_value, psi,
 )
 from .value_pde import (
     CFLError, DerivativeFields, Grid, SolveDivergenceError, ValueField,

@@ -201,11 +201,6 @@ class WEvaluator:
         return np.einsum("...ji,...j->...i", sig, g)
 
 
-def w_eval(we: WEvaluator, t, p):
-    """Functional form of ``WEvaluator.evaluate``."""
-    return we.evaluate(t, p)
-
-
 # ---------------------------------------------------------------------------
 # gap against the rescaled profile
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .experiments import emit_plot_data, run_scenario
+from .experiments import (check_names, emit_plot_data, make_we, run_scenario,
+                          scenario_field, scenario_model, scenario_sim)
 from .fieldio import dump_field, load_field, write_csv
-from .scenarios import build_model, build_tc, registry_list, scenario_config
-from .mc_engine import SimConfig, simulate_forward
+from .scenarios import (ConfigError, build_model, registry_list,
+                        scenario_config)
+from .mc_engine import simulate_forward
 from .value_pde import check_domain
 
 
@@ -46,11 +46,23 @@ def _load_cfg(args) -> dict:
     return overrides
 
 
-def cmd_run(args) -> int:
+def _scenario_cfg(args) -> dict | None:
+    """The scenario's config with the overrides applied, or None after
+    printing why there is none (unknown scenario, key, version or check)."""
     try:
         cfg = scenario_config(args.scenario, _load_cfg(args))
+        check_names(cfg["checks"])
+        return cfg
     except KeyError:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_run(args) -> int:
+    cfg = _scenario_cfg(args)
+    if cfg is None:
         return 2
     record = run_scenario(cfg, output_root=_output_root(args))
     for name, verdict in record.verdicts.items():
@@ -77,19 +89,10 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_solve_only(args) -> int:
-    try:
-        cfg = scenario_config(args.scenario, _load_cfg(args))
-    except KeyError:
-        print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
+    cfg = _scenario_cfg(args)
+    if cfg is None:
         return 2
-    from .experiments import reduced_tail_field, full_field
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    g = cfg.get("grid", {})
-    if "de_reduced" in g:
-        field = reduced_tail_field(model, tc, g)
-    else:
-        field = full_field(model, tc, g)
+    field = scenario_field(cfg, *scenario_model(cfg))
     out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_field.bin"
@@ -99,10 +102,8 @@ def cmd_solve_only(args) -> int:
 
 
 def cmd_simulate_only(args) -> int:
-    try:
-        cfg = scenario_config(args.scenario, _load_cfg(args))
-    except KeyError:
-        print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
+    cfg = _scenario_cfg(args)
+    if cfg is None:
         return 2
     try:
         field = load_field(args.field)
@@ -119,14 +120,7 @@ def cmd_simulate_only(args) -> int:
         print(f"field {args.field} does not fit scenario {cfg['name']!r}: {exc}",
               file=sys.stderr)
         return 2
-    scfg = cfg["sim"]
-    from .experiments import make_we, cone_start
-    we = make_we(model)
-    sim = SimConfig(n_paths=scfg["n_paths"], n_steps=scfg["n_steps"], t0=0.0,
-                    p0=np.zeros(model.dim_p),
-                    e0=cone_start(model, scfg.get("e0_cone", 0.5)),
-                    seed=scfg["seed"])
-    ens = simulate_forward(model, field, we, sim)
+    ens = simulate_forward(model, field, make_we(model), scenario_sim(cfg, model))
     out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_terminal.csv"

@@ -4,10 +4,18 @@ Every check returns a three-valued verdict: ``pass`` / ``fail`` /
 ``flagged`` (statistically inconclusive, e.g. below Monte Carlo
 resolution), together with its measured statistics and CSV-ready tables.
 Identical configs reproduce identical statistics bit for bit.
+
+The checks that read the scenario's own field and paths share one build per
+process (``_main_ensemble``), keyed by the canonical JSON of the config's
+``model``, ``tc``, ``grid`` and ``sim`` blocks.  At most two builds are held
+(least recently used out), and their arrays are read-only, so a hit cannot
+change the numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass, field as dc_field
@@ -22,8 +30,10 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         gaussian_control_terminal, prefactor_report,
                         simulate_forward, terminal_sandwich_check,
                         transmission_scan, trap_diagnostic, variance_scan)
-from .model_core import default_mollifier, mollify, validate_assumptions
-from .scenarios import build_model, build_tc, config_hash, scenario_config
+from .model_core import (affine_model, default_mollifier, heaviside_tc, mollify,
+                         validate_assumptions)
+from .scenarios import (ConfigError, build_model, build_tc, config_hash,
+                        scenario_config)
 from .value_pde import (Grid, bound_report, conservation_gap, e_nodes_for,
                         gradient_fields, gradient_band_violation,
                         solve_mollified, solve_reduced_1d, time_nodes_with_tail,
@@ -47,21 +57,15 @@ class ExperimentRecord:
     stats: dict
     manifest: list
     timings: dict
+    cache: dict
 
     @property
     def all_passed(self) -> bool:
         return all(v != "fail" for v in self.verdicts.values())
 
     def to_json(self) -> str:
-        return json.dumps({
-            "scenario": self.scenario,
-            "config_hash": self.config_hash,
-            "verdicts": self.verdicts,
-            "stats": self.stats,
-            "manifest": self.manifest,
-            "timings": self.timings,
-            "config": self.config,
-        }, indent=2, sort_keys=True, default=_jsonable)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True,
+                          default=_jsonable)
 
 
 def _jsonable(x):
@@ -108,17 +112,66 @@ def reduced_aligned_field(model, tc, de, n_steps, t_extra=(), t_stop=None):
     return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
 
 
-def full_field(model, tc, gcfg, epsilon=0.0, mollifier_n=None, pad=0.0,
-               t_extra=()):
-    t_nodes = np.union1d(
-        uniform_time_nodes(0.0, model.horizon_T, gcfg.get("n_t", 100)),
-        np.asarray(t_extra, dtype=float))
-    e = e_nodes_for(model, gcfg["de_full"], pad=pad)
-    p = tuple(np.linspace(-gcfg.get("p_half", 3.0), gcfg.get("p_half", 3.0),
-                          gcfg.get("n_p", 51)) for _ in range(model.dim_p))
-    grid = Grid(t_nodes=t_nodes, e_nodes=e, p_nodes=p)
-    return solve_mollified(model, grid, tc, epsilon=epsilon,
+def _grid_full(model, gcfg, pad=0.0, t_extra=()):
+    return Grid(
+        t_nodes=np.union1d(
+            uniform_time_nodes(0.0, model.horizon_T, gcfg.get("n_t", 100)),
+            np.asarray(t_extra, dtype=float)),
+        e_nodes=e_nodes_for(model, gcfg["de_full"], pad=pad),
+        p_nodes=tuple(np.linspace(-gcfg.get("p_half", 3.0),
+                                  gcfg.get("p_half", 3.0), gcfg.get("n_p", 51))
+                      for _ in range(model.dim_p)))
+
+
+def full_field(model, tc, gcfg, mollifier_n=None, pad=0.0, t_extra=()):
+    return solve_mollified(model, _grid_full(model, gcfg, pad, t_extra), tc,
                            mollifier_n=mollifier_n)
+
+
+def scenario_model(cfg, horizon=None):
+    """The scenario's model (at ``horizon`` if given) and terminal condition."""
+    model = build_model(cfg["model"], horizon)
+    return model, build_tc(cfg.get("tc", {}), model.cap_lambda)
+
+
+def scenario_field(cfg, model, tc):
+    """The scenario's own field: the reduced tail field when its grid names
+    ``de_reduced``, else the full (t, p, e) solve."""
+    g = cfg.get("grid", {})
+    if "de_reduced" in g:
+        return reduced_tail_field(model, tc, g)
+    return full_field(model, tc, g)
+
+
+def scenario_sim(cfg, model, **over) -> SimConfig:
+    """Path settings from ``cfg["sim"]``, started at t = 0, p = 0 and the cone
+    fraction ``e0_cone`` (default 1/2); ``over`` replaces any field."""
+    scfg = cfg["sim"]
+    return SimConfig(**{"n_paths": scfg["n_paths"], "n_steps": scfg["n_steps"],
+                        "t0": 0.0, "p0": np.zeros(model.dim_p),
+                        "e0": cone_start(model, scfg.get("e0_cone", 0.5)),
+                        "seed": scfg["seed"], **over})
+
+
+def _ensemble_key(cfg) -> str:
+    """Canonical JSON of the config blocks the scenario ensemble depends on."""
+    return json.dumps({k: cfg.get(k, {}) for k in ("model", "tc", "grid", "sim")},
+                      sort_keys=True)
+
+
+@functools.lru_cache(maxsize=2)
+def _main_ensemble(key: str):
+    """(field, we, sim, paths) of the scenario blocks in ``key``; memoised."""
+    cfg = json.loads(key)
+    model, tc = scenario_model(cfg)
+    field = scenario_field(cfg, model, tc)
+    we = make_we(model)
+    sim = scenario_sim(cfg, model)
+    ens = simulate_forward(model, field, we, sim)
+    for arr in (field.values, ens.terminal_E, ens.terminal_Y,
+                ens.terminal_Ebar, ens.escaped):
+        arr.flags.writeable = False
+    return field, we, sim, ens
 
 
 def make_we(model, **kw) -> WEvaluator:
@@ -148,8 +201,7 @@ def check_validate(cfg) -> CheckOutcome:
 
 def check_gradient_band(cfg, n_e=400, n_t=200, n_p=50) -> CheckOutcome:
     """Gradient band on the fixed acceptance grid (400 e, 200 t, 50 p)."""
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     half = 2.0 * model.lipschitz_L * model.horizon_T
     de = 2.0 * half / n_e
     grid = Grid(t_nodes=uniform_time_nodes(0.0, model.horizon_T, n_t),
@@ -166,7 +218,6 @@ def check_gradient_band(cfg, n_e=400, n_t=200, n_p=50) -> CheckOutcome:
 def check_comparison_mollified(cfg) -> CheckOutcome:
     """Ordered mollified pairs stay ordered; window gap shrinks with n."""
     model = build_model(cfg["model"])
-    from .model_core import heaviside_tc
     tc = heaviside_tc(model.cap_lambda)
     g = cfg.get("grid", {})
     gcfg = {"de_full": 2e-3, "p_half": g.get("p_half", 3.0), "n_p": 41,
@@ -176,12 +227,11 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
     worst_order = -np.inf
     gaps, uppers = [], []
     t_probe = 0.5 * model.horizon_T
+    grid = _grid_full(model, gcfg, pad=1.0 / min(ns))
     for n in ns:
         mol = default_mollifier(n)
-        up = solve_mollified(model, _grid_full(model, gcfg, pad=1.0 / min(ns)),
-                             mollify(tc, mol, "upper"), mollifier_n=n)
-        lo = solve_mollified(model, _grid_full(model, gcfg, pad=1.0 / min(ns)),
-                             mollify(tc, mol, "lower"), mollifier_n=n)
+        up = solve_mollified(model, grid, mollify(tc, mol, "upper"), mollifier_n=n)
+        lo = solve_mollified(model, grid, mollify(tc, mol, "lower"), mollifier_n=n)
         worst_order = max(worst_order, float(np.max(lo.values - up.values)))
         gaps.append(conservation_gap(up, lo, m=0.5 * model.horizon_T,
                                      t=t_probe, p=[0.0]))
@@ -199,18 +249,9 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
                               list(zip(ns, gaps)))})
 
 
-def _grid_full(model, gcfg, pad=0.0):
-    return Grid(
-        t_nodes=uniform_time_nodes(0.0, model.horizon_T, gcfg.get("n_t", 100)),
-        e_nodes=e_nodes_for(model, gcfg["de_full"], pad=pad),
-        p_nodes=(np.linspace(-gcfg.get("p_half", 3.0), gcfg.get("p_half", 3.0),
-                             gcfg.get("n_p", 51)),))
-
-
 def check_conservation_gap(cfg) -> CheckOutcome:
     """Terminal window gap equals twice bump_mean/n; decreasing in n at t < T."""
     model = build_model(cfg["model"])
-    from .model_core import heaviside_tc
     tc = heaviside_tc(model.cap_lambda)
     ns = cfg.get("sweeps", {}).get("mollifier_n", [4, 8, 16])
     rows = []
@@ -232,8 +273,7 @@ def check_conservation_gap(cfg) -> CheckOutcome:
 
 def check_burgers_gap(cfg) -> CheckOutcome:
     """Sup gap to the rescaled profile decreasing toward the horizon."""
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     horizons = cfg.get("sweeps", {}).get("gap_horizons", [0.4, 0.2, 0.1, 0.05])
     t_list = [model.horizon_T - h for h in horizons]
     g = cfg.get("grid", {})
@@ -256,8 +296,7 @@ def check_burgers_gap(cfg) -> CheckOutcome:
 
 def check_equivalence(cfg) -> CheckOutcome:
     """Full-solver field against the reconstructed reduced field."""
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     g = cfg.get("grid", {})
     vf = full_field(model, tc, g)
     red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4),
@@ -281,7 +320,6 @@ def check_equivalence(cfg) -> CheckOutcome:
 
 def check_mirror_symmetry(cfg) -> CheckOutcome:
     model = build_model(cfg["model"])
-    from .model_core import heaviside_tc
     tc = heaviside_tc(model.cap_lambda)
     g = cfg.get("grid", {})
     red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4),
@@ -305,18 +343,15 @@ def check_mirror_symmetry(cfg) -> CheckOutcome:
 
 
 def check_flow_squeeze(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     g = cfg.get("grid", {})
-    scfg = cfg["sim"]
     field = reduced_tail_field(model, tc,
                                {"de_reduced": g.get("de_reduced", 2e-4),
                                 "tail_ratio": 1.07, "tail_switch": 0.02})
     we = make_we(model)
     T = model.horizon_T
-    sim = SimConfig(n_paths=scfg.get("n_paths_flow", 20_000),
-                    n_steps=scfg["n_steps"], t0=0.0, p0=np.zeros(model.dim_p),
-                    e0=cone_start(model, 0.5), seed=scfg["seed"])
+    sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
+                       n_paths=cfg["sim"].get("n_paths_flow", 20_000))
     pairs = [(cone_start(model, 0.55), cone_start(model, 0.30)),
              (cone_start(model, 0.30), cone_start(model, 0.10))]
     t_list = [0.25 * T, 0.5 * T, 0.75 * T]
@@ -337,7 +372,6 @@ def check_flow_squeeze(cfg) -> CheckOutcome:
 
 def check_variance(cfg) -> CheckOutcome:
     """Cube-law time slope per horizon plus the horizon-prefactor verdict."""
-    base_model = build_model(cfg["model"])
     lam_drift = cfg["model"].get("lam", 0.0) \
         if cfg["model"]["family"] == "linear_drift" else 0.0
     horizons = cfg.get("sweeps", {}).get("variance_horizons", [0.4, 0.2, 0.1])
@@ -347,16 +381,13 @@ def check_variance(cfg) -> CheckOutcome:
     slopes, prefs, rows = [], [], []
     flagged = False
     for h in horizons:
-        model = build_model(cfg["model"], horizon=h)
-        tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+        model, tc = scenario_model(cfg, h)
         t_list = 0.5 * h * np.geomspace(0.05, 1.0, 8)
         field = reduced_aligned_field(model, tc, de, scfg["n_steps"],
                                       t_extra=t_list, t_stop=float(t_list[-1]))
         we = make_we(model)
-        sim = SimConfig(n_paths=scfg["n_paths"], n_steps=scfg["n_steps"],
-                        t0=0.0, p0=np.zeros(model.dim_p),
-                        e0=cone_start(model, 0.5), seed=scfg["seed"],
-                        terminal_refine=False)
+        sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
+                           terminal_refine=False)
         scan = variance_scan(model, field, we, sim, t_list)
         slopes.append(scan.time_slope)
         prefs.append(scan.prefactor)
@@ -381,17 +412,19 @@ def check_variance(cfg) -> CheckOutcome:
         {"variance": (["horizon", "t_minus_t0", "var", "jackknife_se"], rows)})
 
 
+def _transmission_profile(model, field):
+    """Transmission profiles at t = 0, p = 0 across the horizon's cone."""
+    gamma, h = model.family_params["gamma"], model.horizon_T
+    e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
+    return transmission_scan(field, gradient_fields(field), model, 0.0,
+                             np.zeros(model.dim_p), e_grid, we=make_we(model))
+
+
 def check_transmission(cfg) -> CheckOutcome:
     """In-cone/off-cone transmission ratio at a short horizon (no-drift case)."""
     h = cfg.get("sweeps", {}).get("transmission_horizon", 0.05)
-    model = build_model(cfg["model"], horizon=h)
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    field = reduced_aligned_field(model, tc, 2e-5, 400)
-    derivs = gradient_fields(field)
-    gamma = model.family_params["gamma"]
-    e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
-    prof = transmission_scan(field, derivs, model, 0.0,
-                             np.zeros(model.dim_p), e_grid, we=make_we(model))
+    model, tc = scenario_model(cfg, h)
+    prof = _transmission_profile(model, reduced_aligned_field(model, tc, 2e-5, 400))
     ok = prof.ratio <= 0.1
     return CheckOutcome(
         "transmission", "pass" if ok else "fail",
@@ -403,16 +436,9 @@ def check_transmission(cfg) -> CheckOutcome:
 
 
 def check_transmission_sign_change(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    field = reduced_aligned_field(model, tc, cfg["grid"].get("de_reduced", 5e-5),
-                                  400)
-    derivs = gradient_fields(field)
-    gamma = model.family_params["gamma"]
-    h = model.horizon_T
-    e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
-    prof = transmission_scan(field, derivs, model, 0.0,
-                             np.zeros(model.dim_p), e_grid, we=make_we(model))
+    model, tc = scenario_model(cfg)
+    prof = _transmission_profile(model, reduced_aligned_field(
+        model, tc, cfg["grid"].get("de_reduced", 5e-5), 400))
     n_changes = {k: len(v) for k, v in prof.sign_changes.items()}
     ok = all(n >= 1 for n in n_changes.values())
     return CheckOutcome(
@@ -426,25 +452,9 @@ def check_transmission_sign_change(cfg) -> CheckOutcome:
                                    prof.profiles["alpha_minus_dpv"])))})
 
 
-def _main_ensemble(cfg, model, tc):
-    g = cfg.get("grid", {})
-    scfg = cfg["sim"]
-    if "de_reduced" in g:
-        field = reduced_tail_field(model, tc, g)
-    else:
-        field = full_field(model, tc, g)
-    we = make_we(model)
-    e0 = cone_start(model, scfg.get("e0_cone", 0.5)) if "e0_cone" in scfg \
-        else cone_start(model, 0.5)
-    sim = SimConfig(n_paths=scfg["n_paths"], n_steps=scfg["n_steps"], t0=0.0,
-                    p0=np.zeros(model.dim_p), e0=e0, seed=scfg["seed"])
-    return field, we, sim, simulate_forward(model, field, we, sim)
-
-
 def check_dirac_atom(cfg) -> CheckOutcome:
     model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    field, we, sim, ens = _main_ensemble(cfg, model, tc)
+    _, we, sim, ens = _main_ensemble(_ensemble_key(cfg))
     if ens.escape_fraction > 1e-3:
         return CheckOutcome("dirac_atom", "fail",
                             {"escape_fraction": ens.escape_fraction})
@@ -452,9 +462,7 @@ def check_dirac_atom(cfg) -> CheckOutcome:
     curve = dirac_scan(ens, ladder)
     ctrl = dirac_scan(gaussian_control_terminal(model, we, sim), ladder,
                       cap_lambda=model.cap_lambda)
-    deterministic = float(model.family_params.get("alpha", [1])[0]
-                          if np.ndim(model.family_params.get("alpha", 1.0))
-                          else model.family_params.get("alpha", 1.0)) == 0.0
+    deterministic = float(np.ravel(model.family_params.get("alpha", 1.0))[0]) == 0.0
     if deterministic:
         ok = bool(np.all(curve.fractions >= 1.0 - 1e-12))
         stats = {"fractions": curve.fractions.tolist(), "all_trapped": ok}
@@ -495,8 +503,7 @@ def check_trap(cfg) -> CheckOutcome:
              "zbar_terminal_dev": z_dev_worst, "increasing": increasing}
     # event inclusion: the atom fraction dominates P(F) at the matched horizon
     model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    _, we, sim, ens = _main_ensemble(cfg, model, tc)
+    *_, ens = _main_ensemble(_ensemble_key(cfg))
     curve = dirac_scan(ens, default_delta_ladder(model.horizon_T))
     j = horizons.index(model.horizon_T) if model.horizon_T in horizons else None
     if j is not None:
@@ -509,9 +516,8 @@ def check_trap(cfg) -> CheckOutcome:
 
 
 def check_sandwich(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    field, we, sim, ens = _main_ensemble(cfg, model, tc)
+    model, tc = scenario_model(cfg)
+    field, _, _, ens = _main_ensemble(_ensemble_key(cfg))
     smear = field.provenance.get("smoothing_width", field.grid.de)
     frac = terminal_sandwich_check(ens, tc, eta=0.05,
                                    min_cap_distance=10 * smear)
@@ -523,8 +529,7 @@ def check_sandwich(cfg) -> CheckOutcome:
 
 def check_characteristics(cfg) -> CheckOutcome:
     """Deterministic paths against the closed-form characteristics."""
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     we = make_we(model)
     T = model.horizon_T
     gamma = model.family_params["gamma"]
@@ -537,9 +542,8 @@ def check_characteristics(cfg) -> CheckOutcome:
     worst = 0.0
     rows = []
     for e0 in fans:
-        sim = SimConfig(n_paths=101, n_steps=cfg["sim"]["n_steps"], t0=0.0,
-                        p0=np.zeros(model.dim_p), e0=float(e0),
-                        seed=cfg["sim"]["seed"], t_snapshots=tuple(t_probe))
+        sim = scenario_sim(cfg, model, n_paths=101, e0=float(e0),
+                           t_snapshots=tuple(t_probe))
         ens = simulate_forward(model, field, we, sim)
         for t in t_probe:
             sim_e = float(ens.snapshots[round(t, 12)]["E"][0])
@@ -560,16 +564,14 @@ def check_characteristics(cfg) -> CheckOutcome:
 
 
 def check_variance_zero(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     g = cfg["grid"]
     field = reduced_tail_field(model, tc, g)
     we = make_we(model)
     T = model.horizon_T
     t_list = [0.25 * T, 0.5 * T]
-    sim = SimConfig(n_paths=5000, n_steps=cfg["sim"]["n_steps"], t0=0.0,
-                    p0=np.zeros(model.dim_p), e0=cone_start(model, 0.5),
-                    seed=cfg["sim"]["seed"], t_snapshots=tuple(t_list))
+    sim = scenario_sim(cfg, model, n_paths=5000, e0=cone_start(model, 0.5),
+                       t_snapshots=tuple(t_list))
     ens = simulate_forward(model, field, we, sim)
     worst = max(float(np.var(ens.snapshots[round(t, 12)]["E"])) for t in t_list)
     return CheckOutcome("variance_zero", "pass" if worst <= 1e-20 else "fail",
@@ -578,8 +580,7 @@ def check_variance_zero(cfg) -> CheckOutcome:
 
 def check_conditional_support(cfg) -> CheckOutcome:
     model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
-    field, we, sim, ens = _main_ensemble(cfg, model, tc)
+    *_, ens = _main_ensemble(_ensemble_key(cfg))
     delta = 1e-2 * model.horizon_T
     hist = conditional_support(ens, delta, n_bins=10)
     ok = hist.coverage == 1.0 and hist.n_conditioned >= 1000
@@ -594,8 +595,7 @@ def check_conditional_support(cfg) -> CheckOutcome:
 def check_mass_near_start(cfg) -> CheckOutcome:
     """Mass near the started value over a short horizon stays above 1/2."""
     h = cfg.get("sweeps", {}).get("mass_check_horizon", 0.01)
-    model = build_model(cfg["model"], horizon=h)
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg, h)
     # fine grid with the terminal-value slice well resolved (fan of ~40 cells
     # at the reading slice), so the recorded Y keeps its martingale meaning
     g = dict(cfg.get("grid", {}))
@@ -603,10 +603,8 @@ def check_mass_near_start(cfg) -> CheckOutcome:
     g["tail_s_min"] = h / 25
     field = reduced_tail_field(model, tc, g)
     we = make_we(model)
-    scfg = cfg["sim"]
     e0 = cone_start(model, 0.5)
-    sim = SimConfig(n_paths=scfg["n_paths"] // 2, n_steps=scfg["n_steps"],
-                    t0=0.0, p0=np.zeros(model.dim_p), e0=e0, seed=scfg["seed"])
+    sim = scenario_sim(cfg, model, n_paths=cfg["sim"]["n_paths"] // 2, e0=e0)
     y0 = float(field.eval(0.0, sim.p0, e0, we=we))
     ens = simulate_forward(model, field, we, sim)
     eps = 0.1
@@ -624,15 +622,12 @@ def check_feynman_kac(cfg) -> CheckOutcome:
     the comparison value is a central p-difference of the reconstructed
     value, the estimator an importance-weighted path integral of de_v.
     """
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     field = reduced_aligned_field(model, tc, 1e-4, cfg["sim"]["n_steps"])
     derivs = gradient_fields(field)
     we = make_we(model)
-    scfg = cfg["sim"]
     e0 = model.cap_lambda + 0.3 * model.horizon_T
-    sim = SimConfig(n_paths=scfg["n_paths"], n_steps=scfg["n_steps"], t0=0.0,
-                    p0=np.zeros(model.dim_p), e0=e0, seed=scfg["seed"])
+    sim = scenario_sim(cfg, model, e0=e0)
     est = feynman_kac_grad_p(model, field, derivs, sim, we=we)
     h_fd = 1e-3
     diff = np.asarray(field.eval(0.0, sim.p0 + h_fd, np.array([e0]), we=we)
@@ -649,8 +644,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     """Far-field and gradient-band entries on the scenario field; the
     off-cone decay ratio is measured on a one-sided mollified step (the
     class the square-law statement addresses), just above the cone edge."""
-    model = build_model(cfg["model"])
-    tc = build_tc(cfg.get("tc", {}), model.cap_lambda)
+    model, tc = scenario_model(cfg)
     vf = full_field(model, tc, cfg["grid"])
     derivs = gradient_fields(vf)
     we = make_we(model)
@@ -658,10 +652,8 @@ def check_bound_report(cfg) -> CheckOutcome:
     far = rep.entry("far_field")
     band = rep.entry("gradient_band")
 
-    from .model_core import heaviside_tc
     mol = default_mollifier(8)
     tc_up = mollify(heaviside_tc(model.cap_lambda), mol, "upper")
-    from .model_core import affine_model
     m_cal = affine_model(alpha=1.0, gamma=1.0, sigma=1.0,
                          cap_lambda=model.cap_lambda, horizon_T=0.4)
     we_cal = make_we(m_cal)
@@ -709,6 +701,15 @@ _CHECKS = {
 # runner
 # ---------------------------------------------------------------------------
 
+def check_names(names) -> list:
+    """``names`` as a list, after refusing any name that is not a check."""
+    unknown = [name for name in names if name not in _CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown check(s) {', '.join(map(repr, unknown))}; "
+                          f"known checks: {', '.join(sorted(_CHECKS))}")
+    return list(names)
+
+
 def run_scenario(name_or_cfg, output_root=None, overrides=None,
                  checks=None) -> ExperimentRecord:
     """Execute a scenario pipeline and persist tables plus the record.
@@ -718,13 +719,14 @@ def run_scenario(name_or_cfg, output_root=None, overrides=None,
     """
     cfg = (scenario_config(name_or_cfg, overrides)
            if isinstance(name_or_cfg, str) else dict(name_or_cfg))
-    todo = list(checks if checks is not None else cfg["checks"])
+    todo = check_names(checks if checks is not None else cfg["checks"])
     out_dir = None
     if output_root is not None:
         out_dir = Path(output_root) / cfg["name"]
         out_dir.mkdir(parents=True, exist_ok=True)
 
     verdicts, stats, manifest, timings = {}, {}, [], {}
+    cache0 = _main_ensemble.cache_info()
     for check_name in todo:
         fn = _CHECKS[check_name]
         t0 = time.time()
@@ -740,9 +742,12 @@ def run_scenario(name_or_cfg, output_root=None, overrides=None,
         if check_name == "validate" and outcome.verdict == "fail":
             break
 
+    cache1 = _main_ensemble.cache_info()
     record = ExperimentRecord(
         scenario=cfg["name"], config=cfg, config_hash=config_hash(cfg),
-        verdicts=verdicts, stats=stats, manifest=manifest, timings=timings)
+        verdicts=verdicts, stats=stats, manifest=manifest, timings=timings,
+        cache={"hits": cache1.hits - cache0.hits,
+               "misses": cache1.misses - cache0.misses})
     if out_dir is not None:
         (out_dir / "record.json").write_text(record.to_json())
         manifest.append(str(out_dir / "record.json"))

@@ -10,7 +10,7 @@ regardless of batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ class SimConfig:
     p0: np.ndarray
     e0: float
     seed: int
-    scheme: str = "euler"
     batch_size: int = 16384
     t_snapshots: tuple = ()
     terminal_refine: bool = True
@@ -39,8 +38,9 @@ class SimConfig:
                            np.atleast_1d(np.asarray(self.p0, dtype=float)))
         if self.n_steps < 100:
             raise ValueError("n_steps must be >= 100")
-        if self.scheme != "euler":
-            raise ValueError("only the Euler scheme is implemented")
+        if self.n_paths < 1 or self.batch_size < 1:
+            raise ValueError(f"n_paths ({self.n_paths}) and batch_size "
+                             f"({self.batch_size}) must be >= 1")
 
 
 @dataclass
@@ -52,10 +52,6 @@ class PathEnsemble:
     escaped: np.ndarray
     config: SimConfig
     provenance: dict
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.terminal_E)
 
     @property
     def escape_fraction(self) -> float:
@@ -100,12 +96,16 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
 
 def path_normals(seed: int, first: int, count: int, n_steps: int,
                  d: int) -> np.ndarray:
-    """Standard normals (count, n_steps, d) from per-path counter substreams."""
+    """Standard normals (count, n_steps, d) of paths first, ..., first+count-1;
+    path k reads Philox(key=seed) from counter [0, 0, 0, k]."""
     out = np.empty((count, n_steps, d))
+    bits = np.random.Philox(key=seed)
+    g = np.random.Generator(bits)
+    state = bits.state   # fresh: empty buffer, no stored half-word
     for i in range(count):
-        g = np.random.Generator(
-            np.random.Philox(key=seed, counter=[0, 0, 0, first + i]))
-        out[i] = g.standard_normal((n_steps, d))
+        state["state"]["counter"][3] = first + i
+        bits.state = state   # also resets buffer_pos, has_uint32, uinteger
+        g.standard_normal((n_steps, d), out=out[i])
     return out
 
 
@@ -641,7 +641,6 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     """
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
-    T = field.grid.horizon
     tgrid = sim_time_grid(cfg, field)
     n_steps_grid = len(tgrid) - 1
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))

@@ -416,12 +416,6 @@ class ValidationReport:
                 return c
         raise KeyError(name)
 
-    def summary(self) -> str:
-        lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name:22s} "
-                 f"margin={c.worst_margin:+.3e}  {c.detail}" for c in self.checks]
-        lines.append(f"elliptic={self.elliptic}")
-        return "\n".join(lines)
-
 
 def _require_finite(name, arr, points):
     arr = np.asarray(arr, dtype=float)

@@ -21,6 +21,10 @@ from .model_core import (ModelSpec, TerminalCondition, affine_model,
 SCHEMA_VERSION = 1
 
 
+class ConfigError(ValueError):
+    """A config names a key, a schema version or a check that does not exist."""
+
+
 def build_model(mcfg: dict, horizon: float | None = None) -> ModelSpec:
     """Instantiate the ModelSpec described by a scenario's model block."""
     m = dict(mcfg)
@@ -223,8 +227,16 @@ def registry_list() -> list[dict]:
 def scenario_config(name: str, overrides: dict | None = None) -> dict:
     if name not in _REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
+    overrides = overrides or {}
+    known = set().union(*(builder() for builder in _REGISTRY.values()))
+    if set(overrides) - known:
+        raise ConfigError(f"unknown config key(s) {sorted(set(overrides) - known)};"
+                          f" known keys: {sorted(known)}")
+    if overrides.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version {overrides['schema_version']!r} is "
+                          f"not supported; this version reads {SCHEMA_VERSION}")
     cfg = copy.deepcopy(_REGISTRY[name]())
-    for key, val in (overrides or {}).items():
+    for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):
             cfg[key].update(val)
         else:

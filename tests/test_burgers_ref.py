@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, burgers_gap,
-                                   characteristic, inviscid_value, psi, w_eval)
+                                   characteristic, inviscid_value, psi)
 from fbsde_lab.model_core import affine_model, heaviside_tc, linear_drift_model, nonlinear_model
 from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d, uniform_time_nodes
 
@@ -66,8 +66,8 @@ def test_affine_closed_form_value():
     m = affine_model(alpha=2.0, gamma=1.0, sigma=1.0, horizon_T=0.5,
                      lipschitz_L=2.0)
     we = WEvaluator(mode="closed_form_affine", model=m)
-    assert w_eval(we, 0.0, np.array([1.0])) == pytest.approx(1.0)
-    assert w_eval(we, 0.5, np.array([1.0])) == pytest.approx(0.0)
+    assert we.evaluate(0.0, np.array([1.0])) == pytest.approx(1.0)
+    assert we.evaluate(0.5, np.array([1.0])) == pytest.approx(0.0)
 
 
 def test_affine_closed_form_vs_mc_quadrature():

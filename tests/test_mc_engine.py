@@ -1,12 +1,16 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from fbsde_lab.burgers_ref import BurgersProfile, WEvaluator, characteristic, psi
 from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  feynman_kac_grad_p, flow_squeeze_check,
-                                 gaussian_control_terminal, prefactor_report,
-                                 simulate_forward, terminal_sandwich_check,
+                                 gaussian_control_terminal, path_normals,
+                                 prefactor_report, simulate_forward, terminal_sandwich_check,
                                  transmission_scan, trap_diagnostic,
                                  variance_scan, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
@@ -49,13 +53,34 @@ def test_same_seed_reproduces_terminal_arrays():
     assert np.array_equal(a.terminal_Y, b.terminal_Y)
 
 
-def test_batch_size_does_not_change_results():
-    model, field, we, cfg = noisy_setup(n_paths=700)
-    import dataclasses
-    small = dataclasses.replace(cfg, batch_size=128)
-    a = simulate_forward(model, field, we, cfg)
-    b = simulate_forward(model, field, we, small)
-    assert np.array_equal(a.terminal_E, b.terminal_E)
+@functools.lru_cache(maxsize=1)
+def _noisy_field():
+    return noisy_setup(n_paths=1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n_paths=st.integers(1, 40), batch_size=st.integers(1, 60))
+@example(n_paths=700, batch_size=128)   # several full batches and a tail
+@example(n_paths=9, batch_size=1)       # one path per batch
+@example(n_paths=30, batch_size=7)      # a size that does not divide n_paths
+@example(n_paths=5, batch_size=64)      # one batch larger than n_paths
+def test_batch_size_does_not_change_results(n_paths, batch_size):
+    model, field, we, cfg = _noisy_field()
+    whole = dataclasses.replace(cfg, n_paths=n_paths)
+    a = simulate_forward(model, field, we, whole)
+    b = simulate_forward(model, field, we,
+                         dataclasses.replace(whole, batch_size=batch_size))
+    for name in ("terminal_E", "terminal_Y", "terminal_Ebar", "escaped"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("first", [0, 16_384])
+@pytest.mark.parametrize("d", [1, 2])
+def test_path_normals_match_one_generator_per_path(first, d):
+    ref = np.stack([
+        np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, first + i]))
+        .standard_normal((30, d)) for i in range(5)])
+    assert np.array_equal(path_normals(11, first, 5, 30, d), ref)
 
 
 def test_degenerate_paths_hit_cap_within_tolerance():
@@ -295,6 +320,7 @@ def test_trap_probability_increases_toward_horizon():
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(n_paths=10, n_steps=50, t0=0.0, p0=np.zeros(1), e0=0.0, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,
-                  seed=1, scheme="milstein")
+    for bad in ({"n_paths": 0}, {"batch_size": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            SimConfig(**{"n_paths": 10, "n_steps": 200, "t0": 0.0,
+                         "p0": np.zeros(1), "e0": 0.0, "seed": 1, **bad})

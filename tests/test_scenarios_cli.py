@@ -203,3 +203,38 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "cannot load field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over, words", [
+    ({"checks": ["validate", "nope"]}, ["'nope'", "known checks", "dirac_atom"]),
+    ({"checks": ["validate"], "schema_version": 9}, ["schema_version 9"]),
+    ({"checks": ["validate"], "grdi": {"de_reduced": 1e-4}}, ["'grdi'", "'grid'"]),
+])
+def test_cli_bad_config_exit_2(tmp_path, capsys, over, words):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(over))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "degenerate_characteristics",
+                 "--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not out.exists()   # refused before any check ran
+
+
+def test_scenario_ensemble_is_built_once_per_run(tmp_path):
+    from fbsde_lab import experiments as X
+    cfg = scenario_config("affine_dirac", {"grid": {"de_reduced": 1e-4},
+                                           "sim": {"n_paths": 2000}})
+    checks = ["dirac_atom", "sandwich"]
+    X._main_ensemble.cache_clear()
+    rec = run_scenario(cfg, output_root=tmp_path, checks=checks)
+    data = json.loads((tmp_path / "affine_dirac" / "record.json").read_text())
+    assert data["cache"] == {"hits": 1, "misses": 1}
+    for name in checks:
+        X._main_ensemble.cache_clear()
+        assert X._CHECKS[name](cfg).stats == rec.stats[name]
+    field, _, _, ens = X._main_ensemble(X._ensemble_key(cfg))
+    for arr in (ens.terminal_E, field.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
