@@ -23,8 +23,7 @@ from pathlib import Path
 from .experiments import (check_names, emit_plot_data, make_we, run_scenario,
                           scenario_field, scenario_model, scenario_sim)
 from .fieldio import dump_field, load_field, write_csv
-from .scenarios import (ConfigError, build_model, registry_list,
-                        scenario_config)
+from .scenarios import build_model, registry_list, scenario_config
 from .mc_engine import simulate_forward
 from .value_pde import check_domain
 
@@ -48,14 +47,15 @@ def _load_cfg(args) -> dict:
 
 def _scenario_cfg(args) -> dict | None:
     """The scenario's config with the overrides applied, or None after
-    printing why there is none (unknown scenario, key, version or check)."""
+    printing why there is none: an unknown scenario, or a config file that
+    cannot be read or names an unknown key, schema version or check."""
     try:
         cfg = scenario_config(args.scenario, _load_cfg(args))
         check_names(cfg["checks"])
         return cfg
     except KeyError:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
     return None
 

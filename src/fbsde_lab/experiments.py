@@ -32,8 +32,7 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         transmission_scan, trap_diagnostic, variance_scan)
 from .model_core import (affine_model, default_mollifier, heaviside_tc, mollify,
                          validate_assumptions)
-from .scenarios import (ConfigError, build_model, build_tc, config_hash,
-                        scenario_config)
+from .scenarios import build_model, build_tc, config_hash, scenario_config
 from .value_pde import (Grid, bound_report, conservation_gap, e_nodes_for,
                         gradient_fields, gradient_band_violation,
                         solve_mollified, solve_reduced_1d, time_nodes_with_tail,
@@ -705,8 +704,8 @@ def check_names(names) -> list:
     """``names`` as a list, after refusing any name that is not a check."""
     unknown = [name for name in names if name not in _CHECKS]
     if unknown:
-        raise ConfigError(f"unknown check(s) {', '.join(map(repr, unknown))}; "
-                          f"known checks: {', '.join(sorted(_CHECKS))}")
+        raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))}; "
+                         f"known checks: {', '.join(sorted(_CHECKS))}")
     return list(names)
 
 

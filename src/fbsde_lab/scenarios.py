@@ -21,10 +21,6 @@ from .model_core import (ModelSpec, TerminalCondition, affine_model,
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """A config names a key, a schema version or a check that does not exist."""
-
-
 def build_model(mcfg: dict, horizon: float | None = None) -> ModelSpec:
     """Instantiate the ModelSpec described by a scenario's model block."""
     m = dict(mcfg)
@@ -230,11 +226,11 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
     overrides = overrides or {}
     known = set().union(*(builder() for builder in _REGISTRY.values()))
     if set(overrides) - known:
-        raise ConfigError(f"unknown config key(s) {sorted(set(overrides) - known)};"
-                          f" known keys: {sorted(known)}")
+        raise ValueError(f"unknown config key(s) {sorted(set(overrides) - known)};"
+                         f" known keys: {sorted(known)}")
     if overrides.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version {overrides['schema_version']!r} is "
-                          f"not supported; this version reads {SCHEMA_VERSION}")
+        raise ValueError(f"schema_version {overrides['schema_version']!r} is "
+                         f"not supported; this version reads {SCHEMA_VERSION}")
     cfg = copy.deepcopy(_REGISTRY[name]())
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):

@@ -205,14 +205,18 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     assert "cannot load field" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("over, words", [
-    ({"checks": ["validate", "nope"]}, ["'nope'", "known checks", "dirac_atom"]),
-    ({"checks": ["validate"], "schema_version": 9}, ["schema_version 9"]),
-    ({"checks": ["validate"], "grdi": {"de_reduced": 1e-4}}, ["'grdi'", "'grid'"]),
+@pytest.mark.parametrize("text, words", [
+    (json.dumps({"checks": ["validate", "nope"]}),
+     ["'nope'", "known checks", "dirac_atom"]),
+    (json.dumps({"checks": ["validate"], "schema_version": 9}),
+     ["schema_version 9"]),
+    (json.dumps({"checks": ["validate"], "grdi": {"de_reduced": 1e-4}}),
+     ["'grdi'", "'grid'"]),
+    ('{"checks": ["validate"]', ["bad config"]),   # truncated JSON
 ])
-def test_cli_bad_config_exit_2(tmp_path, capsys, over, words):
+def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(over))
+    cfgfile.write_text(text)
     out = tmp_path / "out"
     code = main(["run", "--scenario", "degenerate_characteristics",
                  "--config", str(cfgfile), "--out", str(out)])
