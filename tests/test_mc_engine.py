@@ -10,9 +10,10 @@ from fbsde_lab.burgers_ref import BurgersProfile, WEvaluator, characteristic, ps
 from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  feynman_kac_grad_p, flow_squeeze_check,
                                  gaussian_control_terminal, path_normals,
-                                 prefactor_report, simulate_forward, terminal_sandwich_check,
-                                 transmission_scan, trap_diagnostic,
-                                 variance_scan, _jackknife_var_se)
+                                 prefactor_report, simulate_forward,
+                                 terminal_sandwich_check, transmission_scan,
+                                 trap_diagnostic, variance_scan,
+                                 _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
 from fbsde_lab.value_pde import (Grid, e_nodes_for, gradient_fields,
                                  solve_reduced_1d, time_nodes_with_tail,
