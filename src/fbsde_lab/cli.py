@@ -34,30 +34,25 @@ def _output_root(args) -> Path:
     return Path(os.environ.get("FBSDE_LAB_OUTPUT", "fbsde_lab_out"))
 
 
-def _load_cfg(args) -> dict:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    if getattr(args, "seed", None) is not None:
-        overrides.setdefault("sim", {})["seed"] = args.seed
-    if getattr(args, "n_paths", None) is not None:
-        overrides.setdefault("sim", {})["n_paths"] = args.n_paths
-    return overrides
-
-
 def _scenario_cfg(args) -> dict | None:
-    """The scenario's config with the overrides applied, or None after
-    printing why there is none: an unknown scenario, or a config file that
-    cannot be read or names an unknown key, schema version or check."""
+    """The scenario's config with the config file and the ``--seed`` and
+    ``--n-paths`` flags applied, or None after printing why there is none: an
+    unknown scenario, or a config file that cannot be read, is not a JSON
+    object or names an unknown key, schema version or check."""
     try:
-        cfg = scenario_config(args.scenario, _load_cfg(args))
+        overrides = json.loads(Path(args.config).read_text()) if args.config else {}
+        cfg = scenario_config(args.scenario, overrides)
         check_names(cfg["checks"])
-        return cfg
     except KeyError:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
+        return None
     except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
-    return None
+        return None
+    for flag in ("seed", "n_paths"):
+        if getattr(args, flag, None) is not None:
+            cfg["sim"][flag] = getattr(args, flag)
+    return cfg
 
 
 def cmd_run(args) -> int:

@@ -487,11 +487,10 @@ def check_trap(cfg) -> CheckOutcome:
     for h in horizons:
         model = build_model(cfg["model"], horizon=h)
         we = make_we(model)
-        sim = SimConfig(n_paths=20_000, n_steps=max(200, scfg["n_steps"] // 2),
-                        t0=0.0, p0=np.zeros(model.dim_p),
-                        e0=cone_start(model, 0.5), seed=scfg["seed"] + 1)
-        rep = trap_diagnostic(model, we, 0.0, sim.p0,
-                              cone_start(model, 0.5), sim)
+        sim = scenario_sim(cfg, model, n_paths=20_000,
+                           n_steps=max(200, scfg["n_steps"] // 2),
+                           seed=scfg["seed"] + 1)
+        rep = trap_diagnostic(model, we, sim)
         p_hats.append(rep.p_hat_F)
         z_dev_worst = max(z_dev_worst, rep.zbar_terminal_dev)
         rows.append((h, rep.p_hat_F, rep.std_error, rep.zbar_terminal_dev,
@@ -563,10 +562,8 @@ def check_characteristics(cfg) -> CheckOutcome:
 
 
 def check_variance_zero(cfg) -> CheckOutcome:
-    model, tc = scenario_model(cfg)
-    g = cfg["grid"]
-    field = reduced_tail_field(model, tc, g)
-    we = make_we(model)
+    model = build_model(cfg["model"])
+    field, we, _, _ = _main_ensemble(_ensemble_key(cfg))
     T = model.horizon_T
     t_list = [0.25 * T, 0.5 * T]
     sim = scenario_sim(cfg, model, n_paths=5000, e0=cone_start(model, 0.5),

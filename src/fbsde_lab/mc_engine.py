@@ -1,7 +1,10 @@
 """Seeded path simulation and the statistical verification battery.
 
-Paths of (P, E, Ebar, Y) are driven by a solved value field: P by
-Euler-Maruyama, E by explicit Euler with the frozen-slice value lookup,
+One Euler-Maruyama stepper, ``euler_paths``, draws the Brownian increments
+and advances P for every path loop: the forward simulation, the pathwise
+gradient estimator and the bridge-trap diagnostic keep only their own
+accumulators.  The forward simulation drives (P, E, Ebar, Y) by a solved
+value field: E by explicit Euler with the frozen-slice value lookup,
 Y = v(t, P_t, E_t) through the field's interpolator, Ebar = E + w(t, P).
 Randomness comes from a counter-based generator with one substream per path
 index, so results are bit-identical for a given (seed, n_paths, n_steps)
@@ -90,7 +93,7 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
                       pieces[2] if len(pieces) > 2 else np.array([]))
     grid = grid[(grid >= cfg.t0 - 1e-15) & (grid <= T + 1e-15)]
     # collapse near-duplicates that float unions can leave behind
-    keep = np.concatenate([[True], np.diff(grid) > 1e-12 * max(1.0, T)])
+    keep = np.diff(grid, prepend=-np.inf) > 1e-12 * max(1.0, T)
     return grid[keep]
 
 
@@ -110,22 +113,50 @@ def path_normals(seed: int, first: int, count: int, n_steps: int,
 
 
 # ---------------------------------------------------------------------------
-# core stepper
+# the stepper and the forward simulation
 # ---------------------------------------------------------------------------
 
-def _field_Y(field: ValueField, we, j: int, P: np.ndarray,
-             E: np.ndarray, t: float) -> np.ndarray:
-    sl = field.values[j]
-    if field.dim == 0:
-        ebar = E + we.evaluate(t, P)
-        return _interp_space(field.grid, sl, None, ebar)
-    return _interp_space(field.grid, sl, P, E)
+def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
+    """Euler-Maruyama paths of P over ``tgrid``, batch by batch.
+
+    Yields ``(first, count, steps)`` for each batch of ``cfg.batch_size``
+    paths; ``steps`` yields ``(k, t, dt, P, P_next, dW)`` for each interval
+    [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t, the increments dW
+    (``path_normals`` scaled by sqrt(dt)) and P_next = P + b(P) dt +
+    sigma(P) dW.  A start the model cannot take is refused here, before any
+    path is drawn.
+    """
+    d = model.dim_p
+    if cfg.p0.shape != (d,):
+        raise ValueError(f"p0 has shape {cfg.p0.shape}; the model needs ({d},)")
+    if not cfg.t0 < model.horizon_T:
+        raise ValueError(f"t0 = {cfg.t0} is not before the horizon "
+                         f"T = {model.horizon_T}")
+
+    def steps(first, count):
+        dW_all = path_normals(cfg.seed, first, count, len(tgrid) - 1, d)
+        P = np.broadcast_to(cfg.p0, (count, d)).copy()
+        for k in range(len(tgrid) - 1):
+            t = float(tgrid[k])
+            dt = float(tgrid[k + 1]) - t
+            dW = dW_all[:, k, :] * np.sqrt(dt)
+            P_next = P + model.drift(P) * dt + np.einsum(
+                "nij,nj->ni", model.diffusion(P), dW)
+            yield k, t, dt, P, P_next, dW
+            P = P_next
+
+    def batches():
+        for first in range(0, cfg.n_paths, cfg.batch_size):
+            count = min(cfg.batch_size, cfg.n_paths - first)
+            yield first, count, steps(first, count)
+
+    return batches()
 
 
 def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
                    cfg: SimConfig, e_starts: np.ndarray,
                    record_times: Sequence[float], stop_time: Optional[float] = None):
-    """Shared Euler loop; returns per-start terminal arrays and snapshots.
+    """Per-start terminal arrays and snapshots of (P, E, Ebar, Y).
 
     All starts share the same P-path and Brownian increments per path index
     (common-noise coupling for the flow checks).
@@ -136,8 +167,8 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     tgrid = sim_time_grid(cfg, field, extra_times=record_times)
     if stop_time is not None:
         tgrid = tgrid[tgrid <= stop_time + 1e-15]
+    batches = euler_paths(model, cfg, tgrid)
     n_steps_grid = len(tgrid) - 1
-    d = model.dim_p
     n = cfg.n_paths
     n_starts = len(e_starts)
     record_set = {round(float(t), 12) for t in record_times}
@@ -153,20 +184,15 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     term_Y = np.empty((n_starts, n))
     escaped = np.zeros((n_starts, n), dtype=bool)
     snaps = {round(float(t), 12): {} for t in record_times}
-    term_P = np.empty((n, d))
+    term_P = np.empty((n, model.dim_p))
 
     e_lo, e_hi = field.grid.e_nodes[0], field.grid.e_nodes[-1]
 
-    for first in range(0, n, cfg.batch_size):
-        count = min(cfg.batch_size, n - first)
-        dW_all = path_normals(cfg.seed, first, count, n_steps_grid, d)
-        P = np.broadcast_to(cfg.p0, (count, d)).copy()
+    for first, count, steps in batches:
         E = np.broadcast_to(e_starts[:, None], (n_starts, count)).copy()
         esc = np.zeros((n_starts, count), dtype=bool)
         y_term = np.full((n_starts, count), np.nan)
-        for k in range(n_steps_grid):
-            t, tn = float(tgrid[k]), float(tgrid[k + 1])
-            dt = tn - t
+        for k, t, dt, P, P_next, _ in steps:
             j = int(_slice_index(field.grid.t_nodes, t))
             w_t = we.evaluate(t, P) if field.dim == 0 else None
             for a in range(n_starts):
@@ -180,19 +206,14 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
                 if k == k_y:
                     y_term[a] = Y
                 E[a] = E[a] - model.feedback.value(P, Y) * dt
-            dW = dW_all[:, k, :] * np.sqrt(dt)
-            sig = model.diffusion(P)
-            if sig.ndim == 2:
-                sig = sig[..., None]
-            P = P + model.drift(P) * dt + np.einsum("nij,nj->ni", sig, dW)
+            tn = float(tgrid[k + 1])
             key = round(tn, 12)
             if key in record_set:
-                jn = int(_slice_index(field.grid.t_nodes, tn))
                 for a in range(n_starts):
-                    Yn = _field_Y(field, we, jn, P, E[a], tn)
-                    ebar = E[a] + we.evaluate(tn, P)
+                    Yn = field.eval(tn, P_next, E[a], we=we)
+                    ebar = E[a] + we.evaluate(tn, P_next)
                     snap = snaps[key].setdefault(a, {"P": [], "E": [], "Ebar": [], "Y": []})
-                    snap["P"].append(P.copy())
+                    snap["P"].append(P_next.copy())
                     snap["E"].append(E[a].copy())
                     snap["Ebar"].append(np.asarray(ebar).copy())
                     snap["Y"].append(np.asarray(Yn).copy())
@@ -201,7 +222,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
             term_E[a, first:first + count] = E[a]
             term_Y[a, first:first + count] = y_term[a] if full_run else np.nan
         escaped[:, first:first + count] = esc
-        term_P[first:first + count] = P
+        term_P[first:first + count] = P_next   # P at the last grid time
 
     merged = {}
     for key, by_start in snaps.items():
@@ -209,7 +230,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
             a: {nm: np.concatenate(chunks) for nm, chunks in rec.items()}
             for a, rec in by_start.items()
         }
-    return tgrid, term_E, term_Y, term_P, escaped, merged
+    return term_E, term_Y, term_P, escaped, merged
 
 
 def simulate_forward(model: ModelSpec, field: ValueField, we: WEvaluator,
@@ -221,7 +242,7 @@ def simulate_forward(model: ModelSpec, field: ValueField, we: WEvaluator,
     fraction below 0.1%.
     """
     T = field.grid.horizon
-    tgrid, tE, tY, tP, esc, snaps = _simulate_core(
+    tE, tY, tP, esc, snaps = _simulate_core(
         model, field, we, cfg, np.array([cfg.e0]), cfg.t_snapshots)
     ebar_T = tE[0] + np.asarray(we.evaluate(T, tP))
     snapshots = {t: rec[0] for t, rec in snaps.items()}
@@ -375,7 +396,7 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
     starts = sorted({float(x) for pair in e_pairs for x in pair})
     idx = {x: i for i, x in enumerate(starts)}
     dt_unif = (T - cfg.t0) / cfg.n_steps
-    _, tE, _, _, esc, snaps = _simulate_core(
+    tE, _, _, esc, snaps = _simulate_core(
         model, field, we, cfg, np.asarray(starts), tuple(t_list))
     ratio = model.ell2 / model.ell1
     de_f = field.grid.de
@@ -457,7 +478,7 @@ def variance_scan(model: ModelSpec, field: ValueField, we: WEvaluator,
     t_arr = np.sort(np.asarray(list(t_list), dtype=float))
     if t_arr[0] <= cfg.t0 or t_arr[-1] > 0.5 * (T + cfg.t0) + 1e-12:
         raise ValueError("t_list must lie in (t0, (T+t0)/2]")
-    _, _, _, _, esc, snaps = _simulate_core(
+    _, _, _, esc, snaps = _simulate_core(
         model, field, we, cfg, np.array([cfg.e0]), tuple(t_arr),
         stop_time=float(t_arr[-1]))
     ok = ~esc[0]
@@ -641,25 +662,19 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     """
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
-    tgrid = sim_time_grid(cfg, field)
-    n_steps_grid = len(tgrid) - 1
+    batches = euler_paths(model, cfg, sim_time_grid(cfg, field))
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
     dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)
 
     total_wx = []
     total_w = []
-    for first in range(0, cfg.n_paths, cfg.batch_size):
-        count = min(cfg.batch_size, cfg.n_paths - first)
-        dW_all = path_normals(cfg.seed, first, count, n_steps_grid, 1)
-        P = np.broadcast_to(cfg.p0, (count, 1)).copy()
+    for _, count, steps in batches:
         E = np.full(count, cfg.e0)
         I = np.zeros(count)          # integral accumulator
         log_decay = np.zeros(count)  # exp weight inside the integrand
         log_G = np.zeros(count)      # Girsanov weight
-        for k in range(n_steps_grid):
-            t, tn = float(tgrid[k]), float(tgrid[k + 1])
-            dt = tn - t
+        for _, t, dt, P, P_next, dW in steps:
             j = int(_slice_index(field.grid.t_nodes, t))
             if field.dim == 0:
                 x = E + we.evaluate(t, P)
@@ -672,12 +687,9 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
             dfy = model.feedback.dy(P, Y)
             I += dev * dfp * np.exp(log_decay) * dt
             log_decay += (-dfy * dev + dpb(P[:, 0])) * dt
-            dW = dW_all[:, k, 0] * np.sqrt(dt)
             theta = dps(P[:, 0])
-            log_G += theta * dW - 0.5 * theta**2 * dt
-            sigv = np.asarray(model.diffusion(P))[..., 0, 0]
-            P = P + model.drift(P) * dt + (sigv * dW)[:, None]
-            E = E - model.feedback.value(P, Y) * dt
+            log_G += theta * dW[:, 0] - 0.5 * theta**2 * dt
+            E = E - model.feedback.value(P_next, Y) * dt
         G = np.exp(log_G)
         total_w.append(G)
         total_wx.append(G * (-I))
@@ -705,46 +717,35 @@ class TrapReport:
     beta: float
 
 
-def trap_diagnostic(model: ModelSpec, we: WEvaluator, t0: float, p, e_bar: float,
-                    cfg: SimConfig, beta: float = 0.25,
+def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig,
+                    beta: float = 0.25,
                     c_prime: Optional[float] = None) -> TrapReport:
     """Probability of the bridge trap event and the pinned bridge endpoints.
 
     Simulates the normalized martingale M_t = int (T-s)^{-1} <sigma^T dp_w, dW>
-    along P-paths; F is the event that sup |M| stays below ell1/16.  On F the
-    explicitly integrated bridges
+    along P-paths from (cfg.t0, cfg.p0); F is the event that sup |M| stays
+    below ell1/16.  On F the explicitly integrated bridges, started at
+    ebar = cfg.e0,
     Zbar_t = cap + (T-t) [ (ebar-cap)/(T-t0) +- C' int (T-s)^{beta-1} ds + M_t ]
     are pinned to the cap at the horizon.
     """
     T = model.horizon_T
-    h = T - t0
+    tgrid = np.linspace(cfg.t0, T, cfg.n_steps + 1)
+    batches = euler_paths(model, cfg, tgrid)
+    h = T - cfg.t0
     if c_prime is None:
         c_prime = model.ell1 * beta / (32.0 * h**beta)
-    n_steps = cfg.n_steps
-    tgrid = np.linspace(t0, T, n_steps + 1)
-    d = model.dim_p
-    p0 = np.atleast_1d(np.asarray(p, dtype=float))
 
     sup_M = np.zeros(cfg.n_paths)
     M_last = np.zeros(cfg.n_paths)
     lam = model.cap_lambda
-    for first in range(0, cfg.n_paths, cfg.batch_size):
-        count = min(cfg.batch_size, cfg.n_paths - first)
-        dW_all = path_normals(cfg.seed, first, count, n_steps, d)
-        P = np.broadcast_to(p0, (count, d)).copy()
+    for first, count, steps in batches:
         M = np.zeros(count)
         sup = np.zeros(count)
-        for k in range(n_steps):
-            t, tn = float(tgrid[k]), float(tgrid[k + 1])
-            dt = tn - t
+        for _, t, _, P, _, dW in steps:
             integ = we.noise_integrand(t, P)
-            dW = dW_all[:, k, :] * np.sqrt(dt)
             M += np.einsum("ni,ni->n", np.atleast_2d(integ), dW) / (T - t)
             sup = np.maximum(sup, np.abs(M))
-            sig = model.diffusion(P)
-            if sig.ndim == 2:
-                sig = sig[..., None]
-            P = P + model.drift(P) * dt + np.einsum("nij,nj->ni", sig, dW)
         sup_M[first:first + count] = sup
         M_last[first:first + count] = M
 
@@ -753,11 +754,11 @@ def trap_diagnostic(model: ModelSpec, we: WEvaluator, t0: float, p, e_bar: float
     se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / cfg.n_paths))
     # closed-form bridge at the horizon and just before it
     drift_int_full = c_prime * (h**beta) / beta
-    z_term = lam + (T - T) * ((e_bar - lam) / h + drift_int_full + M_last)
+    z_term = lam + (T - T) * ((cfg.e0 - lam) / h + drift_int_full + M_last)
     t_near = float(tgrid[-2])
     s_near = T - t_near
     drift_int_near = c_prime * (h**beta - s_near**beta) / beta
-    z_near = lam + s_near * ((e_bar - lam) / h + drift_int_near + M_last)
+    z_near = lam + s_near * ((cfg.e0 - lam) / h + drift_int_near + M_last)
     if np.any(on_F):
         term_dev = float(np.max(np.abs(z_term[on_F] - lam)))
         near_dev = float(np.max(np.abs(z_near[on_F] - lam)))

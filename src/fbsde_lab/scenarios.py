@@ -223,11 +223,19 @@ def registry_list() -> list[dict]:
 def scenario_config(name: str, overrides: dict | None = None) -> dict:
     if name not in _REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
-    overrides = overrides or {}
-    known = set().union(*(builder() for builder in _REGISTRY.values()))
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ValueError(f"a config must be a JSON object, not {overrides!r}")
+    entries = [builder() for builder in _REGISTRY.values()]
+    known = set().union(*entries)
     if set(overrides) - known:
         raise ValueError(f"unknown config key(s) {sorted(set(overrides) - known)};"
                          f" known keys: {sorted(known)}")
+    blocks = {k for entry in entries for k, v in entry.items() if isinstance(v, dict)}
+    for key in sorted(blocks & set(overrides)):
+        if not isinstance(overrides[key], dict):
+            raise ValueError(f"config block {key!r} must be a JSON object, "
+                             f"not {overrides[key]!r}")
     if overrides.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"schema_version {overrides['schema_version']!r} is "
                          f"not supported; this version reads {SCHEMA_VERSION}")

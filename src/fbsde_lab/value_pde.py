@@ -200,11 +200,7 @@ class ValueField:
     def eval_bar(self, t, ebar) -> np.ndarray:
         if self.dim != 0:
             raise ValueError("eval_bar applies to reduced (dim 0) fields")
-        sl = self.values_at(t)
-        e = np.clip(np.asarray(ebar, dtype=float),
-                    self.grid.e_nodes[0], self.grid.e_nodes[-1])
-        idx, w = _lin_weights(self.grid.e_nodes, e)
-        return (1.0 - w) * sl[idx] + w * sl[idx + 1]
+        return _interp_space(self.grid, self.values_at(t), None, ebar)
 
     def eval(self, t, p, e, we=None) -> np.ndarray:
         """v(t, p, e); reduced fields reconstruct via ebar = e + w(t, p)."""

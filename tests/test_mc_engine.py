@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ def _noisy_field():
     return noisy_setup(n_paths=1)
 
 
+@functools.lru_cache(maxsize=1)
+def _noisy_derivs():
+    return gradient_fields(_noisy_field()[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # one path: se is nan
 @settings(max_examples=8, deadline=None)
 @given(n_paths=st.integers(1, 40), batch_size=st.integers(1, 60))
 @example(n_paths=700, batch_size=128)   # several full batches and a tail
@@ -68,11 +75,36 @@ def _noisy_field():
 def test_batch_size_does_not_change_results(n_paths, batch_size):
     model, field, we, cfg = _noisy_field()
     whole = dataclasses.replace(cfg, n_paths=n_paths)
+    split = dataclasses.replace(whole, batch_size=batch_size)
     a = simulate_forward(model, field, we, whole)
-    b = simulate_forward(model, field, we,
-                         dataclasses.replace(whole, batch_size=batch_size))
+    b = simulate_forward(model, field, we, split)
     for name in ("terminal_E", "terminal_Y", "terminal_Ebar", "escaped"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # the other stepper callers; repr spells every float exactly
+    assert repr(trap_diagnostic(model, we, whole)) \
+        == repr(trap_diagnostic(model, we, split))
+    derivs = _noisy_derivs()
+    assert repr(feynman_kac_grad_p(model, field, derivs, whole, we=we)) \
+        == repr(feynman_kac_grad_p(model, field, derivs, split, we=we))
+
+
+@pytest.mark.parametrize("dim_p, start, message", [
+    (1, {"p0": np.zeros(2)}, "p0 has shape (2,); the model needs (1,)"),
+    (2, {"p0": np.zeros(1)}, "p0 has shape (1,); the model needs (2,)"),
+    (1, {"t0": 0.1}, "t0 = 0.1 is not before the horizon T = 0.1"),
+    (1, {"t0": 0.15}, "t0 = 0.15 is not before the horizon T = 0.1"),
+])
+def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
+    _, field, _, cfg = _noisy_field()
+    model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1,
+                         dim_p=dim_p)
+    we = WEvaluator(mode="closed_form_affine", model=model)
+    cfg = dataclasses.replace(cfg, n_paths=3, **start)
+    # the refusal comes before any path is drawn or the field is read
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_forward(model, field, we, cfg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trap_diagnostic(model, we, cfg)
 
 
 @pytest.mark.parametrize("first", [0, 16_384])
@@ -300,7 +332,7 @@ def test_trap_bridge_pinned_at_cap():
     we = WEvaluator(mode="closed_form_affine", model=model)
     cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
                     e0=0.05, seed=11)
-    rep = trap_diagnostic(model, we, 0.0, np.zeros(1), 0.05, cfg)
+    rep = trap_diagnostic(model, we, cfg)
     assert rep.p_hat_F > 0.5
     assert rep.zbar_terminal_dev <= 1e-12
     assert rep.zbar_near_terminal_dev <= 1e-3
@@ -313,8 +345,7 @@ def test_trap_probability_increases_toward_horizon():
         we = WEvaluator(mode="closed_form_affine", model=model)
         cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
                         e0=0.5 * T, seed=11)
-        p_hats.append(trap_diagnostic(model, we, 0.0, np.zeros(1),
-                                      0.5 * T, cfg).p_hat_F)
+        p_hats.append(trap_diagnostic(model, we, cfg).p_hat_F)
     assert p_hats[1] > p_hats[0]
 
 

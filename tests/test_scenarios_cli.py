@@ -213,17 +213,22 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     (json.dumps({"checks": ["validate"], "grdi": {"de_reduced": 1e-4}}),
      ["'grdi'", "'grid'"]),
     ('{"checks": ["validate"]', ["bad config"]),   # truncated JSON
+    ("[1]", ["bad config", "JSON object", "[1]"]),
+    ("[]", ["bad config", "JSON object", "[]"]),
+    ("5", ["bad config", "JSON object", "5"]),
+    (json.dumps({"sim": 5}), ["bad config", "'sim'", "JSON object"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(text)
     out = tmp_path / "out"
-    code = main(["run", "--scenario", "degenerate_characteristics",
-                 "--config", str(cfgfile), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert all(w in err for w in words), err
-    assert not out.exists()   # refused before any check ran
+    for flags in ([], ["--seed", "3"]):
+        code = main(["run", "--scenario", "degenerate_characteristics",
+                     "--config", str(cfgfile), "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+        assert not out.exists()   # refused before any check ran
 
 
 def test_scenario_ensemble_is_built_once_per_run(tmp_path):
