@@ -25,7 +25,7 @@ from .experiments import (check_names, emit_plot_data, make_we, run_scenario,
 from .fieldio import dump_field, load_field, write_csv
 from .scenarios import build_model, registry_list, scenario_config
 from .mc_engine import simulate_forward
-from .value_pde import check_domain
+from .value_pde import check_domain, check_model
 
 
 def _output_root(args) -> Path:
@@ -41,6 +41,8 @@ def _scenario_cfg(args) -> dict | None:
     object or names an unknown key, schema version or check."""
     try:
         overrides = json.loads(Path(args.config).read_text()) if args.config else {}
+        if overrides is None:   # scenario_config would read null as "no overrides"
+            raise ValueError("a config must be a JSON object, not null")
         cfg = scenario_config(args.scenario, overrides)
         check_names(cfg["checks"])
     except KeyError:
@@ -107,9 +109,7 @@ def cmd_simulate_only(args) -> int:
         return 2
     model = build_model(cfg["model"])
     try:
-        if field.provenance.get("model_hash") != model.model_hash():
-            raise ValueError(f"model {field.provenance.get('model_hash')}, "
-                             f"scenario model {model.model_hash()}")
+        check_model(model, field)
         check_domain(model, field.grid)
     except ValueError as exc:
         print(f"field {args.field} does not fit scenario {cfg['name']!r}: {exc}",

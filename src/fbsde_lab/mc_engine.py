@@ -21,7 +21,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import DerivativeFields, ValueField, _interp_space, _slice_index
+from .value_pde import (DerivativeFields, ValueField, _interp_space, _slice_index,
+                        check_model)
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,17 @@ def path_normals(seed: int, first: int, count: int, n_steps: int,
 # the stepper and the forward simulation
 # ---------------------------------------------------------------------------
 
-def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
+def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
+                field: Optional[ValueField] = None):
     """Euler-Maruyama paths of P over ``tgrid``, batch by batch.
 
     Yields ``(first, count, steps)`` for each batch of ``cfg.batch_size``
     paths; ``steps`` yields ``(k, t, dt, P, P_next, dW)`` for each interval
     [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t, the increments dW
     (``path_normals`` scaled by sqrt(dt)) and P_next = P + b(P) dt +
-    sigma(P) dW.  A start the model cannot take is refused here, before any
-    path is drawn.
+    sigma(P) dW.  A start the model cannot take, or a ``field`` (the one the
+    caller reads along the paths) solved for another model, is refused here,
+    before any path is drawn.
     """
     d = model.dim_p
     if cfg.p0.shape != (d,):
@@ -132,6 +135,8 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
     if not cfg.t0 < model.horizon_T:
         raise ValueError(f"t0 = {cfg.t0} is not before the horizon "
                          f"T = {model.horizon_T}")
+    if field is not None:
+        check_model(model, field)
 
     def steps(first, count):
         dW_all = path_normals(cfg.seed, first, count, len(tgrid) - 1, d)
@@ -167,7 +172,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     tgrid = sim_time_grid(cfg, field, extra_times=record_times)
     if stop_time is not None:
         tgrid = tgrid[tgrid <= stop_time + 1e-15]
-    batches = euler_paths(model, cfg, tgrid)
+    batches = euler_paths(model, cfg, tgrid, field)
     n_steps_grid = len(tgrid) - 1
     n = cfg.n_paths
     n_starts = len(e_starts)
@@ -390,9 +395,14 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
 
     For each pair e > e' and recorded t the difference must satisfy
     (e - e') >= E_t^e - E_t^{e'} >= ((T-t)/(T-t0))^{ell2/ell1} (e - e')
-    within three times the declared integration-error bound.
+    within three times the declared integration-error bound.  Times must lie
+    in (t0, T).
     """
     T = field.grid.horizon
+    outside = [float(t) for t in t_list if not cfg.t0 < t < T]
+    if outside:
+        raise ValueError(f"t_list entries {outside} lie outside (t0, T) = "
+                         f"({cfg.t0}, {T})")
     starts = sorted({float(x) for pair in e_pairs for x in pair})
     idx = {x: i for i, x in enumerate(starts)}
     dt_unif = (T - cfg.t0) / cfg.n_steps
@@ -662,7 +672,7 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     """
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
-    batches = euler_paths(model, cfg, sim_time_grid(cfg, field))
+    batches = euler_paths(model, cfg, sim_time_grid(cfg, field), field)
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
     dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines as
-they complete.  Tolerances are fixed here, not tuned at runtime; statistical
-checks use fixed seeds and are exactly reproducible.
+they complete; every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite alone.  Tolerances
+are fixed here, not tuned at runtime; statistical checks use fixed seeds and
+are exactly reproducible.
 """
 
 import time
@@ -12,6 +14,8 @@ import pytest
 
 from fbsde_lab.scenarios import registry_list, scenario_config
 from fbsde_lab import experiments as X
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(k, name, ok, detail):

@@ -107,6 +107,31 @@ def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
         trap_diagnostic(model, we, cfg)
 
 
+def test_field_simulators_refuse_a_field_of_another_model():
+    _, field, _, cfg = _noisy_field()
+    model = affine_model(alpha=0.4, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    we = WEvaluator(mode="closed_form_affine", model=model)
+    cfg = dataclasses.replace(cfg, n_paths=3)
+    hashes = [field.provenance["model_hash"], model.model_hash()]
+    assert hashes[0] != hashes[1]
+    runs = [lambda: simulate_forward(model, field, we, cfg),
+            lambda: flow_squeeze_check(model, field, we, cfg, [(0.05, 0.03)], [0.05]),
+            # refused before the derivative fields are read
+            lambda: feynman_kac_grad_p(model, field, None, cfg, we=we)]
+    for run in runs:
+        with pytest.raises(ValueError) as info:
+            run()
+        assert all(h in str(info.value) for h in hashes), info.value
+
+
+@pytest.mark.parametrize("t_list, outside", [([0.05, 0.2], "[0.2]"),
+                                             ([0.0], "[0.0]")])
+def test_flow_squeeze_refuses_times_outside_the_run(t_list, outside):
+    model, field, we, cfg = _noisy_field()
+    with pytest.raises(ValueError, match=re.escape(f"t_list entries {outside}")):
+        flow_squeeze_check(model, field, we, cfg, [(0.05, 0.03)], t_list)
+
+
 @pytest.mark.parametrize("first", [0, 16_384])
 @pytest.mark.parametrize("d", [1, 2])
 def test_path_normals_match_one_generator_per_path(first, d):

@@ -217,6 +217,7 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     ("[]", ["bad config", "JSON object", "[]"]),
     ("5", ["bad config", "JSON object", "5"]),
     (json.dumps({"sim": 5}), ["bad config", "'sim'", "JSON object"]),
+    ("null", ["bad config", "JSON object", "null"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from fbsde_lab.burgers_ref import WEvaluator, psi
+from fbsde_lab import value_pde
 from fbsde_lab.model_core import (affine_model, default_mollifier, heaviside_tc,
-                                  mollify, smooth_ramp_tc)
+                                  linear_drift_model, mollify, smooth_ramp_tc)
 from fbsde_lab.scenarios import build_model
 from fbsde_lab.value_pde import (CFLError, Grid, _thomas_factors, _thomas_sweep,
                                  _tridiag, _upwind_transport, conservation_gap,
@@ -351,6 +352,44 @@ def test_reduced_solve_is_bit_identical_to_formula(alpha):
     tc = heaviside_tc(0.0)
     assert np.array_equal(solve_reduced_1d(m, g, tc).values,
                           _reduced_reference(m, g, tc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["affine", "drift_up", "drift_down"]),
+       alpha=st.floats(0.0, 0.9), ramp=st.one_of(st.none(), st.floats(0.01, 0.3)),
+       T=st.floats(0.12, 0.3), n_t=st.integers(2, 3))
+def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n_t):
+    if family == "affine":
+        m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
+    else:
+        lam = 1.0 if family == "drift_up" else -1.0
+        m = linear_drift_model(lam=lam, alpha=alpha, gamma=1.0, horizon_T=T)
+    de = 1e-3
+    g = Grid(t_nodes=uniform_time_nodes(0.0, T, n_t), e_nodes=e_nodes_for(m, de))
+    # every span takes several window blocks of substeps
+    assert T / (n_t - 1) / (0.85 * de / 2.0) > 2 * value_pde._WINDOW_BLOCK
+    tc = heaviside_tc(0.0) if ramp is None else smooth_ramp_tc(0.0, ramp)
+    assert np.array_equal(solve_reduced_1d(m, g, tc).values,
+                          _reduced_reference(m, g, tc))
+
+
+def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monkeypatch):
+    m = affine_model(alpha=0.3, gamma=1.0, sigma=1.0, horizon_T=0.2)
+    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 3), e_nodes=e_nodes_for(m, 1e-3))
+    tc = heaviside_tc(0.0)
+    ref = _reduced_reference(m, g, tc)
+    assert np.any((ref > 0.0) & (ref < 2.0**-60))
+    active_window, windows = value_pde._active_window, []
+
+    def spy(u, k, scratch):
+        a, b = active_window(u, k, scratch)
+        windows.append((b, bool(np.any(u[1:a] != 0.0))))
+        return a, b
+
+    monkeypatch.setattr(value_pde, "_active_window", spy)
+    assert np.array_equal(solve_reduced_1d(m, g, tc).values, ref)
+    assert any(frozen_nonzero for _, frozen_nonzero in windows)
+    assert any(b == len(g.e_nodes) - 1 for b, _ in windows)
 
 
 @pytest.mark.parametrize("batch", [(), (4,)])
