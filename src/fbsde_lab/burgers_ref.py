@@ -2,14 +2,14 @@
 
 The rarefaction profile ``psi``, the exact characteristics of the first-order
 conservation law, the drift-compensator ``w(t, p) = -E[int_t^T f(P_s, 0) ds]``
-(closed forms for the affine families, Monte Carlo quadrature otherwise) and
-the sup-norm gap between a computed value field and the rescaled profile.
+and the sup-norm gap between a computed value field and the rescaled profile.
+The compensator picks its evaluation from the model family: closed forms for
+``affine_constant`` and ``linear_drift``, Monte Carlo quadrature otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,6 @@ class BurgersProfile:
     def __post_init__(self):
         if self.ell <= 0:
             raise ValueError("ell must be positive")
-
-
-def inviscid_value(profile: BurgersProfile, t: float, e_bar) -> np.ndarray:
-    """Value of the inviscid terminal-value problem at (t, e_bar)."""
-    if t >= profile.horizon_T:
-        raise ValueError("t must be < horizon_T")
-    scale = profile.ell * (profile.horizon_T - t)
-    return psi((np.asarray(e_bar, dtype=float) - profile.cap_lambda) / scale)
 
 
 def characteristic(e0, t0: float, t: float, profile: BurgersProfile):
@@ -66,33 +58,34 @@ def characteristic(e0, t0: float, t: float, profile: BurgersProfile):
 # the compensator w
 # ---------------------------------------------------------------------------
 
-@dataclass
+# closed-form evaluation per model family; every other family uses Monte Carlo
+_CLOSED_FORMS = {"affine_constant": "closed_form_affine",
+                 "linear_drift": "closed_form_linear_drift"}
+
+# seed of the Monte Carlo quadrature's per-call Philox streams
+MC_SEED = 2024
+
+
+@dataclass(frozen=True)
 class WEvaluator:
     """Evaluator for w(t, p), its p-gradient and the noise integrand.
 
-    ``mode`` is ``closed_form_affine``, ``closed_form_linear_drift`` or
-    ``monte_carlo``.  Closed forms are exact; the Monte Carlo mode uses
-    antithetic Euler quadrature with per-call deterministic streams and
-    reports a standard error.  ``warned`` is set when the Monte Carlo
-    budget failed to reach ``se_target``.
+    ``mode`` follows from ``model.family``: ``closed_form_affine`` for
+    ``affine_constant``, ``closed_form_linear_drift`` for ``linear_drift``
+    and ``monte_carlo`` for every other family.  Closed forms are exact; the
+    Monte Carlo mode uses antithetic Euler quadrature over ``n_paths`` paths
+    and ``n_steps`` steps over the whole horizon (scaled to the time to go),
+    with a deterministic Philox stream per evaluation point keyed by
+    ``MC_SEED``.
     """
 
-    mode: str
     model: ModelSpec
     n_paths: int = 20_000
     n_steps: int = 500
-    seed: int = 2024
-    se_target: Optional[float] = None
-    warned: bool = field(default=False, init=False)
 
-    def __post_init__(self):
-        if self.mode not in ("closed_form_affine", "closed_form_linear_drift",
-                             "monte_carlo"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "closed_form_affine" and self.model.family != "affine_constant":
-            raise ValueError("closed_form_affine requires the affine_constant family")
-        if self.mode == "closed_form_linear_drift" and self.model.family != "linear_drift":
-            raise ValueError("closed_form_linear_drift requires the linear_drift family")
+    @property
+    def mode(self) -> str:
+        return _CLOSED_FORMS.get(self.model.family, "monte_carlo")
 
     # -- closed forms -----------------------------------------------------
 
@@ -147,8 +140,8 @@ class WEvaluator:
         n_half = self.n_paths // 2
         n_steps = max(1, int(round(self.n_steps * s / T)))
         dt = s / n_steps
-        key = (self.seed * 0x9E3779B9 + hash((round(float(t), 12),
-                                              tuple(np.round(np.atleast_1d(p), 12))))) % (2**63)
+        key = (MC_SEED * 0x9E3779B9 + hash((round(float(t), 12),
+                                            tuple(np.round(np.atleast_1d(p), 12))))) % (2**63)
         rng = np.random.Generator(np.random.Philox(key=key))
         d = model.dim_p
         P = np.broadcast_to(np.asarray(p, dtype=float), (n_half, d)).copy()
@@ -176,27 +169,13 @@ class WEvaluator:
             return self._affine(t, p)
         if self.mode == "closed_form_linear_drift":
             return self._linear_drift(t, p)
-        est, se = self._mc(t, p)
-        if self.se_target is not None and se > self.se_target:
-            self.warned = True
-        return est
-
-    def evaluate_with_se(self, t, p):
-        if self.mode == "monte_carlo":
-            est, se = self._mc(t, p)
-            if self.se_target is not None and se > self.se_target:
-                self.warned = True
-            return est, se
-        return self.evaluate(t, p), 0.0
-
-    def __call__(self, t, p):
-        return self.evaluate(t, p)
+        return self._mc(t, p)[0]
 
     def noise_integrand(self, t, p):
         """sigma^T(p) dp_w(t, p), the integrand of the martingale part of Ebar."""
         p = np.asarray(p, dtype=float)
         sig = self.model.diffusion(p)
-        g = self.dp_w(t, p if self.mode == "monte_carlo" else None)
+        g = self.dp_w(t, p)
         g = np.broadcast_to(g, p.shape)
         return np.einsum("...ji,...j->...i", sig, g)
 

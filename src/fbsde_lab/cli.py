@@ -20,10 +20,11 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import (check_names, emit_plot_data, make_we, run_scenario,
+from .burgers_ref import WEvaluator
+from .experiments import (check_names, emit_plot_data, run_scenario,
                           scenario_field, scenario_model, scenario_sim)
 from .fieldio import dump_field, load_field, write_csv
-from .scenarios import build_model, registry_list, scenario_config
+from .scenarios import registry_list, scenario_config
 from .mc_engine import simulate_forward
 from .value_pde import check_domain, check_model
 
@@ -34,33 +35,38 @@ def _output_root(args) -> Path:
     return Path(os.environ.get("FBSDE_LAB_OUTPUT", "fbsde_lab_out"))
 
 
-def _scenario_cfg(args) -> dict | None:
-    """The scenario's config with the config file and the ``--seed`` and
-    ``--n-paths`` flags applied, or None after printing why there is none: an
-    unknown scenario, or a config file that cannot be read, is not a JSON
-    object or names an unknown key, schema version or check."""
+def _scenario_cfg(args) -> tuple | None:
+    """(config, model, terminal condition, SimConfig) of the scenario with the
+    config file and the ``--seed`` and ``--n-paths`` flags applied, or None
+    after printing why the scenario is unknown or the config is refused."""
     try:
         overrides = json.loads(Path(args.config).read_text()) if args.config else {}
         if overrides is None:   # scenario_config would read null as "no overrides"
             raise ValueError("a config must be a JSON object, not null")
         cfg = scenario_config(args.scenario, overrides)
-        check_names(cfg["checks"])
     except KeyError:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
         return None
     except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return None
-    for flag in ("seed", "n_paths"):
-        if getattr(args, flag, None) is not None:
-            cfg["sim"][flag] = getattr(args, flag)
-    return cfg
+    try:
+        check_names(cfg["checks"])
+        for flag in ("seed", "n_paths"):
+            if getattr(args, flag, None) is not None:
+                cfg["sim"][flag] = getattr(args, flag)
+        model, tc = scenario_model(cfg)
+        return cfg, model, tc, scenario_sim(cfg, model)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_run(args) -> int:
-    cfg = _scenario_cfg(args)
-    if cfg is None:
+    scenario = _scenario_cfg(args)
+    if scenario is None:
         return 2
+    cfg = scenario[0]
     record = run_scenario(cfg, output_root=_output_root(args))
     for name, verdict in record.verdicts.items():
         print(f"{verdict.upper():7s} {name}  ({record.timings[name]}s)")
@@ -78,6 +84,9 @@ def cmd_list(args) -> int:
 def cmd_plot_data(args) -> int:
     try:
         path = emit_plot_data(Path(args.record_dir), args.check, args.out_csv)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -86,10 +95,11 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_solve_only(args) -> int:
-    cfg = _scenario_cfg(args)
-    if cfg is None:
+    scenario = _scenario_cfg(args)
+    if scenario is None:
         return 2
-    field = scenario_field(cfg, *scenario_model(cfg))
+    cfg, model, tc, _ = scenario
+    field = scenario_field(cfg, model, tc)
     out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_field.bin"
@@ -99,15 +109,15 @@ def cmd_solve_only(args) -> int:
 
 
 def cmd_simulate_only(args) -> int:
-    cfg = _scenario_cfg(args)
-    if cfg is None:
+    scenario = _scenario_cfg(args)
+    if scenario is None:
         return 2
+    cfg, model, _, sim = scenario
     try:
         field = load_field(args.field)
     except (OSError, ValueError) as exc:
         print(f"cannot load field: {exc}", file=sys.stderr)
         return 2
-    model = build_model(cfg["model"])
     try:
         check_model(model, field)
         check_domain(model, field.grid)
@@ -115,7 +125,7 @@ def cmd_simulate_only(args) -> int:
         print(f"field {args.field} does not fit scenario {cfg['name']!r}: {exc}",
               file=sys.stderr)
         return 2
-    ens = simulate_forward(model, field, make_we(model), scenario_sim(cfg, model))
+    ens = simulate_forward(model, field, WEvaluator(model), sim)
     out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_terminal.csv"

@@ -164,20 +164,13 @@ def _main_ensemble(key: str):
     cfg = json.loads(key)
     model, tc = scenario_model(cfg)
     field = scenario_field(cfg, model, tc)
-    we = make_we(model)
+    we = WEvaluator(model)
     sim = scenario_sim(cfg, model)
     ens = simulate_forward(model, field, we, sim)
     for arr in (field.values, ens.terminal_E, ens.terminal_Y,
                 ens.terminal_Ebar, ens.escaped):
         arr.flags.writeable = False
     return field, we, sim, ens
-
-
-def make_we(model, **kw) -> WEvaluator:
-    mode = {"affine_constant": "closed_form_affine",
-            "linear_drift": "closed_form_linear_drift"}.get(
-                model.family, "monte_carlo")
-    return WEvaluator(mode=mode, model=model, **kw)
 
 
 def cone_start(model, frac: float) -> float:
@@ -279,10 +272,9 @@ def check_burgers_gap(cfg) -> CheckOutcome:
     if model.family == "affine_constant":
         de = g.get("de_reduced", 2e-4)
         field = reduced_aligned_field(model, tc, de, 200, t_extra=t_list)
-        we = make_we(model)
     else:
         field = full_field(model, tc, g, t_extra=t_list)
-        we = make_we(model, n_paths=10_000, n_steps=300)
+    we = WEvaluator(model, n_paths=10_000, n_steps=300)  # the Monte Carlo budget
     table = burgers_gap(field, we, model, t_list, boundary_skip=2)
     dec = bool(np.all(np.diff(table.sup_gap) < 0))
     ok = dec and table.beta_hat > 0
@@ -300,7 +292,7 @@ def check_equivalence(cfg) -> CheckOutcome:
     vf = full_field(model, tc, g)
     red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4),
                                 g.get("n_t", 100))
-    we = make_we(model)
+    we = WEvaluator(model)
     T = model.horizon_T
     pv = vf.grid.p_nodes[0]
     keep_p = np.abs(pv) <= 1.0
@@ -347,7 +339,7 @@ def check_flow_squeeze(cfg) -> CheckOutcome:
     field = reduced_tail_field(model, tc,
                                {"de_reduced": g.get("de_reduced", 2e-4),
                                 "tail_ratio": 1.07, "tail_switch": 0.02})
-    we = make_we(model)
+    we = WEvaluator(model)
     T = model.horizon_T
     sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
                        n_paths=cfg["sim"].get("n_paths_flow", 20_000))
@@ -384,7 +376,7 @@ def check_variance(cfg) -> CheckOutcome:
         t_list = 0.5 * h * np.geomspace(0.05, 1.0, 8)
         field = reduced_aligned_field(model, tc, de, scfg["n_steps"],
                                       t_extra=t_list, t_stop=float(t_list[-1]))
-        we = make_we(model)
+        we = WEvaluator(model)
         sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
                            terminal_refine=False)
         scan = variance_scan(model, field, we, sim, t_list)
@@ -416,7 +408,7 @@ def _transmission_profile(model, field):
     gamma, h = model.family_params["gamma"], model.horizon_T
     e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
     return transmission_scan(field, gradient_fields(field), model, 0.0,
-                             np.zeros(model.dim_p), e_grid, we=make_we(model))
+                             np.zeros(model.dim_p), e_grid, we=WEvaluator(model))
 
 
 def check_transmission(cfg) -> CheckOutcome:
@@ -486,10 +478,10 @@ def check_trap(cfg) -> CheckOutcome:
     z_dev_worst = 0.0
     for h in horizons:
         model = build_model(cfg["model"], horizon=h)
-        we = make_we(model)
+        we = WEvaluator(model)
         sim = scenario_sim(cfg, model, n_paths=20_000,
                            n_steps=max(200, scfg["n_steps"] // 2),
-                           seed=scfg["seed"] + 1)
+                           seed=(scfg["seed"] + 1) % 2**64)
         rep = trap_diagnostic(model, we, sim)
         p_hats.append(rep.p_hat_F)
         z_dev_worst = max(z_dev_worst, rep.zbar_terminal_dev)
@@ -528,7 +520,7 @@ def check_sandwich(cfg) -> CheckOutcome:
 def check_characteristics(cfg) -> CheckOutcome:
     """Deterministic paths against the closed-form characteristics."""
     model, tc = scenario_model(cfg)
-    we = make_we(model)
+    we = WEvaluator(model)
     T = model.horizon_T
     gamma = model.family_params["gamma"]
     t_probe = [0.25 * T, 0.5 * T, 0.9 * T]
@@ -598,7 +590,7 @@ def check_mass_near_start(cfg) -> CheckOutcome:
     g["de_reduced"] = h / 1000
     g["tail_s_min"] = h / 25
     field = reduced_tail_field(model, tc, g)
-    we = make_we(model)
+    we = WEvaluator(model)
     e0 = cone_start(model, 0.5)
     sim = scenario_sim(cfg, model, n_paths=cfg["sim"]["n_paths"] // 2, e0=e0)
     y0 = float(field.eval(0.0, sim.p0, e0, we=we))
@@ -621,7 +613,7 @@ def check_feynman_kac(cfg) -> CheckOutcome:
     model, tc = scenario_model(cfg)
     field = reduced_aligned_field(model, tc, 1e-4, cfg["sim"]["n_steps"])
     derivs = gradient_fields(field)
-    we = make_we(model)
+    we = WEvaluator(model)
     e0 = model.cap_lambda + 0.3 * model.horizon_T
     sim = scenario_sim(cfg, model, e0=e0)
     est = feynman_kac_grad_p(model, field, derivs, sim, we=we)
@@ -643,7 +635,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     model, tc = scenario_model(cfg)
     vf = full_field(model, tc, cfg["grid"])
     derivs = gradient_fields(vf)
-    we = make_we(model)
+    we = WEvaluator(model)
     rep = bound_report(vf, derivs, model, we)
     far = rep.entry("far_field")
     band = rep.entry("gradient_band")
@@ -652,7 +644,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     tc_up = mollify(heaviside_tc(model.cap_lambda), mol, "upper")
     m_cal = affine_model(alpha=1.0, gamma=1.0, sigma=1.0,
                          cap_lambda=model.cap_lambda, horizon_T=0.4)
-    we_cal = make_we(m_cal)
+    we_cal = WEvaluator(m_cal)
     vf_up = full_field(m_cal, tc_up, {"de_full": 2e-3, "p_half": 3.0,
                                       "n_p": 61, "n_t": 100},
                        mollifier_n=8, pad=0.25, t_extra=[0.2, 0.3])
@@ -751,7 +743,9 @@ def run_scenario(name_or_cfg, output_root=None, overrides=None,
 
 
 def emit_plot_data(record_dir, which: str, out_path=None) -> Path:
-    """Copy the named check's table into a plot-ready CSV."""
+    """Copy the named check's table into a plot-ready CSV; ``which`` must
+    name a check."""
+    check_names([which])
     record_dir = Path(record_dir)
     matches = sorted(record_dir.glob(f"{which}__*.csv"))
     if not matches:

@@ -1,4 +1,4 @@
-"""Serialization of value fields and CSV export of named slices.
+"""Serialization of value fields and CSV export of tables.
 
 Binary layout: a plain-text header of ``key: value`` lines terminated by a
 blank line, followed by the raw little-endian float64 array, row-major.
@@ -88,16 +88,4 @@ def _fmt(x):
     if isinstance(x, (np.integer,)):
         return int(x)
     return x
-
-
-def export_slice_csv(field: ValueField, path, t: float, p=None) -> None:
-    """One named (t, p) slice as (e, v) rows."""
-    sl = field.values_at(t)
-    if field.dim >= 1:
-        if p is None:
-            raise ValueError("full fields need a p node for slice export")
-        for k, nodes in enumerate(field.grid.p_nodes):
-            i = int(np.argmin(np.abs(nodes - np.atleast_1d(p)[k])))
-            sl = sl[i]
-    write_csv(path, ["e", "v"], zip(field.grid.e_nodes, sl))
 

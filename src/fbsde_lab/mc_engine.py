@@ -45,6 +45,9 @@ class SimConfig:
         if self.n_paths < 1 or self.batch_size < 1:
             raise ValueError(f"n_paths ({self.n_paths}) and batch_size "
                              f"({self.batch_size}) must be >= 1")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not 0 <= self.seed < 2**64):   # Philox keys are non-negative
+            raise ValueError(f"seed must be an integer in [0, 2**64), not {self.seed!r}")
 
 
 @dataclass
@@ -549,20 +552,6 @@ def prefactor_report(horizons, prefactors,
 # transmission coefficient
 # ---------------------------------------------------------------------------
 
-def closed_form_dpw_scalar(model: ModelSpec, t: float) -> float:
-    """d=1 compensator gradient for the affine families."""
-    s = model.horizon_T - t
-    pr = model.family_params
-    if model.family == "affine_constant":
-        return float(pr["alpha"][0] * s) if np.ndim(pr["alpha"]) else float(pr["alpha"] * s)
-    if model.family == "linear_drift":
-        lam = pr["lam"]
-        if lam == 0.0:
-            return float(pr["alpha"] * s)
-        return float(pr["alpha"] * (np.exp(lam * s) - 1.0) / lam)
-    raise ValueError("no closed-form compensator gradient for this family")
-
-
 @dataclass(frozen=True)
 class TransmissionProfile:
     e_grid: np.ndarray
@@ -584,7 +573,7 @@ def _brackets(e, vals):
 
 def transmission_scan(field: ValueField, derivs: DerivativeFields,
                       model: ModelSpec, t0: float, p, e_grid,
-                      we: Optional[WEvaluator] = None) -> TransmissionProfile:
+                      we: WEvaluator) -> TransmissionProfile:
     """Profile of the noise-transmission coefficient along e at fixed (t0, p).
 
     Affine families report both normalizations alpha - gamma*dp_v and
@@ -600,18 +589,14 @@ def transmission_scan(field: ValueField, derivs: DerivativeFields,
     affine = model.family in ("affine_constant", "linear_drift")
     gamma = model.family_params.get("gamma")
 
+    ebar = e_grid + float(we.evaluate(t0, p))
     if field.dim == 0:
-        shift = float(we.evaluate(t0, p)) if we is not None else 0.0
-        ebar = e_grid + shift
         j = int(_slice_index(field.grid.t_nodes, t0))
         dv = _interp_space(field.grid, derivs.de_v[j], None, ebar)
-        dpw = closed_form_dpw_scalar(model, t0)
-        dp_v = dv * dpw
+        dp_v = dv * we.dp_w(t0)[0]
     else:
         dp_v = derivs.dp_at(t0, np.broadcast_to(p, (len(e_grid), model.dim_p)),
                             e_grid, direction=0)
-        shift = float(we.evaluate(t0, p)) if we is not None else 0.0
-        ebar = e_grid + shift
 
     profiles = {}
     if affine:
@@ -661,7 +646,7 @@ class GradPEstimate:
 
 def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
                        derivs: DerivativeFields, cfg: SimConfig,
-                       we: Optional[WEvaluator] = None) -> GradPEstimate:
+                       we: WEvaluator) -> GradPEstimate:
     """Importance-weighted pathwise estimator of dv/dp at the start point.
 
     d = 1 with a smooth terminal condition: accumulates

@@ -261,29 +261,6 @@ def smooth_ramp_tc(cap_lambda: float, width: float) -> TerminalCondition:
     )
 
 
-def custom_tc(fn, threshold: float, width: float = 0.0) -> TerminalCondition:
-    return TerminalCondition(eval=fn, kind="custom_monotone",
-                             threshold=float(threshold), width=width)
-
-
-def phi_sides(tc: TerminalCondition, x: float) -> tuple[float, float]:
-    """Left/right limits (phi_-, phi_+) of the terminal condition at x.
-
-    For the heaviside kind the limits are exact; for continuous kinds both
-    sides equal phi(x); for custom monotone conditions they are evaluated
-    as small-offset limits.
-    """
-    x = float(x)
-    if tc.kind == "heaviside":
-        lam = tc.threshold
-        return (0.0 if x <= lam else 1.0, 0.0 if x < lam else 1.0)
-    if tc.kind == "smooth_ramp":
-        v = float(tc.eval(np.asarray(x)))
-        return (v, v)
-    h = 1e-9 * max(1.0, abs(x))
-    return (float(tc.eval(np.asarray(x - h))), float(tc.eval(np.asarray(x + h))))
-
-
 def phi_sides_arrays(tc: TerminalCondition, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized phi_- / phi_+ over an array of points."""
     x = np.asarray(x, dtype=float)

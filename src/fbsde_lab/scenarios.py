@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -21,26 +22,35 @@ from .model_core import (ModelSpec, TerminalCondition, affine_model,
 SCHEMA_VERSION = 1
 
 
+# a model block holds "family" and keyword arguments of the family's constructor
+_FAMILIES = {"affine_constant": affine_model, "linear_drift": linear_drift_model,
+             "nonlinear_1d": nonlinear_model}
+
+
 def build_model(mcfg: dict, horizon: float | None = None) -> ModelSpec:
     """Instantiate the ModelSpec described by a scenario's model block."""
     m = dict(mcfg)
     family = m.pop("family")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; custom coefficients are "
+                         "loadable only through registered scenarios")
+    known = set(inspect.signature(_FAMILIES[family]).parameters)
+    if family == "nonlinear_1d":   # f0 names the profile; its amplitude sets ell1, ell2
+        known = known - {"f0_prime", "ell1", "ell2"} | {"f0_amplitude"}
+    if set(m) - known:
+        raise ValueError(f"unknown {family} model key(s) {sorted(set(m) - known)}; "
+                         f"known keys: {sorted(known)}")
     if horizon is not None:
         m["horizon_T"] = horizon
-    if family == "affine_constant":
-        return affine_model(**m)
-    if family == "linear_drift":
-        return linear_drift_model(**m)
-    if family == "nonlinear_1d":
-        kind = m.pop("f0", "sine_perturbed")
-        if kind != "sine_perturbed":
-            raise ValueError(f"unknown nonlinear profile {kind!r}")
-        amp = m.pop("f0_amplitude", 0.1)
-        f0 = lambda z: z + amp * np.sin(z)
-        f0p = lambda z: 1.0 + amp * np.cos(z)
-        return nonlinear_model(f0, f0p, ell1=1.0 - amp, ell2=1.0 + amp, **m)
-    raise ValueError(f"unknown family {family!r}; custom coefficients are "
-                     "loadable only through registered scenarios")
+    if family != "nonlinear_1d":
+        return _FAMILIES[family](**m)
+    kind = m.pop("f0", "sine_perturbed")
+    if kind != "sine_perturbed":
+        raise ValueError(f"unknown nonlinear profile {kind!r}")
+    amp = m.pop("f0_amplitude", 0.1)
+    f0 = lambda z: z + amp * np.sin(z)
+    f0p = lambda z: 1.0 + amp * np.cos(z)
+    return nonlinear_model(f0, f0p, ell1=1.0 - amp, ell2=1.0 + amp, **m)
 
 
 def build_tc(tcfg: dict, cap_lambda: float) -> TerminalCondition:

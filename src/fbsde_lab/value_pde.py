@@ -31,7 +31,7 @@ stays bit for bit as the full-grid loop makes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -633,37 +633,6 @@ def conservation_gap(field_upper: ValueField, field_lower: ValueField,
             slv = slv[i]
     mask = (e >= lam - m - 1e-12) & (e <= lam + m + 1e-12)
     return float(np.trapezoid(su[mask] - slv[mask], e[mask]))
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    gaps: tuple
-    decreasing: bool
-    flagged_non_convergent: bool
-
-
-def extract_limit(fields: Sequence[ValueField], delta: float = 0.05,
-                  require: int = 3):
-    """Successive sup-norm gaps over the compact window t <= T - delta.
-
-    Returns the last field and a report; a non-decreasing gap sequence is
-    flagged, not raised.
-    """
-    if len(fields) < require:
-        raise ValueError(f"need at least {require} fields")
-    shapes = {f.values.shape for f in fields}
-    if len(shapes) != 1:
-        raise ValueError("fields must share a common grid")
-    T = fields[0].grid.horizon
-    keep = fields[0].grid.t_nodes <= T - delta
-    gaps = []
-    for a, b in zip(fields[:-1], fields[1:]):
-        gaps.append(float(np.max(np.abs(a.values[keep] - b.values[keep]))))
-    dec = all(g2 <= g1 + 1e-15 for g1, g2 in zip(gaps[:-1], gaps[1:]))
-    nontrivial = any(g > 0 for g in gaps)
-    return fields[-1], ConvergenceReport(
-        gaps=tuple(gaps), decreasing=dec,
-        flagged_non_convergent=(nontrivial and not dec))
 
 
 @dataclass(frozen=True)

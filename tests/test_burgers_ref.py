@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, burgers_gap,
-                                   characteristic, inviscid_value, psi)
+                                   characteristic, psi)
 from fbsde_lab.model_core import affine_model, heaviside_tc, linear_drift_model, nonlinear_model
 from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d, uniform_time_nodes
 
@@ -20,17 +20,6 @@ def test_psi_monotone_lipschitz_fixes_unit_interval():
     assert np.max(np.abs(np.diff(v))) <= (x[1] - x[0]) + 1e-15
     inside = (x >= 0) & (x <= 1)
     assert np.allclose(v[inside], x[inside])
-
-
-def test_inviscid_value_cone():
-    prof = BurgersProfile(ell=2.0, cap_lambda=1.0, horizon_T=1.0)
-    t = 0.5
-    width = 2.0 * 0.5
-    assert inviscid_value(prof, t, 1.0 + width / 2) == pytest.approx(0.5)
-    assert inviscid_value(prof, t, 0.0) == 0.0
-    assert inviscid_value(prof, t, 1.0 + 2 * width) == 1.0
-    with pytest.raises(ValueError):
-        inviscid_value(prof, 1.0, 0.0)
 
 
 def test_characteristics_three_branches():
@@ -65,7 +54,7 @@ def test_affine_closed_form_value():
     # withdraw at T-t = 0.5 from p = 1 with alpha = 2, b = 0: w = 0.5*2*1
     m = affine_model(alpha=2.0, gamma=1.0, sigma=1.0, horizon_T=0.5,
                      lipschitz_L=2.0)
-    we = WEvaluator(mode="closed_form_affine", model=m)
+    we = WEvaluator(m)
     assert we.evaluate(0.0, np.array([1.0])) == pytest.approx(1.0)
     assert we.evaluate(0.5, np.array([1.0])) == pytest.approx(0.0)
 
@@ -73,16 +62,15 @@ def test_affine_closed_form_value():
 def test_affine_closed_form_vs_mc_quadrature():
     m = affine_model(alpha=2.0, gamma=1.0, sigma=1.0, horizon_T=0.5,
                      lipschitz_L=2.0)
-    cf = WEvaluator(mode="closed_form_affine", model=m)
-    mc = WEvaluator(mode="monte_carlo", model=m, n_paths=4000, n_steps=200)
-    val, se = mc.evaluate_with_se(0.1, np.array([0.7]))
+    cf = WEvaluator(m)
+    val, se = WEvaluator(m, n_paths=4000, n_steps=200)._mc(0.1, np.array([0.7]))
     assert abs(val - float(cf.evaluate(0.1, np.array([0.7])))) <= 3 * se + 1e-12
 
 
 def test_linear_drift_gradient_matches_growth_formula():
     m = linear_drift_model(lam=-1.0, alpha=1.0, gamma=1.0, sigma=1.0,
                            horizon_T=0.3)
-    we = WEvaluator(mode="closed_form_linear_drift", model=m)
+    we = WEvaluator(m)
     t = 0.1
     h = 1e-5
     fd = (we.evaluate(t, np.array([1.0 + h])) - we.evaluate(t, np.array([1.0 - h]))) / (2 * h)
@@ -93,15 +81,14 @@ def test_linear_drift_gradient_matches_growth_formula():
 
 def test_mc_agrees_with_closed_form_on_random_points():
     m = affine_model(alpha=1.0, gamma=1.0, sigma=1.0, horizon_T=0.4)
-    cf = WEvaluator(mode="closed_form_affine", model=m)
+    cf = WEvaluator(m)
+    mc = WEvaluator(m, n_paths=2000, n_steps=150)
     rng = np.random.Generator(np.random.Philox(key=3))
     hits3, n = 0, 40
     for _ in range(n):
         t = rng.uniform(0, 0.35)
         p = rng.uniform(-2, 2, size=1)
-        mc = WEvaluator(mode="monte_carlo", model=m, n_paths=2000, n_steps=150,
-                        seed=int(rng.integers(1 << 30)))
-        val, se = mc.evaluate_with_se(t, p)
+        val, se = mc._mc(t, p)
         err = abs(val - float(cf.evaluate(t, p)))
         assert err <= 4 * se + 1e-4
         hits3 += err <= 3 * se + 1e-4
@@ -111,7 +98,7 @@ def test_mc_agrees_with_closed_form_on_random_points():
 def test_w_lipschitz_in_p_degrades_linearly_in_time_to_go():
     m = affine_model(alpha=1.5, gamma=1.0, sigma=1.0, horizon_T=0.5,
                      lipschitz_L=2.0)
-    we = WEvaluator(mode="closed_form_affine", model=m)
+    we = WEvaluator(m)
     rng = np.random.Generator(np.random.Philox(key=9))
     for t in (0.1, 0.3, 0.45):
         p1 = rng.uniform(-2, 2, size=(50, 1))
@@ -121,21 +108,13 @@ def test_w_lipschitz_in_p_degrades_linearly_in_time_to_go():
         assert np.max(ratio) <= 1.5 * (0.5 - t) + 1e-12
 
 
-def test_mc_budget_warning_flag():
-    # antithetic pairs are exact for linear f, so use the nonlinear family
-    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
-                        lambda z: 1.0 + 0.1 * np.cos(z),
-                        ell1=0.9, ell2=1.1, horizon_T=0.4)
-    we = WEvaluator(mode="monte_carlo", model=m, n_paths=400, n_steps=100,
-                    se_target=1e-12)
-    we.evaluate(0.0, np.array([1.0]))
-    assert we.warned
-
-
 def test_mode_family_consistency():
-    m = affine_model(alpha=1.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        WEvaluator(mode="closed_form_linear_drift", model=m)
+    assert WEvaluator(affine_model(alpha=1.0, gamma=1.0)).mode == "closed_form_affine"
+    m = linear_drift_model(lam=-1.0, alpha=1.0, gamma=1.0)
+    assert WEvaluator(m).mode == "closed_form_linear_drift"
+    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
+                        lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
+    assert WEvaluator(m).mode == "monte_carlo"
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +126,7 @@ def test_gap_on_noiseless_model_is_pure_discretization():
     # dominated by the first-order corner rounding of width ~ sqrt(de * s)
     m = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=0.2)
     tc = heaviside_tc(0.0)
-    we = WEvaluator(mode="closed_form_affine", model=m)
+    we = WEvaluator(m)
     t_list = [0.0, 0.08, 0.16]
     sups = {}
     for de in (4e-4, 1e-4):
@@ -169,7 +148,7 @@ def test_gap_rows_expose_running_beta():
     grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 50),
                 e_nodes=e_nodes_for(m, 5e-4))
     field = solve_reduced_1d(m, grid, tc)
-    we = WEvaluator(mode="closed_form_affine", model=m)
+    we = WEvaluator(m)
     table = burgers_gap(field, we, m, [0.0, 0.08, 0.16])
     rows = table.rows()
     assert len(rows) == 3

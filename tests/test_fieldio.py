@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsde_lab.fieldio import dump_field, export_slice_csv, load_field, write_csv
+from fbsde_lab.fieldio import dump_field, load_field, write_csv
 from fbsde_lab.model_core import affine_model, heaviside_tc
 from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, solve_mollified,
                                  solve_reduced_1d, time_nodes_with_tail,
@@ -42,21 +42,6 @@ def test_reject_foreign_file(tmp_path):
     path.write_bytes(b"something: else\n\n1234")
     with pytest.raises(ValueError):
         load_field(path)
-
-
-def test_csv_slice_export(tmp_path):
-    m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 10),
-             e_nodes=e_nodes_for(m, 5e-3),
-             p_nodes=(np.linspace(-1, 1, 9),))
-    vf = solve_mollified(m, g, heaviside_tc(0.0))
-    out = tmp_path / "slice.csv"
-    export_slice_csv(vf, out, t=0.05, p=[0.0])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "e,v"
-    assert len(lines) == len(g.e_nodes) + 1
-    vals = [float(x.split(",")[1]) for x in lines[1:]]
-    assert min(vals) >= 0.0 and max(vals) <= 1.0
 
 
 def test_write_csv_is_deterministic(tmp_path):

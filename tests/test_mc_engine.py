@@ -28,7 +28,7 @@ def degenerate_setup(n_paths=500, e0_frac=0.5, T=0.1):
                                    s_switch=0.02, coarse_ratio=1.25)
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 2e-5))
     field = solve_reduced_1d(model, grid, tc)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = SimConfig(n_paths=n_paths, n_steps=400, t0=0.0, p0=np.zeros(1),
                     e0=e0_frac * T, seed=11)
     return model, field, we, cfg
@@ -41,7 +41,7 @@ def noisy_setup(n_paths=4000, alpha=0.5, T=0.1, seed=11, snapshots=()):
                                    s_switch=0.02, coarse_ratio=1.25)
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 2e-5))
     field = solve_reduced_1d(model, grid, tc)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = SimConfig(n_paths=n_paths, n_steps=400, t0=0.0, p0=np.zeros(1),
                     e0=0.5 * T, seed=seed, t_snapshots=snapshots)
     return model, field, we, cfg
@@ -98,7 +98,7 @@ def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
     _, field, _, cfg = _noisy_field()
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1,
                          dim_p=dim_p)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = dataclasses.replace(cfg, n_paths=3, **start)
     # the refusal comes before any path is drawn or the field is read
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -110,7 +110,7 @@ def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
 def test_field_simulators_refuse_a_field_of_another_model():
     _, field, _, cfg = _noisy_field()
     model = affine_model(alpha=0.4, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = dataclasses.replace(cfg, n_paths=3)
     hashes = [field.provenance["model_hash"], model.model_hash()]
     assert hashes[0] != hashes[1]
@@ -243,7 +243,7 @@ def test_sandwich_smooth_ramp_small_violation():
                                    s_switch=0.02, coarse_ratio=1.25)
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 1e-4))
     field = solve_reduced_1d(model, grid, tc)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = SimConfig(n_paths=4000, n_steps=400, t0=0.0, p0=np.zeros(1),
                     e0=0.05, seed=11)
     ens = simulate_forward(model, field, we, cfg)
@@ -322,7 +322,7 @@ def test_feynman_kac_constant_sigma_weight_is_one():
     grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 200),
                 e_nodes=e_nodes_for(model, 2e-4))
     field = solve_reduced_1d(model, grid, tc)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     derivs = gradient_fields(field)
     cfg = SimConfig(n_paths=4000, n_steps=200, t0=0.0, p0=np.zeros(1),
                     e0=0.06, seed=11)
@@ -345,7 +345,7 @@ def test_feynman_kac_sign_of_integrand():
     grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 200),
                 e_nodes=e_nodes_for(model, 5e-4))
     field = solve_reduced_1d(model, grid, tc)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
                     e0=0.0, seed=13)
     est = feynman_kac_grad_p(model, field, gradient_fields(field), cfg, we=we)
@@ -354,7 +354,7 @@ def test_feynman_kac_sign_of_integrand():
 
 def test_trap_bridge_pinned_at_cap():
     model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    we = WEvaluator(mode="closed_form_affine", model=model)
+    we = WEvaluator(model)
     cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
                     e0=0.05, seed=11)
     rep = trap_diagnostic(model, we, cfg)
@@ -367,7 +367,7 @@ def test_trap_probability_increases_toward_horizon():
     p_hats = []
     for T in (0.4, 0.1):
         model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=T)
-        we = WEvaluator(mode="closed_form_affine", model=model)
+        we = WEvaluator(model)
         cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
                         e0=0.5 * T, seed=11)
         p_hats.append(trap_diagnostic(model, we, cfg).p_hat_F)
@@ -381,3 +381,9 @@ def test_simconfig_validation():
         with pytest.raises(ValueError, match="must be >= 1"):
             SimConfig(**{"n_paths": 10, "n_steps": 200, "t0": 0.0,
                          "p0": np.zeros(1), "e0": 0.0, "seed": 1, **bad})
+    for seed in (-1, 2**64, 7.0, True, "7"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,
+                      seed=seed)
+    SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,
+              seed=2**64 - 1)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fbsde_lab.model_core import (
-    AssumptionError, FeedbackFn, ModelSpec, affine_model, custom_tc,
-    default_mollifier, effective_ell, heaviside_tc, linear_drift_model,
-    mollify, nonlinear_model, phi_sides, smooth_ramp_tc, validate_assumptions,
+    AssumptionError, FeedbackFn, ModelSpec, affine_model, default_mollifier,
+    effective_ell, heaviside_tc, linear_drift_model, mollify, nonlinear_model,
+    phi_sides_arrays, smooth_ramp_tc, validate_assumptions,
 )
 
 BOX = ((-2.0, 2.0), (0.0, 1.0))
@@ -85,17 +85,17 @@ def test_model_constants_validated():
 # ---------------------------------------------------------------------------
 
 def test_phi_sides_heaviside_at_cap():
-    tc = heaviside_tc(0.0)
-    assert phi_sides(tc, 0.0) == (0.0, 1.0)
-    assert phi_sides(tc, -1.0) == (0.0, 0.0)
-    assert phi_sides(tc, 0.5) == (1.0, 1.0)
+    lo, hi = phi_sides_arrays(heaviside_tc(0.0), np.array([0.0, -1.0, 0.5]))
+    assert lo.tolist() == [0.0, 0.0, 1.0]
+    assert hi.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_phi_sides_continuous_kinds_coincide():
     tc = smooth_ramp_tc(0.0, width=0.5)
-    for x in (-0.3, 0.0, 0.1):
-        lo, hi = phi_sides(tc, x)
-        assert lo == hi == pytest.approx(float(tc(np.asarray(x))))
+    x = np.array([-0.3, 0.0, 0.1])
+    lo, hi = phi_sides_arrays(tc, x)
+    assert np.array_equal(lo, hi)
+    assert np.array_equal(lo, tc(x))
 
 
 def test_heaviside_value_at_threshold_is_one():

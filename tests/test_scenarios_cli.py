@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,15 @@ def test_cli_run_and_plot_data(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["*", "dirac_*", "nope"])
+def test_cli_plot_data_refuses_a_name_that_is_not_a_check(tmp_path, capsys, name):
+    (tmp_path / "dirac_atom__atom_curve.csv").write_text("delta,fraction\n")
+    code = main(["plot-data", "--record-dir", str(tmp_path), "--check", name])
+    assert code == 2
+    assert "known checks" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dirac_atom__atom_curve.csv"]
+
+
 def test_cli_seed_override_changes_hash(tmp_path):
     over = light_overrides()
     over["checks"] = ["validate"]
@@ -162,7 +175,7 @@ def test_cli_solve_and_simulate_only(tmp_path):
 def _solve_only(tmp_path, scenario):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"grid": {"de_reduced": 1e-4},
-                                   "sim": {"n_paths": 200, "n_steps": 50}}))
+                                   "sim": {"n_paths": 200, "n_steps": 100}}))
     assert main(["solve-only", "--scenario", scenario, "--config", str(cfgfile),
                  "--out", str(tmp_path)]) == 0
     return cfgfile, tmp_path / f"{scenario}_field.bin"
@@ -218,6 +231,9 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     ("5", ["bad config", "JSON object", "5"]),
     (json.dumps({"sim": 5}), ["bad config", "'sim'", "JSON object"]),
     ("null", ["bad config", "JSON object", "null"]),
+    (json.dumps({"model": {"bogus": 1}}), ["bad config", "'bogus'", "'gamma'"]),
+    (json.dumps({"model": {"gamma": -1}}), ["bad config", "ell1=-1.0"]),
+    (json.dumps({"sim": {"n_steps": 50}}), ["bad config", "n_steps"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -230,6 +246,21 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
         assert not out.exists()   # refused before any check ran
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--n-paths", "0"], ["n_paths (0)"]),
+    (["--n-paths", "-5"], ["n_paths (-5)"]),
+    (["--seed", "-1"], ["seed", "-1"]),
+])
+def test_cli_bad_path_flags_exit_2(tmp_path, capsys, flags, words):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "degenerate_characteristics",
+                 "--out", str(out), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and all(w in err for w in words), err
+    assert not out.exists()   # refused before any check ran
 
 
 def test_scenario_ensemble_is_built_once_per_run(tmp_path):
@@ -248,3 +279,19 @@ def test_scenario_ensemble_is_built_once_per_run(tmp_path):
     for arr in (ens.terminal_E, field.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# benchmark harness
+# ---------------------------------------------------------------------------
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps layer functions and WEvaluator methods by name;
+    # install() fails if a refactor drops or renames one of them
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.install()"],
+                          cwd=root / "perfbench", env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
