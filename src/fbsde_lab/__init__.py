@@ -11,8 +11,8 @@ from .burgers_ref import (
 )
 from .value_pde import (
     CFLError, DerivativeFields, Grid, SolveDivergenceError, ValueField,
-    bound_report, conservation_gap, e_nodes_for, gradient_fields,
-    solve_mollified, solve_reduced_1d, time_nodes_with_tail, uniform_time_nodes,
+    conservation_gap, e_nodes_for, gradient_fields, solve_mollified,
+    solve_reduced_1d, time_nodes_with_tail, uniform_time_nodes,
 )
 from .mc_engine import (
     AtomCurve, FlowReport, GradPEstimate, PathEnsemble, PrefactorReport,

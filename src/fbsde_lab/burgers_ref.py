@@ -205,15 +205,20 @@ class GapTable:
         return out
 
 
-def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list,
-                boundary_skip: int = 2, p_boundary_frac: float = 0.2) -> GapTable:
+# artificial-boundary layers left out of the gap: e-nodes at each e-edge and
+# the fraction of each p-axis at each p-edge
+_BOUNDARY_SKIP = 2
+_P_BOUNDARY_FRAC = 0.2
+
+
+def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list) -> GapTable:
     """Per-time sup distance between the field and the rescaled profile.
 
     At each requested time the gap is the sup over grid nodes of
     ``|v(t,p,e) - psi((ebar - cap)/(ell (T-t)))`` with ``ebar = e + w(t,p)``
     and the effective slope computed from the field's own value at the node
-    (constant gamma for the affine families).  Nodes within ``boundary_skip``
-    cells of the e-boundary are excluded, as is the outer ``p_boundary_frac``
+    (constant gamma for the affine families).  Nodes within ``_BOUNDARY_SKIP``
+    cells of the e-boundary are excluded, as is the outer ``_P_BOUNDARY_FRAC``
     of each p-axis (both are artificial-boundary layers, not part of the
     whole-space statement being measured).  ``beta_hat`` is the slope of
     log gap against log(T - t).
@@ -223,7 +228,7 @@ def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list,
     affine = model.family in ("affine_constant", "linear_drift")
     gamma = model.family_params.get("gamma")
     e = field.grid.e_nodes
-    sl = slice(boundary_skip, len(e) - boundary_skip) if boundary_skip else slice(None)
+    sl = slice(_BOUNDARY_SKIP, len(e) - _BOUNDARY_SKIP)
     e_in = e[sl]
     gaps = []
     for t in t_list:
@@ -239,7 +244,7 @@ def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list,
             continue
         worst = 0.0
         vt = field.values_at(t)
-        skips = [int(p_boundary_frac * len(nodes)) for nodes in field.grid.p_nodes]
+        skips = [int(_P_BOUNDARY_FRAC * len(nodes)) for nodes in field.grid.p_nodes]
         p_axes = []
         for axis, (nodes, k) in enumerate(zip(field.grid.p_nodes, skips)):
             p_axes.append(nodes[k: len(nodes) - k] if k else nodes)

@@ -47,7 +47,7 @@ def _scenario_cfg(args) -> tuple | None:
     except KeyError:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
         return None
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return None
     try:

@@ -33,10 +33,9 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
 from .model_core import (affine_model, default_mollifier, heaviside_tc, mollify,
                          validate_assumptions)
 from .scenarios import build_model, build_tc, config_hash, scenario_config
-from .value_pde import (Grid, bound_report, conservation_gap, e_nodes_for,
-                        gradient_fields, gradient_band_violation,
-                        solve_mollified, solve_reduced_1d, time_nodes_with_tail,
-                        uniform_time_nodes)
+from .value_pde import (conservation_gap, far_field_violation, full_field,
+                        gradient_fields, gradient_band_violation, off_cone_decay,
+                        reduced_aligned_field, reduced_tail_field)
 
 
 @dataclass
@@ -76,56 +75,8 @@ def _jsonable(x):
 
 
 # ---------------------------------------------------------------------------
-# field builders
+# scenario artefacts
 # ---------------------------------------------------------------------------
-
-def reduced_tail_field(model, tc, gcfg, n_uniform=1000):
-    """Reduced field with geometric slice tail accumulating at the horizon."""
-    t_nodes = time_nodes_with_tail(
-        0.0, model.horizon_T, 0,
-        s_min=gcfg.get("tail_s_min", 2.0 * gcfg["de_reduced"] / model.ell1),
-        ratio=gcfg.get("tail_ratio", 1.07),
-        s_switch=gcfg.get("tail_switch"),
-        coarse_ratio=gcfg.get("tail_coarse", 1.25))
-    e = e_nodes_for(model, gcfg["de_reduced"])
-    return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
-
-
-def reduced_aligned_field(model, tc, de, n_steps, t_extra=(), t_stop=None):
-    """Reduced field whose slices coincide with the simulation time grid.
-
-    Alignment removes the slice-staleness bias in the drift response, which
-    would otherwise act like a spurious transmission of order the slice
-    spacing ratio.  Above ``t_stop`` the slices thin out (unused by sims
-    that stop there).
-    """
-    T = model.horizon_T
-    base = np.linspace(0.0, T, n_steps + 1)
-    if t_stop is not None:
-        keep = base[base <= t_stop + 1e-15]
-        tail = np.linspace(float(keep[-1]), T, 21)
-        t_nodes = np.union1d(np.union1d(keep, np.asarray(t_extra)), tail)
-    else:
-        t_nodes = np.union1d(base, np.asarray(t_extra))
-    e = e_nodes_for(model, de)
-    return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
-
-
-def _grid_full(model, gcfg, pad=0.0, t_extra=()):
-    return Grid(
-        t_nodes=np.union1d(
-            uniform_time_nodes(0.0, model.horizon_T, gcfg.get("n_t", 100)),
-            np.asarray(t_extra, dtype=float)),
-        e_nodes=e_nodes_for(model, gcfg["de_full"], pad=pad),
-        p_nodes=tuple(np.linspace(-gcfg.get("p_half", 3.0),
-                                  gcfg.get("p_half", 3.0), gcfg.get("n_p", 51))
-                      for _ in range(model.dim_p)))
-
-
-def full_field(model, tc, gcfg, mollifier_n=None, pad=0.0, t_extra=()):
-    return solve_mollified(model, _grid_full(model, gcfg, pad, t_extra), tc,
-                           mollifier_n=mollifier_n)
-
 
 def scenario_model(cfg, horizon=None):
     """The scenario's model (at ``horizon`` if given) and terminal condition."""
@@ -160,7 +111,8 @@ def _ensemble_key(cfg) -> str:
 
 @functools.lru_cache(maxsize=2)
 def _main_ensemble(key: str):
-    """(field, we, sim, paths) of the scenario blocks in ``key``; memoised."""
+    """(model, tc, field, we, sim, paths) of the scenario blocks in ``key``;
+    memoised."""
     cfg = json.loads(key)
     model, tc = scenario_model(cfg)
     field = scenario_field(cfg, model, tc)
@@ -170,7 +122,7 @@ def _main_ensemble(key: str):
     for arr in (field.values, ens.terminal_E, ens.terminal_Y,
                 ens.terminal_Ebar, ens.escaped):
         arr.flags.writeable = False
-    return field, we, sim, ens
+    return model, tc, field, we, sim, ens
 
 
 def cone_start(model, frac: float) -> float:
@@ -195,12 +147,9 @@ def check_gradient_band(cfg, n_e=400, n_t=200, n_p=50) -> CheckOutcome:
     """Gradient band on the fixed acceptance grid (400 e, 200 t, 50 p)."""
     model, tc = scenario_model(cfg)
     half = 2.0 * model.lipschitz_L * model.horizon_T
-    de = 2.0 * half / n_e
-    grid = Grid(t_nodes=uniform_time_nodes(0.0, model.horizon_T, n_t),
-                e_nodes=e_nodes_for(model, de),
-                p_nodes=(np.linspace(-2.5, 2.5, n_p),))
     t0 = time.time()
-    vf = solve_mollified(model, grid, tc)
+    vf = full_field(model, tc, {"de_full": 2.0 * half / n_e, "n_t": n_t,
+                                "p_half": 2.5, "n_p": n_p})
     entry = gradient_band_violation(vf, gradient_fields(vf), model)
     return CheckOutcome("gradient_band", "pass" if entry.passed else "fail",
                         {"worst_violation": entry.worst,
@@ -219,11 +168,11 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
     worst_order = -np.inf
     gaps, uppers = [], []
     t_probe = 0.5 * model.horizon_T
-    grid = _grid_full(model, gcfg, pad=1.0 / min(ns))
+    pad = 1.0 / min(ns)
     for n in ns:
         mol = default_mollifier(n)
-        up = solve_mollified(model, grid, mollify(tc, mol, "upper"), mollifier_n=n)
-        lo = solve_mollified(model, grid, mollify(tc, mol, "lower"), mollifier_n=n)
+        up = full_field(model, mollify(tc, mol, "upper"), gcfg, mollifier_n=n, pad=pad)
+        lo = full_field(model, mollify(tc, mol, "lower"), gcfg, mollifier_n=n, pad=pad)
         worst_order = max(worst_order, float(np.max(lo.values - up.values)))
         gaps.append(conservation_gap(up, lo, m=0.5 * model.horizon_T,
                                      t=t_probe, p=[0.0]))
@@ -275,7 +224,7 @@ def check_burgers_gap(cfg) -> CheckOutcome:
     else:
         field = full_field(model, tc, g, t_extra=t_list)
     we = WEvaluator(model, n_paths=10_000, n_steps=300)  # the Monte Carlo budget
-    table = burgers_gap(field, we, model, t_list, boundary_skip=2)
+    table = burgers_gap(field, we, model, t_list)
     dec = bool(np.all(np.diff(table.sup_gap) < 0))
     ok = dec and table.beta_hat > 0
     return CheckOutcome("burgers_gap", "pass" if ok else "fail",
@@ -341,8 +290,7 @@ def check_flow_squeeze(cfg) -> CheckOutcome:
                                 "tail_ratio": 1.07, "tail_switch": 0.02})
     we = WEvaluator(model)
     T = model.horizon_T
-    sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
-                       n_paths=cfg["sim"].get("n_paths_flow", 20_000))
+    sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5), n_paths=20_000)
     pairs = [(cone_start(model, 0.55), cone_start(model, 0.30)),
              (cone_start(model, 0.30), cone_start(model, 0.10))]
     t_list = [0.25 * T, 0.5 * T, 0.75 * T]
@@ -444,8 +392,7 @@ def check_transmission_sign_change(cfg) -> CheckOutcome:
 
 
 def check_dirac_atom(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    _, we, sim, ens = _main_ensemble(_ensemble_key(cfg))
+    model, _, _, we, sim, ens = _main_ensemble(_ensemble_key(cfg))
     if ens.escape_fraction > 1e-3:
         return CheckOutcome("dirac_atom", "fail",
                             {"escape_fraction": ens.escape_fraction})
@@ -492,8 +439,7 @@ def check_trap(cfg) -> CheckOutcome:
     stats = {"horizons": horizons, "p_hat_F": p_hats,
              "zbar_terminal_dev": z_dev_worst, "increasing": increasing}
     # event inclusion: the atom fraction dominates P(F) at the matched horizon
-    model = build_model(cfg["model"])
-    *_, ens = _main_ensemble(_ensemble_key(cfg))
+    model, *_, ens = _main_ensemble(_ensemble_key(cfg))
     curve = dirac_scan(ens, default_delta_ladder(model.horizon_T))
     j = horizons.index(model.horizon_T) if model.horizon_T in horizons else None
     if j is not None:
@@ -506,8 +452,7 @@ def check_trap(cfg) -> CheckOutcome:
 
 
 def check_sandwich(cfg) -> CheckOutcome:
-    model, tc = scenario_model(cfg)
-    field, _, _, ens = _main_ensemble(_ensemble_key(cfg))
+    _, tc, field, _, _, ens = _main_ensemble(_ensemble_key(cfg))
     smear = field.provenance.get("smoothing_width", field.grid.de)
     frac = terminal_sandwich_check(ens, tc, eta=0.05,
                                    min_cap_distance=10 * smear)
@@ -536,7 +481,7 @@ def check_characteristics(cfg) -> CheckOutcome:
                            t_snapshots=tuple(t_probe))
         ens = simulate_forward(model, field, we, sim)
         for t in t_probe:
-            sim_e = float(ens.snapshots[round(t, 12)]["E"][0])
+            sim_e = float(ens.snapshots[round(t, 12)][0])
             ref = float(characteristic(e0, 0.0, t, prof))
             worst = max(worst, abs(sim_e - ref))
             rows.append((float(e0), t, sim_e, ref))
@@ -554,23 +499,21 @@ def check_characteristics(cfg) -> CheckOutcome:
 
 
 def check_variance_zero(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    field, we, _, _ = _main_ensemble(_ensemble_key(cfg))
+    model, _, field, we, _, _ = _main_ensemble(_ensemble_key(cfg))
     T = model.horizon_T
     t_list = [0.25 * T, 0.5 * T]
     sim = scenario_sim(cfg, model, n_paths=5000, e0=cone_start(model, 0.5),
                        t_snapshots=tuple(t_list))
     ens = simulate_forward(model, field, we, sim)
-    worst = max(float(np.var(ens.snapshots[round(t, 12)]["E"])) for t in t_list)
+    worst = max(float(np.var(ens.snapshots[round(t, 12)])) for t in t_list)
     return CheckOutcome("variance_zero", "pass" if worst <= 1e-20 else "fail",
                         {"max_variance": worst})
 
 
 def check_conditional_support(cfg) -> CheckOutcome:
-    model = build_model(cfg["model"])
-    *_, ens = _main_ensemble(_ensemble_key(cfg))
+    model, *_, ens = _main_ensemble(_ensemble_key(cfg))
     delta = 1e-2 * model.horizon_T
-    hist = conditional_support(ens, delta, n_bins=10)
+    hist = conditional_support(ens, delta)
     ok = hist.coverage == 1.0 and hist.n_conditioned >= 1000
     return CheckOutcome(
         "conditional_support", "pass" if ok else "fail",
@@ -634,23 +577,17 @@ def check_bound_report(cfg) -> CheckOutcome:
     class the square-law statement addresses), just above the cone edge."""
     model, tc = scenario_model(cfg)
     vf = full_field(model, tc, cfg["grid"])
-    derivs = gradient_fields(vf)
-    we = WEvaluator(model)
-    rep = bound_report(vf, derivs, model, we)
-    far = rep.entry("far_field")
-    band = rep.entry("gradient_band")
+    far = far_field_violation(vf, model, WEvaluator(model))
+    band = gradient_band_violation(vf, gradient_fields(vf), model)
 
     mol = default_mollifier(8)
     tc_up = mollify(heaviside_tc(model.cap_lambda), mol, "upper")
     m_cal = affine_model(alpha=1.0, gamma=1.0, sigma=1.0,
                          cap_lambda=model.cap_lambda, horizon_T=0.4)
-    we_cal = WEvaluator(m_cal)
     vf_up = full_field(m_cal, tc_up, {"de_full": 2e-3, "p_half": 3.0,
                                       "n_p": 61, "n_t": 100},
                        mollifier_n=8, pad=0.25, t_extra=[0.2, 0.3])
-    rep_up = bound_report(vf_up, gradient_fields(vf_up), m_cal, we_cal,
-                          c_off=1.5, horizons=(0.2, 0.1))
-    decay = rep_up.entry("off_cone_decay")
+    decay = off_cone_decay(vf_up, gradient_fields(vf_up), m_cal, WEvaluator(m_cal))
 
     ok = far.passed and band.passed
     verdict = "pass" if ok and decay.passed else ("flagged" if ok else "fail")

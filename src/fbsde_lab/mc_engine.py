@@ -5,7 +5,8 @@ and advances P for every path loop: the forward simulation, the pathwise
 gradient estimator and the bridge-trap diagnostic keep only their own
 accumulators.  The forward simulation drives (P, E, Ebar, Y) by a solved
 value field: E by explicit Euler with the frozen-slice value lookup,
-Y = v(t, P_t, E_t) through the field's interpolator, Ebar = E + w(t, P).
+Y = v(t, P_t, E_t) through the field's interpolator, Ebar = E + w(t, P);
+it records E at the snapshot times.
 Randomness comes from a counter-based generator with one substream per path
 index, so results are bit-identical for a given (seed, n_paths, n_steps)
 regardless of batching.
@@ -164,7 +165,7 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
 def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
                    cfg: SimConfig, e_starts: np.ndarray,
                    record_times: Sequence[float], stop_time: Optional[float] = None):
-    """Per-start terminal arrays and snapshots of (P, E, Ebar, Y).
+    """Per-start terminal arrays and snapshots ``{t: {start: E}}`` of E.
 
     All starts share the same P-path and Brownian increments per path index
     (common-noise coupling for the flow checks).
@@ -179,7 +180,6 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     n_steps_grid = len(tgrid) - 1
     n = cfg.n_paths
     n_starts = len(e_starts)
-    record_set = {round(float(t), 12) for t in record_times}
     # terminal Y is read at the last moment the path time matches a stored
     # slice; past it the slice freezes while E keeps contracting, which would
     # scramble the martingale limit the value is standing in for
@@ -214,17 +214,10 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
                 if k == k_y:
                     y_term[a] = Y
                 E[a] = E[a] - model.feedback.value(P, Y) * dt
-            tn = float(tgrid[k + 1])
-            key = round(tn, 12)
-            if key in record_set:
+            key = round(float(tgrid[k + 1]), 12)
+            if key in snaps:
                 for a in range(n_starts):
-                    Yn = field.eval(tn, P_next, E[a], we=we)
-                    ebar = E[a] + we.evaluate(tn, P_next)
-                    snap = snaps[key].setdefault(a, {"P": [], "E": [], "Ebar": [], "Y": []})
-                    snap["P"].append(P_next.copy())
-                    snap["E"].append(E[a].copy())
-                    snap["Ebar"].append(np.asarray(ebar).copy())
-                    snap["Y"].append(np.asarray(Yn).copy())
+                    snaps[key].setdefault(a, []).append(E[a].copy())
         full_run = stop_time is None or stop_time >= T - 1e-15
         for a in range(n_starts):
             term_E[a, first:first + count] = E[a]
@@ -232,18 +225,16 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
         escaped[:, first:first + count] = esc
         term_P[first:first + count] = P_next   # P at the last grid time
 
-    merged = {}
-    for key, by_start in snaps.items():
-        merged[key] = {
-            a: {nm: np.concatenate(chunks) for nm, chunks in rec.items()}
-            for a, rec in by_start.items()
-        }
+    merged = {key: {a: np.concatenate(chunks) for a, chunks in by_start.items()}
+              for key, by_start in snaps.items()}
     return term_E, term_Y, term_P, escaped, merged
 
 
 def simulate_forward(model: ModelSpec, field: ValueField, we: WEvaluator,
                      cfg: SimConfig) -> PathEnsemble:
-    """Simulate (P, E, Ebar, Y) to the horizon under the given field.
+    """Simulate (P, E, Ebar, Y) to the horizon under the given field; the
+    ensemble keeps the terminal values and ``snapshots[t]``, the E of every
+    path at each of ``cfg.t_snapshots``.
 
     Escaped paths (those leaving the field's e-domain) are flagged and meant
     to be excluded from statistics; accepted runs require the escape
@@ -271,7 +262,6 @@ class AtomCurve:
     std_errors: np.ndarray
     plateau: float
     plateau_defined: bool
-    n_used: int
 
 
 def dirac_scan(ens_or_terminal, delta_list, cap_lambda: Optional[float] = None) -> AtomCurve:
@@ -300,7 +290,7 @@ def dirac_scan(ens_or_terminal, delta_list, cap_lambda: Optional[float] = None) 
     defined = fr[0] > 0
     plateau = float(fr[-1] / fr[0]) if defined else float("nan")
     return AtomCurve(deltas=deltas, fractions=fr, std_errors=se,
-                     plateau=plateau, plateau_defined=bool(defined), n_used=n)
+                     plateau=plateau, plateau_defined=bool(defined))
 
 
 def default_delta_ladder(horizon: float) -> np.ndarray:
@@ -340,16 +330,16 @@ class SupportHistogram:
     n_conditioned: int
 
 
-def conditional_support(ens: PathEnsemble, delta: float,
-                        n_bins: int = 10) -> SupportHistogram:
-    """Histogram of Y_T over [0,1] on the conditioning event |E_T - cap| <= delta."""
+def conditional_support(ens: PathEnsemble, delta: float) -> SupportHistogram:
+    """Histogram of Y_T over ten equal bins of [0,1] on the conditioning event
+    |E_T - cap| <= delta."""
     lam = ens.provenance.get("cap_lambda", 0.0)
     ok = ens.ok()
     mask = ok & (np.abs(ens.terminal_E - lam) <= delta)
     if not np.any(mask):
         raise ValueError("conditioning event is empty")
     y = ens.terminal_Y[mask]
-    counts, edges = np.histogram(y, bins=n_bins, range=(0.0, 1.0))
+    counts, edges = np.histogram(y, bins=10, range=(0.0, 1.0))
     return SupportHistogram(edges=edges, counts=counts,
                             coverage=float(np.mean(counts > 0)),
                             n_conditioned=int(mask.sum()))
@@ -382,7 +372,6 @@ def terminal_sandwich_check(ens: PathEnsemble, tc: TerminalCondition,
 @dataclass(frozen=True)
 class FlowReport:
     pairs: tuple
-    t_list: np.ndarray
     frac_ok: float
     per_pair_frac: np.ndarray
     worst_lower_margin: float
@@ -392,14 +381,14 @@ class FlowReport:
 
 
 def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
-                       cfg: SimConfig, e_pairs, t_list,
-                       atom_delta: Optional[float] = None) -> FlowReport:
+                       cfg: SimConfig, e_pairs, t_list) -> FlowReport:
     """Two-sided flow inequality under common noise, plus terminal coalescence.
 
     For each pair e > e' and recorded t the difference must satisfy
     (e - e') >= E_t^e - E_t^{e'} >= ((T-t)/(T-t0))^{ell2/ell1} (e - e')
     within three times the declared integration-error bound.  Times must lie
-    in (t0, T).
+    in (t0, T).  A pair coalesces when both paths end within 1% of T - t0 of
+    the cap.
     """
     T = field.grid.horizon
     outside = [float(t) for t in t_list if not cfg.t0 < t < T]
@@ -424,9 +413,7 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
         ok_pair, n_pair = 0, 0
         for t in t_list:
             key = round(float(t), 12)
-            Ea = snaps[key][idx[e_a]]["E"]
-            Eb = snaps[key][idx[e_b]]["E"]
-            diff = Ea - Eb
+            diff = snaps[key][idx[e_a]] - snaps[key][idx[e_b]]
             s = T - float(t)
             env = ((s / (T - cfg.t0)) ** ratio) * gap0
             tol = 3.0 * gap0 * (dt_unif / max(s, dt_unif)
@@ -439,7 +426,7 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
         per_pair.append(ok_pair / n_pair)
         ok_total += ok_pair
         n_total += n_pair
-    delta = atom_delta if atom_delta is not None else 1e-2 * (T - cfg.t0)
+    delta = 1e-2 * (T - cfg.t0)
     lam = model.cap_lambda
     coals = []
     for (e_a, e_b) in e_pairs:
@@ -449,7 +436,6 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
     co = float(np.mean(coals))
     co_se = float(np.sqrt(max(co * (1 - co), 0.0) / cfg.n_paths))
     return FlowReport(pairs=tuple(tuple(p) for p in e_pairs),
-                      t_list=np.asarray(list(t_list), dtype=float),
                       frac_ok=ok_total / max(n_total, 1),
                       per_pair_frac=np.asarray(per_pair),
                       worst_lower_margin=worst,
@@ -497,7 +483,7 @@ def variance_scan(model: ModelSpec, field: ValueField, we: WEvaluator,
     ok = ~esc[0]
     vs, ses = [], []
     for t in t_arr:
-        E = snaps[round(float(t), 12)][0]["E"][ok]
+        E = snaps[round(float(t), 12)][0][ok]
         vs.append(float(np.var(E)))
         ses.append(_jackknife_var_se(E))
     vs = np.asarray(vs)
@@ -512,20 +498,16 @@ def variance_scan(model: ModelSpec, field: ValueField, we: WEvaluator,
 
 @dataclass(frozen=True)
 class PrefactorReport:
-    horizons: np.ndarray
-    prefactors: np.ndarray
     overall_slope: float
     pairwise_slopes: np.ndarray
-    strictly_decreasing: bool
     verdict: str
 
 
-def prefactor_report(horizons, prefactors,
-                     superpoly_slope: float = 3.0) -> PrefactorReport:
+def prefactor_report(horizons, prefactors) -> PrefactorReport:
     """Classify the horizon decay of the cube-law prefactor.
 
     ``superpolynomial`` means strictly decreasing with overall log-log slope
-    above ``superpoly_slope`` (i.e. faster than any power <= 3);
+    above 3 (i.e. faster than any power <= 3);
     ``power_like`` otherwise when decreasing; ``not_decreasing`` else.
     """
     h = np.asarray(list(horizons), dtype=float)
@@ -537,14 +519,13 @@ def prefactor_report(horizons, prefactors,
     pair = np.array([(lp[i] - lp[i + 1]) / (lh[i] - lh[i + 1])
                      for i in range(len(h) - 1)])
     dec = bool(np.all(np.diff(p) < 0))
-    if dec and overall > superpoly_slope:
+    if dec and overall > 3.0:
         verdict = "superpolynomial"
     elif dec:
         verdict = "power_like"
     else:
         verdict = "not_decreasing"
-    return PrefactorReport(horizons=h, prefactors=p, overall_slope=overall,
-                           pairwise_slopes=pair, strictly_decreasing=dec,
+    return PrefactorReport(overall_slope=overall, pairwise_slopes=pair,
                            verdict=verdict)
 
 
@@ -705,16 +686,11 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
 class TrapReport:
     p_hat_F: float
     std_error: float
-    n_on_F: int
     zbar_terminal_dev: float
     zbar_near_terminal_dev: float
-    c_prime: float
-    beta: float
 
 
-def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig,
-                    beta: float = 0.25,
-                    c_prime: Optional[float] = None) -> TrapReport:
+def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig) -> TrapReport:
     """Probability of the bridge trap event and the pinned bridge endpoints.
 
     Simulates the normalized martingale M_t = int (T-s)^{-1} <sigma^T dp_w, dW>
@@ -722,14 +698,15 @@ def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig,
     below ell1/16.  On F the explicitly integrated bridges, started at
     ebar = cfg.e0,
     Zbar_t = cap + (T-t) [ (ebar-cap)/(T-t0) +- C' int (T-s)^{beta-1} ds + M_t ]
-    are pinned to the cap at the horizon.
+    are pinned to the cap at the horizon; beta = 1/4 and
+    C' = ell1 beta / (32 (T-t0)^beta).
     """
     T = model.horizon_T
     tgrid = np.linspace(cfg.t0, T, cfg.n_steps + 1)
     batches = euler_paths(model, cfg, tgrid)
     h = T - cfg.t0
-    if c_prime is None:
-        c_prime = model.ell1 * beta / (32.0 * h**beta)
+    beta = 0.25
+    c_prime = model.ell1 * beta / (32.0 * h**beta)
 
     sup_M = np.zeros(cfg.n_paths)
     M_last = np.zeros(cfg.n_paths)
@@ -759,6 +736,5 @@ def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig,
         near_dev = float(np.max(np.abs(z_near[on_F] - lam)))
     else:
         term_dev = near_dev = float("nan")
-    return TrapReport(p_hat_F=p_hat, std_error=se, n_on_F=int(on_F.sum()),
-                      zbar_terminal_dev=term_dev, zbar_near_terminal_dev=near_dev,
-                      c_prime=float(c_prime), beta=float(beta))
+    return TrapReport(p_hat_F=p_hat, std_error=se, zbar_terminal_dev=term_dev,
+                      zbar_near_terminal_dev=near_dev)

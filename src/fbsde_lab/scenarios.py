@@ -58,6 +58,8 @@ def build_tc(tcfg: dict, cap_lambda: float) -> TerminalCondition:
     if kind == "heaviside":
         return heaviside_tc(cap_lambda)
     if kind == "smooth_ramp":
+        if "width" not in tcfg:
+            raise ValueError("the smooth_ramp terminal condition needs a 'width'")
         return smooth_ramp_tc(cap_lambda, tcfg["width"])
     raise ValueError(f"unknown terminal condition kind {kind!r}")
 
@@ -246,6 +248,16 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
         if not isinstance(overrides[key], dict):
             raise ValueError(f"config block {key!r} must be a JSON object, "
                              f"not {overrides[key]!r}")
+        if key == "model":   # keys depend on the family; build_model checks them
+            continue
+        known_keys = set().union(*(entry.get(key, {}) for entry in entries))
+        if set(overrides[key]) - known_keys:
+            raise ValueError(f"unknown {key} key(s) "
+                             f"{sorted(set(overrides[key]) - known_keys)}; "
+                             f"known keys: {sorted(known_keys)}")
+    if not isinstance(overrides.get("checks", []), list):
+        raise ValueError(f"'checks' must be a JSON list of check names, "
+                         f"not {overrides['checks']!r}")
     if overrides.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"schema_version {overrides['schema_version']!r} is "
                          f"not supported; this version reads {SCHEMA_VERSION}")
@@ -255,4 +267,10 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
             cfg[key].update(val)
         else:
             cfg[key] = val
+    T = cfg["model"]["horizon_T"]
+    outside = [h for h in cfg.get("sweeps", {}).get("gap_horizons", [])
+               if not 0 < h <= T]
+    if outside:
+        raise ValueError(f"gap_horizons {outside} lie outside (0, horizon_T] "
+                         f"= (0, {T}]")
     return cfg

@@ -26,6 +26,9 @@ The reduced transport updates only the nodes that can change: binary data
 keep vbar exactly 1, or below 2**-60, outside a band around the cap, where
 an update rounds to no change (see ``solve_reduced_1d``), so every output
 stays bit for bit as the full-grid loop makes it.
+
+``full_field``, ``reduced_tail_field`` and ``reduced_aligned_field`` are the
+one way to build a field from a scenario's grid settings.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from scipy.linalg import solve_banded
 from .model_core import ModelSpec, TerminalCondition
 
 _BOUND_SNAP = 1e-12   # FP-roundoff renormalization threshold, not a limiter
+_CFL_SAFETY = 0.85    # fraction of the explicit transport's stable step taken
 _WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
 
@@ -373,7 +377,6 @@ def _thomas_sweep(x: np.ndarray, low, piv, up, row: np.ndarray):
 
 def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
                     epsilon: float = 0.0, mollifier_n=None,
-                    cfl_safety: float = 0.85,
                     max_internal_steps: int = 2_000_000) -> ValueField:
     """March the full value-function equation backward on a (t, p, e) grid.
 
@@ -401,7 +404,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     f0 = model.feedback.value(p_flat, np.zeros(len(p_flat)))
     f1 = model.feedback.value(p_flat, np.ones(len(p_flat)))
     fmax = float(np.max(np.abs(np.concatenate([f0, f1]))))
-    dt_cfl = cfl_safety * de / (fmax + model.ell2)
+    dt_cfl = _CFL_SAFETY * de / (fmax + model.ell2)
 
     total = float(grid.horizon - grid.t0)
     if int(np.ceil(total / dt_cfl)) > max_internal_steps:
@@ -517,7 +520,6 @@ def reduced_diffusion_integral(model: ModelSpec) -> Callable[[float, float], flo
 
 
 def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
-                     cfl_safety: float = 0.85,
                      max_internal_steps: int = 2_000_000) -> ValueField:
     """March the reduced equation for vbar(t, ebar) on a (t, ebar) grid.
 
@@ -547,7 +549,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     e = grid.e_nodes
     de = grid.de
     ne = len(e)
-    dt_cfl = cfl_safety * de / (2.0 * gamma)
+    dt_cfl = _CFL_SAFETY * de / (2.0 * gamma)
     total = float(grid.horizon - grid.t0)
     if int(np.ceil(total / dt_cfl)) > max_internal_steps:
         raise CFLError(f"stability requires dt <= {dt_cfl:.3e}")
@@ -598,6 +600,61 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
 
 
 # ---------------------------------------------------------------------------
+# field builders: a scenario's grid block to a solved field
+# ---------------------------------------------------------------------------
+
+def full_field(model: ModelSpec, tc: TerminalCondition, gcfg: dict,
+               mollifier_n=None, pad: float = 0.0, t_extra=()) -> ValueField:
+    """Full (t, p, e) field: ``n_t`` uniform slices (default 100) plus
+    ``t_extra``, e-step ``de_full`` over the e-domain widened by ``pad``, and
+    ``n_p`` nodes (default 51) on [-p_half, p_half] (default 3) per p-axis."""
+    p_half = gcfg.get("p_half", 3.0)
+    grid = Grid(
+        t_nodes=np.union1d(
+            uniform_time_nodes(0.0, model.horizon_T, gcfg.get("n_t", 100)),
+            np.asarray(t_extra, dtype=float)),
+        e_nodes=e_nodes_for(model, gcfg["de_full"], pad=pad),
+        p_nodes=tuple(np.linspace(-p_half, p_half, gcfg.get("n_p", 51))
+                      for _ in range(model.dim_p)))
+    return solve_mollified(model, grid, tc, mollifier_n=mollifier_n)
+
+
+def reduced_tail_field(model: ModelSpec, tc: TerminalCondition,
+                       gcfg: dict) -> ValueField:
+    """Reduced field on e-step ``de_reduced`` whose slices form a geometric
+    tail accumulating at the horizon (the ``tail_*`` keys of ``gcfg``)."""
+    t_nodes = time_nodes_with_tail(
+        0.0, model.horizon_T, 0,
+        s_min=gcfg.get("tail_s_min", 2.0 * gcfg["de_reduced"] / model.ell1),
+        ratio=gcfg.get("tail_ratio", 1.07),
+        s_switch=gcfg.get("tail_switch"),
+        coarse_ratio=gcfg.get("tail_coarse", 1.25))
+    e = e_nodes_for(model, gcfg["de_reduced"])
+    return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
+
+
+def reduced_aligned_field(model: ModelSpec, tc: TerminalCondition, de: float,
+                          n_steps: int, t_extra=(), t_stop=None) -> ValueField:
+    """Reduced field whose slices coincide with the simulation time grid.
+
+    Alignment removes the slice-staleness bias in the drift response, which
+    would otherwise act like a spurious transmission of order the slice
+    spacing ratio.  Above ``t_stop`` the slices thin out (unused by sims
+    that stop there).
+    """
+    T = model.horizon_T
+    base = np.linspace(0.0, T, n_steps + 1)
+    if t_stop is not None:
+        keep = base[base <= t_stop + 1e-15]
+        tail = np.linspace(float(keep[-1]), T, 21)
+        t_nodes = np.union1d(np.union1d(keep, np.asarray(t_extra)), tail)
+    else:
+        t_nodes = np.union1d(base, np.asarray(t_extra))
+    e = e_nodes_for(model, de)
+    return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
+
+
+# ---------------------------------------------------------------------------
 # derivative fields and diagnostics
 # ---------------------------------------------------------------------------
 
@@ -635,27 +692,21 @@ def conservation_gap(field_upper: ValueField, field_lower: ValueField,
     return float(np.trapezoid(su[mask] - slv[mask], e[mask]))
 
 
+# settings of the far-field and off-cone-decay bound entries
+_FAR_FACTOR = 10.0
+_N_T_PROBE = 10
+_C_OFF = 1.5
+_DECAY_HORIZONS = (0.2, 0.1)
+_RATIO_BAND = (2.8, 5.7)
+_BOUNDARY_SKIP = 2
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
     passed: bool
     worst: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    entries: tuple
-
-    @property
-    def all_passed(self):
-        return all(e.passed for e in self.entries)
-
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
 
 def gradient_band_violation(field: ValueField, derivs: DerivativeFields,
@@ -679,72 +730,58 @@ def gradient_band_violation(field: ValueField, derivs: DerivativeFields,
                       "0 <= de_v <= 1/(ell1*(T-t)) with scheme slack")
 
 
-def _p_points(grid: Grid) -> np.ndarray:
-    if grid.dim == 0:
-        return np.zeros((1, 1))
-    mesh = np.meshgrid(*grid.p_nodes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+def _rows_by_p_node(field: ValueField, sl: np.ndarray, we, t):
+    """(ebar, row) for each p-node of a full field's stored slice ``sl``:
+    ebar = e + w(t, p) on the e-nodes, both without the ``_BOUNDARY_SKIP``
+    nodes at each e-edge (the artificial Dirichlet layer)."""
+    g = field.grid
+    inner = slice(_BOUNDARY_SKIP, len(g.e_nodes) - _BOUNDARY_SKIP)
+    mesh = np.meshgrid(*g.p_nodes, indexing="ij")
+    p_pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    for pp, row in zip(p_pts, sl.reshape(len(p_pts), -1)):
+        yield g.e_nodes[inner] + float(we.evaluate(t, pp)), row[inner]
 
 
-def bound_report(field: ValueField, derivs: DerivativeFields, model: ModelSpec,
-                 w_eval, far_factor: float = 10.0, c_off: float = 1.5,
-                 horizons=(0.2, 0.1), ratio_band=(2.8, 5.7),
-                 boundary_skip: int = 2, n_t_probe: int = 10) -> BoundReport:
-    """Far-field level, off-cone gradient-decay ratio, and gradient band.
-
-    (a) checks v >= 0.9 where ebar - cap >= far_factor * L * (T-t);
-    (b) records max de_v over the off-cone region ebar - cap > c_off*(T-t)
-        at two times-to-go and compares their ratio to the square law
-        (target (h1/h2)^2 within the given band);
-    (c) is the gradient band of ``gradient_band_violation``.
-
-    The coordinate ebar = e + w(t, p) is computed per p-node; the last
-    ``boundary_skip`` e-columns are excluded (artificial Dirichlet layer).
-    """
+def far_field_violation(field: ValueField, model: ModelSpec, we) -> BoundEntry:
+    """Worst 0.9 - v (the entry fails above 0) where ebar - cap >=
+    _FAR_FACTOR * L * (T-t), on every ``len(t_nodes) // _N_T_PROBE``-th slice
+    of a full field."""
     g = field.grid
     T = g.horizon
-    lam = model.cap_lambda
-    L = model.lipschitz_L
-    entries = []
-    p_pts = _p_points(g)
-    e = g.e_nodes
-    sl_e = slice(boundary_skip, len(e) - boundary_skip)
-
-    probe = g.t_nodes[:: max(1, len(g.t_nodes) // n_t_probe)]
-    worst_far = -np.inf
-    for t in probe:
+    worst = -np.inf
+    for t in g.t_nodes[:: max(1, len(g.t_nodes) // _N_T_PROBE)]:
         s = T - float(t)
         if s < 4 * g.de / model.ell1:
             continue
-        vt = field.values_at(t).reshape(len(p_pts), len(e))
-        for i, pp in enumerate(p_pts):
-            shift = float(w_eval(t, pp)) if (w_eval is not None and g.dim > 0) else 0.0
-            ebar = e[sl_e] + shift
-            mask = (ebar - lam) >= far_factor * L * s
+        for ebar, v in _rows_by_p_node(field, field.values_at(t), we, t):
+            mask = (ebar - model.cap_lambda) >= _FAR_FACTOR * model.lipschitz_L * s
             if np.any(mask):
-                worst_far = max(worst_far, float(np.max(0.9 - vt[i, sl_e][mask])))
-    entries.append(BoundEntry("far_field", worst_far <= 0.0,
-                              worst_far if np.isfinite(worst_far) else 0.0,
-                              f"v >= 0.9 beyond {far_factor}*L*(T-t)"))
+                worst = max(worst, float(np.max(0.9 - v[mask])))
+    return BoundEntry("far_field", worst <= 0.0, worst if np.isfinite(worst) else 0.0,
+                      f"v >= 0.9 beyond {_FAR_FACTOR}*L*(T-t)")
 
+
+def off_cone_decay(field: ValueField, derivs: DerivativeFields, model: ModelSpec,
+                   we) -> BoundEntry:
+    """Ratio of the off-cone gradient levels at the two times-to-go
+    ``_DECAY_HORIZONS`` against the square law.
+
+    A level is max de_v over ebar - cap > _C_OFF * (T-t) on a full field;
+    the entry passes when the ratio of the two lies in ``_RATIO_BAND``
+    around the target (h1/h2)^2.
+    """
+    g = field.grid
     levels = []
-    for h in horizons:
-        t = T - h
-        j = int(_slice_index(g.t_nodes, t))
-        dv = derivs.de_v[j].reshape(len(p_pts), len(e))
+    for h in _DECAY_HORIZONS:
+        j = int(_slice_index(g.t_nodes, g.horizon - h))
         level = -np.inf
-        for i, pp in enumerate(p_pts):
-            shift = float(w_eval(g.t_nodes[j], pp)) if (w_eval is not None and g.dim > 0) else 0.0
-            ebar = e[sl_e] + shift
-            mask = (ebar - lam) > c_off * h
+        for ebar, dv in _rows_by_p_node(field, derivs.de_v[j], we, g.t_nodes[j]):
+            mask = (ebar - model.cap_lambda) > _C_OFF * h
             if np.any(mask):
-                level = max(level, float(np.max(dv[i, sl_e][mask])))
+                level = max(level, float(np.max(dv[mask])))
         levels.append(level)
     ratio = levels[0] / levels[1] if levels[1] > 0 else float("inf")
-    target = (horizons[0] / horizons[1]) ** 2
-    ok = np.isfinite(ratio) and ratio_band[0] <= ratio <= ratio_band[1]
-    entries.append(BoundEntry("off_cone_decay", bool(ok), float(ratio),
-                              f"levels={levels}, square-law target {target}"))
-
-    entries.append(gradient_band_violation(field, derivs, model))
-    return BoundReport(entries=tuple(entries))
+    target = (_DECAY_HORIZONS[0] / _DECAY_HORIZONS[1]) ** 2
+    ok = np.isfinite(ratio) and _RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]
+    return BoundEntry("off_cone_decay", bool(ok), float(ratio),
+                      f"levels={levels}, square-law target {target}")

@@ -154,7 +154,7 @@ def test_e_monotone_when_feedback_nonnegative():
     import dataclasses
     cfg = dataclasses.replace(cfg, t_snapshots=(0.025, 0.05, 0.075))
     ens = simulate_forward(model, field, we, cfg)
-    traj = [ens.snapshots[round(t, 12)]["E"] for t in (0.025, 0.05, 0.075)]
+    traj = [ens.snapshots[round(t, 12)] for t in (0.025, 0.05, 0.075)]
     assert np.all(traj[0] >= traj[1] - 1e-15)
     assert np.all(traj[1] >= traj[2] - 1e-15)
 
@@ -217,7 +217,7 @@ def test_degenerate_conditional_support_is_single_bin():
     # deterministic characteristics: Y_T concentrates at the cone coordinate
     model, field, we, cfg = degenerate_setup(n_paths=300, e0_frac=0.4)
     ens = simulate_forward(model, field, we, cfg)
-    hist = conditional_support(ens, delta=1e-3, n_bins=10)
+    hist = conditional_support(ens, delta=1e-3)
     assert (hist.counts > 0).sum() == 1
     assert hist.counts.argmax() == 4   # psi(0.4) = 0.4 falls in bin [0.4, 0.5)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,15 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     (json.dumps({"model": {"bogus": 1}}), ["bad config", "'bogus'", "'gamma'"]),
     (json.dumps({"model": {"gamma": -1}}), ["bad config", "ell1=-1.0"]),
     (json.dumps({"sim": {"n_steps": 50}}), ["bad config", "n_steps"]),
+    (json.dumps({"checks": "validate"}), ["bad config", "'checks'", "list", "'validate'"]),
+    (json.dumps({"grid": {"de_reducd": 1e-3}}),
+     ["bad config", "grid", "'de_reducd'", "'de_reduced'"]),
+    (json.dumps({"sim": {"n_paths_flow": 5000}}), ["bad config", "sim", "'n_paths_flow'"]),
+    (json.dumps({"tc": {"kind": "smooth_ramp"}}), ["bad config", "smooth_ramp", "'width'"]),
+    (json.dumps({"sweeps": {"gap_horizons": [0.5, 0.1, 0.05]}}),
+     ["bad config", "gap_horizons [0.5]", "(0, 0.1]"]),
+    (json.dumps({"sweeps": {"gap_horizons": [0.1, 0.0]}}),
+     ["bad config", "gap_horizons [0.0]", "(0, 0.1]"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -275,10 +285,55 @@ def test_scenario_ensemble_is_built_once_per_run(tmp_path):
     for name in checks:
         X._main_ensemble.cache_clear()
         assert X._CHECKS[name](cfg).stats == rec.stats[name]
-    field, _, _, ens = X._main_ensemble(X._ensemble_key(cfg))
+    _, _, field, _, _, ens = X._main_ensemble(X._ensemble_key(cfg))
     for arr in (ens.terminal_E, field.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_bound_report_runs_and_keeps_its_entries(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"checks": ["bound_report"]}))
+    code = main(["run", "--scenario", "affine_smooth_ramp", "--config",
+                 str(cfgfile), "--out", str(tmp_path)])
+    assert code == 0
+    rec = json.loads((tmp_path / "affine_smooth_ramp" / "record.json").read_text())
+    assert rec["verdicts"] == {"bound_report": "pass"}
+    stats = rec["stats"]["bound_report"]
+    assert stats["far_field_worst"] == -0.09999999999999876
+    assert stats["gradient_band_worst"] == -1e-06
+    assert stats["off_cone_ratio"] == 3.6934798211640567
+
+
+def test_trap_stats_on_a_light_grid():
+    # the inclusion test needs the full grid, so the verdict here is "fail";
+    # the trap probabilities come from their own fixed-size ensembles
+    cfg = scenario_config("affine_dirac", {"grid": {"de_reduced": 1e-4},
+                                           "sim": {"n_paths": 2000}})
+    out = run_scenario(cfg, checks=["trap"])
+    assert out.stats["trap"] == {
+        "horizons": [0.4, 0.2, 0.1, 0.05],
+        "p_hat_F": [0.38115, 0.6911, 0.9084, 0.98965],
+        "zbar_terminal_dev": 0.0, "increasing": True, "atom_minus_pF": -0.6909}
+
+
+def test_variance_zero_on_a_light_grid():
+    cfg = scenario_config("degenerate_characteristics",
+                          {"grid": {"de_reduced": 1e-4}, "sim": {"n_paths": 2000}})
+    out = run_scenario(cfg, checks=["variance_zero"])
+    assert out.verdicts == {"variance_zero": "pass"}
+    assert out.stats["variance_zero"]["max_variance"] <= 1e-20
+
+
+def test_every_check_runs_in_a_test():
+    # a check counts as run when a test calls check_<name>(...) or names it in
+    # a checks list; a new entry of _CHECKS needs a test of its own
+    from fbsde_lab.experiments import _CHECKS
+    text = "".join(p.read_text() for p in Path(__file__).parent.glob("test_*.py"))
+    named = set(re.findall(r"check_(\w+)\(", text))
+    for names in re.findall(r'checks"?\]?\s*[=:]\s*\[([^\]]*)\]', text):
+        named |= set(re.findall(r'"(\w+)"', names))
+    assert sorted(set(_CHECKS) - named) == []
 
 
 # ---------------------------------------------------------------------------
