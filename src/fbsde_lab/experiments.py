@@ -32,7 +32,8 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         transmission_scan, trap_diagnostic, variance_scan)
 from .model_core import (affine_model, default_mollifier, heaviside_tc, mollify,
                          validate_assumptions)
-from .scenarios import build_model, build_tc, config_hash, scenario_config
+from .scenarios import (build_model, build_tc, config_hash, gap_horizons,
+                        scenario_config)
 from .value_pde import (conservation_gap, far_field_violation, full_field,
                         gradient_fields, gradient_band_violation, off_cone_decay,
                         reduced_aligned_field, reduced_tail_field)
@@ -215,7 +216,7 @@ def check_conservation_gap(cfg) -> CheckOutcome:
 def check_burgers_gap(cfg) -> CheckOutcome:
     """Sup gap to the rescaled profile decreasing toward the horizon."""
     model, tc = scenario_model(cfg)
-    horizons = cfg.get("sweeps", {}).get("gap_horizons", [0.4, 0.2, 0.1, 0.05])
+    horizons = gap_horizons(cfg)
     t_list = [model.horizon_T - h for h in horizons]
     g = cfg.get("grid", {})
     if model.family == "affine_constant":

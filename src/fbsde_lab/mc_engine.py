@@ -9,11 +9,13 @@ Y = v(t, P_t, E_t) through the field's interpolator, Ebar = E + w(t, P);
 it records E at the snapshot times.
 Randomness comes from a counter-based generator with one substream per path
 index, so results are bit-identical for a given (seed, n_paths, n_steps)
-regardless of batching.
+regardless of batching or of the thread that draws a path: ``path_normals``
+fills a batch on ``_WORKERS`` threads and returns it step-major.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,18 +104,37 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
     return grid[keep]
 
 
+_WORKERS = 2    # threads that draw the normals of one batch
+_BLOCK = 64     # paths drawn into one contiguous buffer before the transposed copy
+
+
 def path_normals(seed: int, first: int, count: int, n_steps: int,
                  d: int) -> np.ndarray:
-    """Standard normals (count, n_steps, d) of paths first, ..., first+count-1;
-    path k reads Philox(key=seed) from counter [0, 0, 0, k]."""
-    out = np.empty((count, n_steps, d))
-    bits = np.random.Philox(key=seed)
-    g = np.random.Generator(bits)
-    state = bits.state   # fresh: empty buffer, no stored half-word
-    for i in range(count):
-        state["state"]["counter"][3] = first + i
-        bits.state = state   # also resets buffer_pos, has_uint32, uinteger
-        g.standard_normal((n_steps, d), out=out[i])
+    """Standard normals (n_steps, count, d) of paths first, ..., first+count-1;
+    path k reads Philox(key=seed) from counter [0, 0, 0, k].  Contiguous
+    ranges of paths are drawn on ``_WORKERS`` threads (the generator releases
+    the GIL), fewer than ``_WORKERS * _BLOCK`` paths on the calling thread."""
+    out = np.empty((n_steps, count, d))
+
+    def fill(lo, hi):   # paths first+lo, ..., first+hi-1, one generator per thread
+        bits = np.random.Philox(key=seed)
+        g = np.random.Generator(bits)
+        state = bits.state   # fresh: empty buffer, no stored half-word
+        block = np.empty((_BLOCK, n_steps, d))   # out= needs a contiguous target
+        for b in range(lo, hi, _BLOCK):
+            m = min(_BLOCK, hi - b)
+            for i in range(m):
+                state["state"]["counter"][3] = first + b + i
+                bits.state = state   # also resets buffer_pos, has_uint32, uinteger
+                g.standard_normal((n_steps, d), out=block[i])
+            out[:, b:b + m] = block[:m].transpose(1, 0, 2)
+
+    if count < _WORKERS * _BLOCK:
+        fill(0, count)
+    else:
+        edges = [count * w // _WORKERS for w in range(_WORKERS + 1)]
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            list(pool.map(fill, edges[:-1], edges[1:]))   # re-raises a worker's error
     return out
 
 
@@ -125,13 +146,13 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
                 field: Optional[ValueField] = None):
     """Euler-Maruyama paths of P over ``tgrid``, batch by batch.
 
-    Yields ``(first, count, steps)`` for each batch of ``cfg.batch_size``
-    paths; ``steps`` yields ``(k, t, dt, P, P_next, dW)`` for each interval
-    [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t, the increments dW
-    (``path_normals`` scaled by sqrt(dt)) and P_next = P + b(P) dt +
-    sigma(P) dW.  A start the model cannot take, or a ``field`` (the one the
-    caller reads along the paths) solved for another model, is refused here,
-    before any path is drawn.
+    Yields ``(first, count, steps)`` for each of ceil(n_paths / batch_size)
+    batches of near-equal size; ``steps`` yields ``(k, t, dt, P, P_next, dW)``
+    for each interval [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t,
+    the increments dW (``path_normals`` scaled by sqrt(dt)) and
+    P_next = P + b(P) dt + sigma(P) dW.  A start the model cannot take, or a
+    ``field`` (the one the caller reads along the paths) solved for another
+    model, is refused here, before any path is drawn.
     """
     d = model.dim_p
     if cfg.p0.shape != (d,):
@@ -148,16 +169,17 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
         for k in range(len(tgrid) - 1):
             t = float(tgrid[k])
             dt = float(tgrid[k + 1]) - t
-            dW = dW_all[:, k, :] * np.sqrt(dt)
+            dW = dW_all[k] * np.sqrt(dt)
             P_next = P + model.drift(P) * dt + np.einsum(
                 "nij,nj->ni", model.diffusion(P), dW)
             yield k, t, dt, P, P_next, dW
             P = P_next
 
     def batches():
-        for first in range(0, cfg.n_paths, cfg.batch_size):
-            count = min(cfg.batch_size, cfg.n_paths - first)
-            yield first, count, steps(first, count)
+        n_batches = -(-cfg.n_paths // cfg.batch_size)
+        edges = [cfg.n_paths * b // n_batches for b in range(n_batches + 1)]
+        for first, end in zip(edges[:-1], edges[1:]):
+            yield first, end - first, steps(first, end - first)
 
     return batches()
 
@@ -177,6 +199,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     if stop_time is not None:
         tgrid = tgrid[tgrid <= stop_time + 1e-15]
     batches = euler_paths(model, cfg, tgrid, field)
+    slices = _slice_index(field.grid.t_nodes, tgrid[:-1])
     n_steps_grid = len(tgrid) - 1
     n = cfg.n_paths
     n_starts = len(e_starts)
@@ -201,7 +224,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
         esc = np.zeros((n_starts, count), dtype=bool)
         y_term = np.full((n_starts, count), np.nan)
         for k, t, dt, P, P_next, _ in steps:
-            j = int(_slice_index(field.grid.t_nodes, t))
+            j = int(slices[k])
             w_t = we.evaluate(t, P) if field.dim == 0 else None
             for a in range(n_starts):
                 if field.dim == 0:
@@ -638,7 +661,9 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     """
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
-    batches = euler_paths(model, cfg, sim_time_grid(cfg, field), field)
+    tgrid = sim_time_grid(cfg, field)
+    batches = euler_paths(model, cfg, tgrid, field)
+    slices = _slice_index(field.grid.t_nodes, tgrid[:-1])
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
     dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)
@@ -650,8 +675,8 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
         I = np.zeros(count)          # integral accumulator
         log_decay = np.zeros(count)  # exp weight inside the integrand
         log_G = np.zeros(count)      # Girsanov weight
-        for _, t, dt, P, P_next, dW in steps:
-            j = int(_slice_index(field.grid.t_nodes, t))
+        for k, t, dt, P, P_next, dW in steps:
+            j = int(slices[k])
             if field.dim == 0:
                 x = E + we.evaluate(t, P)
                 Y = _interp_space(field.grid, field.values[j], None, x)

@@ -255,6 +255,12 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
             raise ValueError(f"unknown {key} key(s) "
                              f"{sorted(set(overrides[key]) - known_keys)}; "
                              f"known keys: {sorted(known_keys)}")
+        for sub, value in overrides[key].items():   # the registry's types; int for float
+            want = {type(entry[key][sub]) for entry in entries if sub in entry.get(key, {})}
+            if type(value) not in want | ({int} if float in want else set()):
+                raise ValueError(f"{key}.{sub} must be of type "
+                                 f"{' or '.join(sorted(t.__name__ for t in want))}, "
+                                 f"not {value!r}")
     if not isinstance(overrides.get("checks", []), list):
         raise ValueError(f"'checks' must be a JSON list of check names, "
                          f"not {overrides['checks']!r}")
@@ -267,10 +273,20 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
             cfg[key].update(val)
         else:
             cfg[key] = val
-    T = cfg["model"]["horizon_T"]
-    outside = [h for h in cfg.get("sweeps", {}).get("gap_horizons", [])
-               if not 0 < h <= T]
-    if outside:
-        raise ValueError(f"gap_horizons {outside} lie outside (0, horizon_T] "
-                         f"= (0, {T}]")
+    if "gap_horizons" in cfg.get("sweeps", {}) or "burgers_gap" in cfg["checks"]:
+        gap_horizons(cfg)
     return cfg
+
+
+def gap_horizons(cfg: dict) -> list:
+    """The horizons T - t that ``burgers_gap`` reads: ``sweeps.gap_horizons``,
+    else [0.4, 0.2, 0.1, 0.05]; refused unless all lie in (0, horizon_T]."""
+    named = cfg.get("sweeps", {}).get("gap_horizons")
+    horizons = [0.4, 0.2, 0.1, 0.05] if named is None else named
+    T = cfg["model"]["horizon_T"]
+    outside = [h for h in horizons if not 0 < h <= T]
+    if outside:
+        source = "" if named is not None else " (the default; sweeps names none)"
+        raise ValueError(f"gap_horizons {outside}{source} lie outside "
+                         f"(0, horizon_T] = (0, {T}]")
+    return horizons

@@ -1,12 +1,14 @@
 import dataclasses
 import functools
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
+from fbsde_lab import mc_engine
 from fbsde_lab.burgers_ref import BurgersProfile, WEvaluator, characteristic, psi
 from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  feynman_kac_grad_p, flow_squeeze_check,
@@ -14,7 +16,7 @@ from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  prefactor_report, simulate_forward,
                                  terminal_sandwich_check, transmission_scan,
                                  trap_diagnostic, variance_scan,
-                                 _jackknife_var_se)
+                                 _BLOCK, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
 from fbsde_lab.value_pde import (Grid, e_nodes_for, gradient_fields,
                                  solve_reduced_1d, time_nodes_with_tail,
@@ -135,10 +137,28 @@ def test_flow_squeeze_refuses_times_outside_the_run(t_list, outside):
 @pytest.mark.parametrize("first", [0, 16_384])
 @pytest.mark.parametrize("d", [1, 2])
 def test_path_normals_match_one_generator_per_path(first, d):
+    # 2 * _BLOCK + 3 paths span both worker threads and several blocks each
+    for count in (5, 2 * _BLOCK + 3):
+        ref = np.stack([
+            np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, first + i]))
+            .standard_normal((30, d)) for i in range(count)], axis=1)
+        assert np.array_equal(path_normals(11, first, count, 30, d), ref)
+
+
+def test_path_normals_under_thread_stress(monkeypatch):
+    # more workers than cores, and a thread switch every microsecond
+    monkeypatch.setattr(mc_engine, "_WORKERS", 5)
+    count = 5 * _BLOCK + 7
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = path_normals(11, 3, count, 30, 2)
+    finally:
+        sys.setswitchinterval(interval)
     ref = np.stack([
-        np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, first + i]))
-        .standard_normal((30, d)) for i in range(5)])
-    assert np.array_equal(path_normals(11, first, 5, 30, d), ref)
+        np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, 3 + i]))
+        .standard_normal((30, 2)) for i in range(count)], axis=1)
+    assert np.array_equal(got, ref)
 
 
 def test_degenerate_paths_hit_cap_within_tolerance():

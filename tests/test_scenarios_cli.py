@@ -244,6 +244,13 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "gap_horizons [0.5]", "(0, 0.1]"]),
     (json.dumps({"sweeps": {"gap_horizons": [0.1, 0.0]}}),
      ["bad config", "gap_horizons [0.0]", "(0, 0.1]"]),
+    # the default horizons burgers_gap would read are checked too
+    (json.dumps({"checks": ["burgers_gap"]}),
+     ["bad config", "gap_horizons [0.4, 0.2]", "default", "(0, 0.1]"]),
+    (json.dumps({"sweeps": {"gap_horizons": 5}}),
+     ["bad config", "sweeps.gap_horizons", "type list", "not 5"]),
+    (json.dumps({"sim": {"n_paths": 2000.5}}),
+     ["bad config", "sim.n_paths", "type int", "not 2000.5"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -305,6 +312,13 @@ def test_bound_report_runs_and_keeps_its_entries(tmp_path):
     assert stats["off_cone_ratio"] == 3.6934798211640567
 
 
+def test_burgers_gap_refuses_default_horizons_past_the_horizon():
+    cfg = scenario_config("affine_dirac")   # T = 0.1, no gap horizons named
+    with pytest.raises(ValueError, match=re.escape(
+            "gap_horizons [0.4, 0.2] (the default; sweeps names none)")):
+        run_scenario(cfg, checks=["burgers_gap"])
+
+
 def test_trap_stats_on_a_light_grid():
     # the inclusion test needs the full grid, so the verdict here is "fail";
     # the trap probabilities come from their own fixed-size ensembles
@@ -346,7 +360,12 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.install()"],
+    # one call through the wrapped path_normals: its span reads the call's
+    # count, n_steps and d by parameter name
+    code = ("import tracer; tr = tracer.install(); from fbsde_lab import mc_engine; "
+            "mc_engine.path_normals(7, 0, 3, 100, 2); print(tr.spans[-1]['normals'])")
+    proc = subprocess.run([sys.executable, "-c", code],
                           cwd=root / "perfbench", env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["600"]
