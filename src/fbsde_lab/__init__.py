@@ -10,7 +10,7 @@ from .burgers_ref import (
     BurgersProfile, GapTable, WEvaluator, burgers_gap, characteristic, psi,
 )
 from .value_pde import (
-    CFLError, DerivativeFields, Grid, SolveDivergenceError, ValueField,
+    CFLError, Grid, SolveDivergenceError, ValueField,
     conservation_gap, e_nodes_for, gradient_fields, solve_mollified,
     solve_reduced_1d, time_nodes_with_tail, uniform_time_nodes,
 )

@@ -3,8 +3,12 @@
 The rarefaction profile ``psi``, the exact characteristics of the first-order
 conservation law, the drift-compensator ``w(t, p) = -E[int_t^T f(P_s, 0) ds]``
 and the sup-norm gap between a computed value field and the rescaled profile.
-The compensator picks its evaluation from the model family: closed forms for
-``affine_constant`` and ``linear_drift``, Monte Carlo quadrature otherwise.
+The compensator depends on the forward coefficients only, so every caller
+builds it from the model it already holds (``WEvaluator(model)``): closed
+forms for ``affine_constant`` and ``linear_drift``, Monte Carlo quadrature
+on the fixed budget ``MC_PATHS`` x ``MC_STEPS`` otherwise.  ``_rows_by_p_node``
+walks the p-rows of a full field with ``ebar = e + w(t, p)``, for the gap
+here and the bound entries of ``value_pde``.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ def characteristic(e0, t0: float, t: float, profile: BurgersProfile):
 _CLOSED_FORMS = {"affine_constant": "closed_form_affine",
                  "linear_drift": "closed_form_linear_drift"}
 
-# seed of the Monte Carlo quadrature's per-call Philox streams
+# seed of the Monte Carlo quadrature's per-call Philox streams, and its
+# budget: antithetic paths and Euler steps over the whole horizon
 MC_SEED = 2024
+MC_PATHS = 10_000
+MC_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -73,15 +80,13 @@ class WEvaluator:
     ``mode`` follows from ``model.family``: ``closed_form_affine`` for
     ``affine_constant``, ``closed_form_linear_drift`` for ``linear_drift``
     and ``monte_carlo`` for every other family.  Closed forms are exact; the
-    Monte Carlo mode uses antithetic Euler quadrature over ``n_paths`` paths
-    and ``n_steps`` steps over the whole horizon (scaled to the time to go),
+    Monte Carlo mode uses antithetic Euler quadrature over ``MC_PATHS`` paths
+    and ``MC_STEPS`` steps over the whole horizon (scaled to the time to go),
     with a deterministic Philox stream per evaluation point keyed by
     ``MC_SEED``.
     """
 
     model: ModelSpec
-    n_paths: int = 20_000
-    n_steps: int = 500
 
     @property
     def mode(self) -> str:
@@ -137,8 +142,8 @@ class WEvaluator:
         s = T - float(t)
         if s <= 0:
             return 0.0, 0.0
-        n_half = self.n_paths // 2
-        n_steps = max(1, int(round(self.n_steps * s / T)))
+        n_half = MC_PATHS // 2
+        n_steps = max(1, int(round(MC_STEPS * s / T)))
         dt = s / n_steps
         key = (MC_SEED * 0x9E3779B9 + hash((round(float(t), 12),
                                             tuple(np.round(np.atleast_1d(p), 12))))) % (2**63)
@@ -205,13 +210,30 @@ class GapTable:
         return out
 
 
-# artificial-boundary layers left out of the gap: e-nodes at each e-edge and
-# the fraction of each p-axis at each p-edge
+# artificial-boundary layers left out of full-field diagnostics: e-nodes at
+# each e-edge (the Dirichlet layer), and the fraction of each p-axis at each
+# p-edge that the gap leaves out
 _BOUNDARY_SKIP = 2
 _P_BOUNDARY_FRAC = 0.2
 
 
-def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list) -> GapTable:
+def _rows_by_p_node(field, sl: np.ndarray, model: ModelSpec, t, p_frac: float):
+    """(p, ebar, row) for each p-node of a full field's stored slice ``sl``,
+    leaving out the outer ``p_frac`` of each p-axis: ebar = e + w(t, p) on the
+    e-nodes and the row of ``sl`` there, both without the ``_BOUNDARY_SKIP``
+    nodes at each e-edge."""
+    we = WEvaluator(model)
+    g = field.grid
+    cuts = [slice(int(p_frac * len(nodes)), len(nodes) - int(p_frac * len(nodes)))
+            for nodes in g.p_nodes]
+    mesh = np.meshgrid(*(nodes[c] for nodes, c in zip(g.p_nodes, cuts)), indexing="ij")
+    p_pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    inner = slice(_BOUNDARY_SKIP, len(g.e_nodes) - _BOUNDARY_SKIP)
+    for pp, row in zip(p_pts, sl[tuple(cuts)].reshape(len(p_pts), -1)):
+        yield pp, g.e_nodes[inner] + float(we.evaluate(t, pp)), row[inner]
+
+
+def burgers_gap(field, model: ModelSpec, t_list) -> GapTable:
     """Per-time sup distance between the field and the rescaled profile.
 
     At each requested time the gap is the sup over grid nodes of
@@ -229,7 +251,6 @@ def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list) -> GapTable:
     gamma = model.family_params.get("gamma")
     e = field.grid.e_nodes
     sl = slice(_BOUNDARY_SKIP, len(e) - _BOUNDARY_SKIP)
-    e_in = e[sl]
     gaps = []
     for t in t_list:
         s = T - float(t)
@@ -237,31 +258,14 @@ def burgers_gap(field, we: WEvaluator, model: ModelSpec, t_list) -> GapTable:
             raise ValueError("t_list must lie strictly before the horizon")
         if field.grid.dim == 0:
             v = field.values_at(t)[sl]
-            ebar = e_in
             ell = gamma if affine else effective_ell(model, np.zeros(model.dim_p), v)
-            gap = np.abs(v - psi((ebar - lam) / (ell * s)))
-            gaps.append(float(np.max(gap)))
+            gaps.append(float(np.max(np.abs(v - psi((e[sl] - lam) / (ell * s))))))
             continue
         worst = 0.0
-        vt = field.values_at(t)
-        skips = [int(_P_BOUNDARY_FRAC * len(nodes)) for nodes in field.grid.p_nodes]
-        p_axes = []
-        for axis, (nodes, k) in enumerate(zip(field.grid.p_nodes, skips)):
-            p_axes.append(nodes[k: len(nodes) - k] if k else nodes)
-            if k:
-                vt = np.take(vt, np.arange(k, len(nodes) - k), axis=axis)
-        mesh = np.meshgrid(*p_axes, indexing="ij")
-        p_pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        w_vals = np.array([we.evaluate(t, pp) for pp in p_pts])
-        v_flat = vt.reshape(len(p_pts), len(e))[:, sl]
-        for i, pp in enumerate(p_pts):
-            ebar = e_in + w_vals[i]
-            if affine:
-                ell = gamma
-            else:
-                ell = effective_ell(model, pp, v_flat[i])
-            gap = np.abs(v_flat[i] - psi((ebar - lam) / (ell * s)))
-            worst = max(worst, float(np.max(gap)))
+        for pp, ebar, v in _rows_by_p_node(field, field.values_at(t), model, t,
+                                            _P_BOUNDARY_FRAC):
+            ell = gamma if affine else effective_ell(model, pp, v)
+            worst = max(worst, float(np.max(np.abs(v - psi((ebar - lam) / (ell * s))))))
         gaps.append(worst)
     t_arr = np.asarray(list(t_list), dtype=float)
     g_arr = np.asarray(gaps)

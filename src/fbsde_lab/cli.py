@@ -20,7 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from .burgers_ref import WEvaluator
 from .experiments import (check_names, emit_plot_data, run_scenario,
                           scenario_field, scenario_model, scenario_sim)
 from .fieldio import dump_field, load_field, write_csv
@@ -125,7 +124,7 @@ def cmd_simulate_only(args) -> int:
         print(f"field {args.field} does not fit scenario {cfg['name']!r}: {exc}",
               file=sys.stderr)
         return 2
-    ens = simulate_forward(model, field, WEvaluator(model), sim)
+    ens = simulate_forward(model, field, sim)
     out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_terminal.csv"

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .burgers_ref import WEvaluator, burgers_gap, characteristic, BurgersProfile
+from .burgers_ref import burgers_gap, characteristic, BurgersProfile
 from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         dirac_scan, feynman_kac_grad_p, flow_squeeze_check,
                         gaussian_control_terminal, prefactor_report,
@@ -112,18 +112,17 @@ def _ensemble_key(cfg) -> str:
 
 @functools.lru_cache(maxsize=2)
 def _main_ensemble(key: str):
-    """(model, tc, field, we, sim, paths) of the scenario blocks in ``key``;
+    """(model, tc, field, sim, paths) of the scenario blocks in ``key``;
     memoised."""
     cfg = json.loads(key)
     model, tc = scenario_model(cfg)
     field = scenario_field(cfg, model, tc)
-    we = WEvaluator(model)
     sim = scenario_sim(cfg, model)
-    ens = simulate_forward(model, field, we, sim)
+    ens = simulate_forward(model, field, sim)
     for arr in (field.values, ens.terminal_E, ens.terminal_Y,
                 ens.terminal_Ebar, ens.escaped):
         arr.flags.writeable = False
-    return model, tc, field, we, sim, ens
+    return model, tc, field, sim, ens
 
 
 def cone_start(model, frac: float) -> float:
@@ -144,13 +143,17 @@ def check_validate(cfg) -> CheckOutcome:
     return CheckOutcome("validate", "pass" if rep.all_passed else "fail", stats)
 
 
-def check_gradient_band(cfg, n_e=400, n_t=200, n_p=50) -> CheckOutcome:
+# the fixed grid of the gradient-band check: e-cells, stored slices, p-nodes
+_BAND_N_E, _BAND_N_T, _BAND_N_P = 400, 200, 50
+
+
+def check_gradient_band(cfg) -> CheckOutcome:
     """Gradient band on the fixed acceptance grid (400 e, 200 t, 50 p)."""
     model, tc = scenario_model(cfg)
     half = 2.0 * model.lipschitz_L * model.horizon_T
     t0 = time.time()
-    vf = full_field(model, tc, {"de_full": 2.0 * half / n_e, "n_t": n_t,
-                                "p_half": 2.5, "n_p": n_p})
+    vf = full_field(model, tc, {"de_full": 2.0 * half / _BAND_N_E, "n_t": _BAND_N_T,
+                                "p_half": 2.5, "n_p": _BAND_N_P})
     entry = gradient_band_violation(vf, gradient_fields(vf), model)
     return CheckOutcome("gradient_band", "pass" if entry.passed else "fail",
                         {"worst_violation": entry.worst,
@@ -224,8 +227,7 @@ def check_burgers_gap(cfg) -> CheckOutcome:
         field = reduced_aligned_field(model, tc, de, 200, t_extra=t_list)
     else:
         field = full_field(model, tc, g, t_extra=t_list)
-    we = WEvaluator(model, n_paths=10_000, n_steps=300)  # the Monte Carlo budget
-    table = burgers_gap(field, we, model, t_list)
+    table = burgers_gap(field, model, t_list)
     dec = bool(np.all(np.diff(table.sup_gap) < 0))
     ok = dec and table.beta_hat > 0
     return CheckOutcome("burgers_gap", "pass" if ok else "fail",
@@ -242,7 +244,6 @@ def check_equivalence(cfg) -> CheckOutcome:
     vf = full_field(model, tc, g)
     red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4),
                                 g.get("n_t", 100))
-    we = WEvaluator(model)
     T = model.horizon_T
     pv = vf.grid.p_nodes[0]
     keep_p = np.abs(pv) <= 1.0
@@ -252,8 +253,8 @@ def check_equivalence(cfg) -> CheckOutcome:
     for t in vf.grid.t_nodes[vf.grid.t_nodes <= T - 0.1 + 1e-12]:
         sl = vf.values_at(t)[keep_p][:, keep_e]
         for i, p in enumerate(pv[keep_p]):
-            eb = e[keep_e] + we.evaluate(float(t), np.array([p]))
-            worst = max(worst, float(np.max(np.abs(sl[i] - red.eval_bar(float(t), eb)))))
+            v = red.eval(float(t), np.array([p]), e[keep_e], model)
+            worst = max(worst, float(np.max(np.abs(sl[i] - v))))
     ok = worst <= 3e-2
     return CheckOutcome("equivalence", "pass" if ok else "fail",
                         {"sup_difference": worst, "tolerance": 3e-2})
@@ -289,13 +290,12 @@ def check_flow_squeeze(cfg) -> CheckOutcome:
     field = reduced_tail_field(model, tc,
                                {"de_reduced": g.get("de_reduced", 2e-4),
                                 "tail_ratio": 1.07, "tail_switch": 0.02})
-    we = WEvaluator(model)
     T = model.horizon_T
     sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5), n_paths=20_000)
     pairs = [(cone_start(model, 0.55), cone_start(model, 0.30)),
              (cone_start(model, 0.30), cone_start(model, 0.10))]
     t_list = [0.25 * T, 0.5 * T, 0.75 * T]
-    rep = flow_squeeze_check(model, field, we, sim, pairs, t_list)
+    rep = flow_squeeze_check(model, field, sim, pairs, t_list)
     ok = rep.frac_ok >= 0.999 and \
         rep.coalescence_fraction - 3 * rep.coalescence_se >= 0.1
     return CheckOutcome(
@@ -325,10 +325,9 @@ def check_variance(cfg) -> CheckOutcome:
         t_list = 0.5 * h * np.geomspace(0.05, 1.0, 8)
         field = reduced_aligned_field(model, tc, de, scfg["n_steps"],
                                       t_extra=t_list, t_stop=float(t_list[-1]))
-        we = WEvaluator(model)
         sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
                            terminal_refine=False)
-        scan = variance_scan(model, field, we, sim, t_list)
+        scan = variance_scan(model, field, sim, t_list)
         slopes.append(scan.time_slope)
         prefs.append(scan.prefactor)
         flagged = flagged or scan.below_resolution
@@ -357,7 +356,7 @@ def _transmission_profile(model, field):
     gamma, h = model.family_params["gamma"], model.horizon_T
     e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
     return transmission_scan(field, gradient_fields(field), model, 0.0,
-                             np.zeros(model.dim_p), e_grid, we=WEvaluator(model))
+                             np.zeros(model.dim_p), e_grid)
 
 
 def check_transmission(cfg) -> CheckOutcome:
@@ -393,13 +392,13 @@ def check_transmission_sign_change(cfg) -> CheckOutcome:
 
 
 def check_dirac_atom(cfg) -> CheckOutcome:
-    model, _, _, we, sim, ens = _main_ensemble(_ensemble_key(cfg))
+    model, _, _, sim, ens = _main_ensemble(_ensemble_key(cfg))
     if ens.escape_fraction > 1e-3:
         return CheckOutcome("dirac_atom", "fail",
                             {"escape_fraction": ens.escape_fraction})
     ladder = default_delta_ladder(model.horizon_T)
     curve = dirac_scan(ens, ladder)
-    ctrl = dirac_scan(gaussian_control_terminal(model, we, sim), ladder,
+    ctrl = dirac_scan(gaussian_control_terminal(model, sim), ladder,
                       cap_lambda=model.cap_lambda)
     deterministic = float(np.ravel(model.family_params.get("alpha", 1.0))[0]) == 0.0
     if deterministic:
@@ -426,11 +425,10 @@ def check_trap(cfg) -> CheckOutcome:
     z_dev_worst = 0.0
     for h in horizons:
         model = build_model(cfg["model"], horizon=h)
-        we = WEvaluator(model)
         sim = scenario_sim(cfg, model, n_paths=20_000,
                            n_steps=max(200, scfg["n_steps"] // 2),
                            seed=(scfg["seed"] + 1) % 2**64)
-        rep = trap_diagnostic(model, we, sim)
+        rep = trap_diagnostic(model, sim)
         p_hats.append(rep.p_hat_F)
         z_dev_worst = max(z_dev_worst, rep.zbar_terminal_dev)
         rows.append((h, rep.p_hat_F, rep.std_error, rep.zbar_terminal_dev,
@@ -453,7 +451,7 @@ def check_trap(cfg) -> CheckOutcome:
 
 
 def check_sandwich(cfg) -> CheckOutcome:
-    _, tc, field, _, _, ens = _main_ensemble(_ensemble_key(cfg))
+    _, tc, field, _, ens = _main_ensemble(_ensemble_key(cfg))
     smear = field.provenance.get("smoothing_width", field.grid.de)
     frac = terminal_sandwich_check(ens, tc, eta=0.05,
                                    min_cap_distance=10 * smear)
@@ -466,7 +464,6 @@ def check_sandwich(cfg) -> CheckOutcome:
 def check_characteristics(cfg) -> CheckOutcome:
     """Deterministic paths against the closed-form characteristics."""
     model, tc = scenario_model(cfg)
-    we = WEvaluator(model)
     T = model.horizon_T
     gamma = model.family_params["gamma"]
     t_probe = [0.25 * T, 0.5 * T, 0.9 * T]
@@ -480,7 +477,7 @@ def check_characteristics(cfg) -> CheckOutcome:
     for e0 in fans:
         sim = scenario_sim(cfg, model, n_paths=101, e0=float(e0),
                            t_snapshots=tuple(t_probe))
-        ens = simulate_forward(model, field, we, sim)
+        ens = simulate_forward(model, field, sim)
         for t in t_probe:
             sim_e = float(ens.snapshots[round(t, 12)][0])
             ref = float(characteristic(e0, 0.0, t, prof))
@@ -500,12 +497,12 @@ def check_characteristics(cfg) -> CheckOutcome:
 
 
 def check_variance_zero(cfg) -> CheckOutcome:
-    model, _, field, we, _, _ = _main_ensemble(_ensemble_key(cfg))
+    model, _, field, _, _ = _main_ensemble(_ensemble_key(cfg))
     T = model.horizon_T
     t_list = [0.25 * T, 0.5 * T]
     sim = scenario_sim(cfg, model, n_paths=5000, e0=cone_start(model, 0.5),
                        t_snapshots=tuple(t_list))
-    ens = simulate_forward(model, field, we, sim)
+    ens = simulate_forward(model, field, sim)
     worst = max(float(np.var(ens.snapshots[round(t, 12)])) for t in t_list)
     return CheckOutcome("variance_zero", "pass" if worst <= 1e-20 else "fail",
                         {"max_variance": worst})
@@ -534,11 +531,10 @@ def check_mass_near_start(cfg) -> CheckOutcome:
     g["de_reduced"] = h / 1000
     g["tail_s_min"] = h / 25
     field = reduced_tail_field(model, tc, g)
-    we = WEvaluator(model)
     e0 = cone_start(model, 0.5)
     sim = scenario_sim(cfg, model, n_paths=cfg["sim"]["n_paths"] // 2, e0=e0)
-    y0 = float(field.eval(0.0, sim.p0, e0, we=we))
-    ens = simulate_forward(model, field, we, sim)
+    y0 = float(field.eval(0.0, sim.p0, e0, model))
+    ens = simulate_forward(model, field, sim)
     eps = 0.1
     mass = float(np.mean(np.abs(ens.terminal_Y[ens.ok()] - y0) < 2 * eps))
     se = np.sqrt(mass * (1 - mass) / max(ens.ok().sum(), 1))
@@ -556,14 +552,12 @@ def check_feynman_kac(cfg) -> CheckOutcome:
     """
     model, tc = scenario_model(cfg)
     field = reduced_aligned_field(model, tc, 1e-4, cfg["sim"]["n_steps"])
-    derivs = gradient_fields(field)
-    we = WEvaluator(model)
     e0 = model.cap_lambda + 0.3 * model.horizon_T
     sim = scenario_sim(cfg, model, e0=e0)
-    est = feynman_kac_grad_p(model, field, derivs, sim, we=we)
+    est = feynman_kac_grad_p(model, field, gradient_fields(field), sim)
     h_fd = 1e-3
-    diff = np.asarray(field.eval(0.0, sim.p0 + h_fd, np.array([e0]), we=we)
-                      - field.eval(0.0, sim.p0 - h_fd, np.array([e0]), we=we))
+    diff = np.asarray(field.eval(0.0, sim.p0 + h_fd, np.array([e0]), model)
+                      - field.eval(0.0, sim.p0 - h_fd, np.array([e0]), model))
     pde_val = float(diff.reshape(-1)[0]) / (2 * h_fd)
     ok = (not est.degenerate) and abs(est.estimate - pde_val) <= 3 * est.std_error
     verdict = "flagged" if est.degenerate else ("pass" if ok else "fail")
@@ -578,7 +572,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     class the square-law statement addresses), just above the cone edge."""
     model, tc = scenario_model(cfg)
     vf = full_field(model, tc, cfg["grid"])
-    far = far_field_violation(vf, model, WEvaluator(model))
+    far = far_field_violation(vf, model)
     band = gradient_band_violation(vf, gradient_fields(vf), model)
 
     mol = default_mollifier(8)
@@ -588,7 +582,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     vf_up = full_field(m_cal, tc_up, {"de_full": 2e-3, "p_half": 3.0,
                                       "n_p": 61, "n_t": 100},
                        mollifier_n=8, pad=0.25, t_extra=[0.2, 0.3])
-    decay = off_cone_decay(vf_up, gradient_fields(vf_up), m_cal, WEvaluator(m_cal))
+    decay = off_cone_decay(vf_up, gradient_fields(vf_up), m_cal)
 
     ok = far.passed and band.passed
     verdict = "pass" if ok and decay.passed else ("flagged" if ok else "fail")

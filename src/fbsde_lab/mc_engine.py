@@ -6,7 +6,9 @@ gradient estimator and the bridge-trap diagnostic keep only their own
 accumulators.  The forward simulation drives (P, E, Ebar, Y) by a solved
 value field: E by explicit Euler with the frozen-slice value lookup,
 Y = v(t, P_t, E_t) through the field's interpolator, Ebar = E + w(t, P);
-it records E at the snapshot times.
+it records E at the snapshot times.  The compensator w and its gradient come
+from the model each function is given (``WEvaluator(model)``), and a field
+solved for another model is refused.
 Randomness comes from a counter-based generator with one substream per path
 index, so results are bit-identical for a given (seed, n_paths, n_steps)
 regardless of batching or of the thread that draws a path: ``path_normals``
@@ -24,8 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import (DerivativeFields, ValueField, _interp_space, _slice_index,
-                        check_model)
+from .value_pde import ValueField, _interp_space, _slice_index, check_model
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
     return batches()
 
 
-def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
+def _simulate_core(model: ModelSpec, field: ValueField,
                    cfg: SimConfig, e_starts: np.ndarray,
                    record_times: Sequence[float], stop_time: Optional[float] = None):
     """Per-start terminal arrays and snapshots ``{t: {start: E}}`` of E.
@@ -193,6 +194,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     (common-noise coupling for the flow checks).
     """
     T = field.grid.horizon
+    we = WEvaluator(model)
     if field.dim == 0 and we.mode == "monte_carlo":
         raise ValueError("reduced-field simulation needs a closed-form compensator")
     tgrid = sim_time_grid(cfg, field, extra_times=record_times)
@@ -253,7 +255,7 @@ def _simulate_core(model: ModelSpec, field: ValueField, we: WEvaluator,
     return term_E, term_Y, term_P, escaped, merged
 
 
-def simulate_forward(model: ModelSpec, field: ValueField, we: WEvaluator,
+def simulate_forward(model: ModelSpec, field: ValueField,
                      cfg: SimConfig) -> PathEnsemble:
     """Simulate (P, E, Ebar, Y) to the horizon under the given field; the
     ensemble keeps the terminal values and ``snapshots[t]``, the E of every
@@ -265,8 +267,8 @@ def simulate_forward(model: ModelSpec, field: ValueField, we: WEvaluator,
     """
     T = field.grid.horizon
     tE, tY, tP, esc, snaps = _simulate_core(
-        model, field, we, cfg, np.array([cfg.e0]), cfg.t_snapshots)
-    ebar_T = tE[0] + np.asarray(we.evaluate(T, tP))
+        model, field, cfg, np.array([cfg.e0]), cfg.t_snapshots)
+    ebar_T = tE[0] + np.asarray(WEvaluator(model).evaluate(T, tP))
     snapshots = {t: rec[0] for t, rec in snaps.items()}
     return PathEnsemble(
         terminal_E=tE[0], terminal_Y=tY[0], terminal_Ebar=ebar_T,
@@ -320,8 +322,7 @@ def default_delta_ladder(horizon: float) -> np.ndarray:
     return np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4]) * horizon
 
 
-def gaussian_control_terminal(model: ModelSpec, we: WEvaluator,
-                              cfg: SimConfig) -> np.ndarray:
+def gaussian_control_terminal(model: ModelSpec, cfg: SimConfig) -> np.ndarray:
     """Terminal sample of cap + int (T-s)-bridge noise, with no feedback.
 
     Matches the accumulated compensator noise of the FBSDE run; its atom
@@ -332,6 +333,7 @@ def gaussian_control_terminal(model: ModelSpec, we: WEvaluator,
     x, w = leggauss(64)
     s_nodes = 0.5 * (T - cfg.t0) * x + 0.5 * (T + cfg.t0)
     w_nodes = 0.5 * (T - cfg.t0) * w
+    we = WEvaluator(model)
     var = 0.0
     for s_k, w_k in zip(s_nodes, w_nodes):
         g = we.noise_integrand(float(s_k), cfg.p0)
@@ -403,7 +405,7 @@ class FlowReport:
     coalescence_se: float
 
 
-def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
+def flow_squeeze_check(model: ModelSpec, field: ValueField,
                        cfg: SimConfig, e_pairs, t_list) -> FlowReport:
     """Two-sided flow inequality under common noise, plus terminal coalescence.
 
@@ -422,7 +424,7 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField, we: WEvaluator,
     idx = {x: i for i, x in enumerate(starts)}
     dt_unif = (T - cfg.t0) / cfg.n_steps
     tE, _, _, esc, snaps = _simulate_core(
-        model, field, we, cfg, np.asarray(starts), tuple(t_list))
+        model, field, cfg, np.asarray(starts), tuple(t_list))
     ratio = model.ell2 / model.ell1
     de_f = field.grid.de
     ok_total, n_total = 0, 0
@@ -488,7 +490,7 @@ class VarianceScan:
     below_resolution: bool
 
 
-def variance_scan(model: ModelSpec, field: ValueField, we: WEvaluator,
+def variance_scan(model: ModelSpec, field: ValueField,
                   cfg: SimConfig, t_list) -> VarianceScan:
     """Sample variance of E_t over the requested times with jackknife errors.
 
@@ -501,7 +503,7 @@ def variance_scan(model: ModelSpec, field: ValueField, we: WEvaluator,
     if t_arr[0] <= cfg.t0 or t_arr[-1] > 0.5 * (T + cfg.t0) + 1e-12:
         raise ValueError("t_list must lie in (t0, (T+t0)/2]")
     _, _, _, esc, snaps = _simulate_core(
-        model, field, we, cfg, np.array([cfg.e0]), tuple(t_arr),
+        model, field, cfg, np.array([cfg.e0]), tuple(t_arr),
         stop_time=float(t_arr[-1]))
     ok = ~esc[0]
     vs, ses = [], []
@@ -575,52 +577,36 @@ def _brackets(e, vals):
     return out
 
 
-def transmission_scan(field: ValueField, derivs: DerivativeFields,
-                      model: ModelSpec, t0: float, p, e_grid,
-                      we: WEvaluator) -> TransmissionProfile:
+def transmission_scan(field: ValueField, de_v: np.ndarray, model: ModelSpec,
+                      t0: float, p, e_grid) -> TransmissionProfile:
     """Profile of the noise-transmission coefficient along e at fixed (t0, p).
 
-    Affine families report both normalizations alpha - gamma*dp_v and
-    alpha - dp_v; general models report -d/dp[f(p, v)].  The in-cone level
-    is the maximum magnitude over the central cone band, the off-cone level
-    the median magnitude outside a widened band.
+    Reads a reduced (dim 0) field, hence an affine-type model, and its e-gradient
+    ``de_v``; reports both normalizations alpha - gamma*dp_v and alpha - dp_v
+    with dp_v = de_v(ebar) dp_w.  The in-cone level is the maximum magnitude
+    of the first over the central cone band, the off-cone level the median
+    magnitude outside a widened band.
     """
+    if field.dim != 0:
+        raise ValueError("transmission_scan needs a reduced (dim 0) field of an "
+                         "affine-type model")
+    check_model(model, field)
+    we = WEvaluator(model)
     e_grid = np.asarray(e_grid, dtype=float)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    T = model.horizon_T
-    s = T - t0
+    s = model.horizon_T - t0
     lam = model.cap_lambda
-    affine = model.family in ("affine_constant", "linear_drift")
-    gamma = model.family_params.get("gamma")
+    gamma = model.family_params["gamma"]
 
     ebar = e_grid + float(we.evaluate(t0, p))
-    if field.dim == 0:
-        j = int(_slice_index(field.grid.t_nodes, t0))
-        dv = _interp_space(field.grid, derivs.de_v[j], None, ebar)
-        dp_v = dv * we.dp_w(t0)[0]
-    else:
-        dp_v = derivs.dp_at(t0, np.broadcast_to(p, (len(e_grid), model.dim_p)),
-                            e_grid, direction=0)
+    j = int(_slice_index(field.grid.t_nodes, t0))
+    dp_v = _interp_space(field.grid, de_v[j], None, ebar) * we.dp_w(t0)[0]
+    a0 = float(np.atleast_1d(model.family_params["alpha"])[0])
+    profiles = {"alpha_minus_gamma_dpv": a0 - gamma * dp_v,
+                "alpha_minus_dpv": a0 - dp_v}
+    main = profiles["alpha_minus_gamma_dpv"]
 
-    profiles = {}
-    if affine:
-        alpha = model.family_params["alpha"]
-        a0 = float(np.atleast_1d(alpha)[0])
-        profiles["alpha_minus_gamma_dpv"] = a0 - gamma * dp_v
-        profiles["alpha_minus_dpv"] = a0 - dp_v
-        main = profiles["alpha_minus_gamma_dpv"]
-    else:
-        j = int(_slice_index(field.grid.t_nodes, t0))
-        v = _interp_space(field.grid, field.values[j],
-                          np.broadcast_to(p, (len(e_grid), model.dim_p)), e_grid)
-        pb = np.broadcast_to(p, (len(e_grid), model.dim_p))
-        dfp = np.asarray(model.feedback.dp(pb, v))[..., 0]
-        dfy = model.feedback.dy(pb, v)
-        profiles["minus_dp_f_of_v"] = -(dfp + dfy * dp_v)
-        main = profiles["minus_dp_f_of_v"]
-
-    scale = (gamma if affine else model.ell2) * s
-    x = (ebar - lam) / scale
+    x = (ebar - lam) / (gamma * s)
     in_band = (x >= 3.0 / 8.0) & (x <= 5.0 / 8.0)
     off_band = (x >= 1.5) | (x <= -0.5)
     in_level = float(np.max(np.abs(main[in_band]))) if np.any(in_band) else float("nan")
@@ -648,9 +634,8 @@ class GradPEstimate:
     degenerate: bool
 
 
-def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
-                       derivs: DerivativeFields, cfg: SimConfig,
-                       we: WEvaluator) -> GradPEstimate:
+def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
+                       cfg: SimConfig) -> GradPEstimate:
     """Importance-weighted pathwise estimator of dv/dp at the start point.
 
     d = 1 with a smooth terminal condition: accumulates
@@ -664,6 +649,7 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     tgrid = sim_time_grid(cfg, field)
     batches = euler_paths(model, cfg, tgrid, field)
     slices = _slice_index(field.grid.t_nodes, tgrid[:-1])
+    we = WEvaluator(model)
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
     dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)
@@ -680,10 +666,10 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
             if field.dim == 0:
                 x = E + we.evaluate(t, P)
                 Y = _interp_space(field.grid, field.values[j], None, x)
-                dev = _interp_space(field.grid, derivs.de_v[j], None, x)
+                dev = _interp_space(field.grid, de_v[j], None, x)
             else:
                 Y = _interp_space(field.grid, field.values[j], P, E)
-                dev = _interp_space(field.grid, derivs.de_v[j], P, E)
+                dev = _interp_space(field.grid, de_v[j], P, E)
             dfp = np.asarray(model.feedback.dp(P, Y))[..., 0]
             dfy = model.feedback.dy(P, Y)
             I += dev * dfp * np.exp(log_decay) * dt
@@ -715,7 +701,7 @@ class TrapReport:
     zbar_near_terminal_dev: float
 
 
-def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig) -> TrapReport:
+def trap_diagnostic(model: ModelSpec, cfg: SimConfig) -> TrapReport:
     """Probability of the bridge trap event and the pinned bridge endpoints.
 
     Simulates the normalized martingale M_t = int (T-s)^{-1} <sigma^T dp_w, dW>
@@ -729,6 +715,7 @@ def trap_diagnostic(model: ModelSpec, we: WEvaluator, cfg: SimConfig) -> TrapRep
     T = model.horizon_T
     tgrid = np.linspace(cfg.t0, T, cfg.n_steps + 1)
     batches = euler_paths(model, cfg, tgrid)
+    we = WEvaluator(model)
     h = T - cfg.t0
     beta = 0.25
     c_prime = model.ell1 * beta / (32.0 * h**beta)

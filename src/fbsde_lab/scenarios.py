@@ -232,6 +232,16 @@ def registry_list() -> list[dict]:
     return out
 
 
+def _check_type(name: str, value, want: set):
+    """Refuse ``value`` unless its type is in ``want``, the types of the
+    registry's values; an int passes where a float is wanted, a bool never
+    passes for a number."""
+    if type(value) not in want | ({int} if float in want else set()):
+        raise ValueError(f"{name} must be of type "
+                         f"{' or '.join(sorted(t.__name__ for t in want))}, "
+                         f"not {value!r}")
+
+
 def scenario_config(name: str, overrides: dict | None = None) -> dict:
     if name not in _REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
@@ -255,12 +265,12 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
             raise ValueError(f"unknown {key} key(s) "
                              f"{sorted(set(overrides[key]) - known_keys)}; "
                              f"known keys: {sorted(known_keys)}")
-        for sub, value in overrides[key].items():   # the registry's types; int for float
-            want = {type(entry[key][sub]) for entry in entries if sub in entry.get(key, {})}
-            if type(value) not in want | ({int} if float in want else set()):
-                raise ValueError(f"{key}.{sub} must be of type "
-                                 f"{' or '.join(sorted(t.__name__ for t in want))}, "
-                                 f"not {value!r}")
+        for sub, value in overrides[key].items():
+            known = [entry[key][sub] for entry in entries if sub in entry.get(key, {})]
+            _check_type(f"{key}.{sub}", value, {type(v) for v in known})
+            for item in value if isinstance(value, list) else ():
+                _check_type(f"{key}.{sub} entries", item,
+                            {type(x) for v in known if isinstance(v, list) for x in v})
     if not isinstance(overrides.get("checks", []), list):
         raise ValueError(f"'checks' must be a JSON list of check names, "
                          f"not {overrides['checks']!r}")

@@ -39,16 +39,18 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .burgers_ref import WEvaluator, _rows_by_p_node
 from .model_core import ModelSpec, TerminalCondition
 
 _BOUND_SNAP = 1e-12   # FP-roundoff renormalization threshold, not a limiter
 _CFL_SAFETY = 0.85    # fraction of the explicit transport's stable step taken
+_MAX_INTERNAL_STEPS = 2_000_000   # sub-step budget of one solve
 _WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
 
 
 class CFLError(RuntimeError):
-    """Stable time stepping would exceed the configured step budget."""
+    """Stable time stepping would exceed ``_MAX_INTERNAL_STEPS`` sub-steps."""
 
 
 class SolveDivergenceError(RuntimeError):
@@ -195,8 +197,8 @@ class ValueField:
     multilinear space interpolation.
 
     ``values`` has shape (n_t, *p_shape, n_e); for reduced fields (dim 0)
-    the values are in the ebar variable and ``eval`` composes with a
-    compensator evaluator.
+    the values are in the ebar variable and ``eval`` composes them with the
+    compensator of the model the field was solved for.
     """
 
     grid: Grid
@@ -221,14 +223,14 @@ class ValueField:
             raise ValueError("eval_bar applies to reduced (dim 0) fields")
         return _interp_space(self.grid, self.values_at(t), None, ebar)
 
-    def eval(self, t, p, e, we=None) -> np.ndarray:
-        """v(t, p, e); reduced fields reconstruct via ebar = e + w(t, p)."""
+    def eval(self, t, p, e, model: ModelSpec) -> np.ndarray:
+        """v(t, p, e) of a field solved for ``model`` (refused otherwise);
+        reduced fields reconstruct via ebar = e + w(t, p)."""
+        check_model(model, self)
         if self.dim == 0:
-            if we is None:
-                raise ValueError("reduced field evaluation needs a WEvaluator")
-            return self.eval_bar(t, np.asarray(e, dtype=float) + we.evaluate(t, p))
-        sl = self.values_at(t)
-        return _interp_space(self.grid, sl, p, e)
+            w = WEvaluator(model).evaluate(t, p)
+            return self.eval_bar(t, np.asarray(e, dtype=float) + w)
+        return _interp_space(self.grid, self.values_at(t), p, e)
 
 
 def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
@@ -259,21 +261,6 @@ def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
             out += wa * wb * ((1 - we_) * sl[i0 + a, i1 + b, ie]
                               + we_ * sl[i0 + a, i1 + b, ie + 1])
     return out
-
-
-@dataclass(frozen=True)
-class DerivativeFields:
-    """Central-difference gradients of a stored field (one-sided at edges)."""
-
-    grid: Grid
-    de_v: np.ndarray
-    dp_v: Optional[np.ndarray]   # last axis = p-direction; None for dim 0
-
-    def dp_at(self, t, p, e, direction: int = 0) -> np.ndarray:
-        if self.dp_v is None:
-            raise ValueError("reduced fields carry no dp_v")
-        sl = self.dp_v[int(_slice_index(self.grid.t_nodes, t))][..., direction]
-        return _interp_space(self.grid, sl, p, e)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +362,17 @@ def _thomas_sweep(x: np.ndarray, low, piv, up, row: np.ndarray):
 # full solver
 # ---------------------------------------------------------------------------
 
+def _check_budget(total: float, dt_cfl: float):
+    """Raise ``CFLError`` when a march over ``total`` at steps of at most
+    ``dt_cfl`` needs more than ``_MAX_INTERNAL_STEPS`` sub-steps."""
+    n = int(np.ceil(total / dt_cfl))
+    if n > _MAX_INTERNAL_STEPS:
+        raise CFLError(f"stability requires dt <= {dt_cfl:.3e} "
+                       f"({n} steps > budget {_MAX_INTERNAL_STEPS})")
+
+
 def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
-                    epsilon: float = 0.0, mollifier_n=None,
-                    max_internal_steps: int = 2_000_000) -> ValueField:
+                    epsilon: float = 0.0, mollifier_n=None) -> ValueField:
     """March the full value-function equation backward on a (t, p, e) grid.
 
     Heaviside data may be supplied directly (the scheme's numerical
@@ -386,7 +381,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     normal derivative in p.
 
     Raises ``CFLError`` when the stability bound would require more than
-    ``max_internal_steps`` sub-steps, and ``SolveDivergenceError`` if values
+    ``_MAX_INTERNAL_STEPS`` sub-steps, and ``SolveDivergenceError`` if values
     leave [-0.01, 1.01].
     """
     if grid.dim not in (1, 2):
@@ -406,11 +401,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     fmax = float(np.max(np.abs(np.concatenate([f0, f1]))))
     dt_cfl = _CFL_SAFETY * de / (fmax + model.ell2)
 
-    total = float(grid.horizon - grid.t0)
-    if int(np.ceil(total / dt_cfl)) > max_internal_steps:
-        raise CFLError(
-            f"stability requires dt <= {dt_cfl:.3e} "
-            f"({int(np.ceil(total / dt_cfl))} steps > budget {max_internal_steps})")
+    _check_budget(float(grid.horizon - grid.t0), dt_cfl)
 
     # diffusion/drift coefficients per p-axis (diagonal part of sigma sigma^T)
     sig = model.diffusion(p_flat)                      # (n, d, d)
@@ -519,8 +510,7 @@ def reduced_diffusion_integral(model: ModelSpec) -> Callable[[float, float], flo
     raise ValueError("reduced solve supports the affine and linear-drift families")
 
 
-def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
-                     max_internal_steps: int = 2_000_000) -> ValueField:
+def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> ValueField:
     """March the reduced equation for vbar(t, ebar) on a (t, ebar) grid.
 
     Requires an affine-type family (constant-coefficient or linear drift);
@@ -550,9 +540,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     de = grid.de
     ne = len(e)
     dt_cfl = _CFL_SAFETY * de / (2.0 * gamma)
-    total = float(grid.horizon - grid.t0)
-    if int(np.ceil(total / dt_cfl)) > max_internal_steps:
-        raise CFLError(f"stability requires dt <= {dt_cfl:.3e}")
+    _check_budget(float(grid.horizon - grid.t0), dt_cfl)
 
     u = tc(e).astype(float).copy()
     u[0], u[-1] = 0.0, 1.0
@@ -658,15 +646,10 @@ def reduced_aligned_field(model: ModelSpec, tc: TerminalCondition, de: float,
 # derivative fields and diagnostics
 # ---------------------------------------------------------------------------
 
-def gradient_fields(field: ValueField) -> DerivativeFields:
-    """Central differences inside, one-sided at the boundary nodes."""
-    g = field.grid
-    de_v = np.gradient(field.values, g.de, axis=-1)
-    if g.dim == 0:
-        return DerivativeFields(grid=g, de_v=de_v, dp_v=None)
-    dp_v = np.stack([np.gradient(field.values, g.dp[k], axis=1 + k)
-                     for k in range(g.dim)], axis=-1)
-    return DerivativeFields(grid=g, de_v=de_v, dp_v=dp_v)
+def gradient_fields(field: ValueField) -> np.ndarray:
+    """de_v, the e-gradient of every stored slice (shaped like
+    ``field.values``): central differences inside, one-sided at the edges."""
+    return np.gradient(field.values, field.grid.de, axis=-1)
 
 
 def conservation_gap(field_upper: ValueField, field_lower: ValueField,
@@ -698,7 +681,6 @@ _N_T_PROBE = 10
 _C_OFF = 1.5
 _DECAY_HORIZONS = (0.2, 0.1)
 _RATIO_BAND = (2.8, 5.7)
-_BOUNDARY_SKIP = 2
 
 
 @dataclass(frozen=True)
@@ -709,7 +691,7 @@ class BoundEntry:
     detail: str = ""
 
 
-def gradient_band_violation(field: ValueField, derivs: DerivativeFields,
+def gradient_band_violation(field: ValueField, de_v: np.ndarray,
                             model: ModelSpec) -> BoundEntry:
     """Worst violation of 0 <= de_v <= 1/(ell1 (T-t)) + tol over the field."""
     g = field.grid
@@ -720,7 +702,7 @@ def gradient_band_violation(field: ValueField, derivs: DerivativeFields,
         s = T - t
         if s < 2 * dt_min:
             continue
-        sl = derivs.de_v[j]
+        sl = de_v[j]
         curv = np.abs(np.gradient(sl, g.de, axis=-1))
         tol = np.maximum(0.05 / (model.ell1 * s), 2.0 * g.de * curv)
         over = sl - (1.0 / (model.ell1 * s) + tol)
@@ -730,19 +712,7 @@ def gradient_band_violation(field: ValueField, derivs: DerivativeFields,
                       "0 <= de_v <= 1/(ell1*(T-t)) with scheme slack")
 
 
-def _rows_by_p_node(field: ValueField, sl: np.ndarray, we, t):
-    """(ebar, row) for each p-node of a full field's stored slice ``sl``:
-    ebar = e + w(t, p) on the e-nodes, both without the ``_BOUNDARY_SKIP``
-    nodes at each e-edge (the artificial Dirichlet layer)."""
-    g = field.grid
-    inner = slice(_BOUNDARY_SKIP, len(g.e_nodes) - _BOUNDARY_SKIP)
-    mesh = np.meshgrid(*g.p_nodes, indexing="ij")
-    p_pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    for pp, row in zip(p_pts, sl.reshape(len(p_pts), -1)):
-        yield g.e_nodes[inner] + float(we.evaluate(t, pp)), row[inner]
-
-
-def far_field_violation(field: ValueField, model: ModelSpec, we) -> BoundEntry:
+def far_field_violation(field: ValueField, model: ModelSpec) -> BoundEntry:
     """Worst 0.9 - v (the entry fails above 0) where ebar - cap >=
     _FAR_FACTOR * L * (T-t), on every ``len(t_nodes) // _N_T_PROBE``-th slice
     of a full field."""
@@ -753,7 +723,7 @@ def far_field_violation(field: ValueField, model: ModelSpec, we) -> BoundEntry:
         s = T - float(t)
         if s < 4 * g.de / model.ell1:
             continue
-        for ebar, v in _rows_by_p_node(field, field.values_at(t), we, t):
+        for _, ebar, v in _rows_by_p_node(field, field.values_at(t), model, t, 0.0):
             mask = (ebar - model.cap_lambda) >= _FAR_FACTOR * model.lipschitz_L * s
             if np.any(mask):
                 worst = max(worst, float(np.max(0.9 - v[mask])))
@@ -761,8 +731,7 @@ def far_field_violation(field: ValueField, model: ModelSpec, we) -> BoundEntry:
                       f"v >= 0.9 beyond {_FAR_FACTOR}*L*(T-t)")
 
 
-def off_cone_decay(field: ValueField, derivs: DerivativeFields, model: ModelSpec,
-                   we) -> BoundEntry:
+def off_cone_decay(field: ValueField, de_v: np.ndarray, model: ModelSpec) -> BoundEntry:
     """Ratio of the off-cone gradient levels at the two times-to-go
     ``_DECAY_HORIZONS`` against the square law.
 
@@ -775,7 +744,7 @@ def off_cone_decay(field: ValueField, derivs: DerivativeFields, model: ModelSpec
     for h in _DECAY_HORIZONS:
         j = int(_slice_index(g.t_nodes, g.horizon - h))
         level = -np.inf
-        for ebar, dv in _rows_by_p_node(field, derivs.de_v[j], we, g.t_nodes[j]):
+        for _, ebar, dv in _rows_by_p_node(field, de_v[j], model, g.t_nodes[j], 0.0):
             mask = (ebar - model.cap_lambda) > _C_OFF * h
             if np.any(mask):
                 level = max(level, float(np.max(dv[mask])))

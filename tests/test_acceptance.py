@@ -29,7 +29,7 @@ def test_criterion_01_gradient_band_every_scenario():
     for entry in registry_list():
         cfg = scenario_config(entry["name"])
         t0 = time.monotonic()
-        out = X.check_gradient_band(cfg, n_e=400, n_t=200, n_p=50)
+        out = X.check_gradient_band(cfg)
         elapsed = time.monotonic() - t0
         worst[entry["name"]] = (out.verdict, round(out.stats["worst_violation"], 8),
                                 round(elapsed, 1))

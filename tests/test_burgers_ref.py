@@ -63,7 +63,7 @@ def test_affine_closed_form_vs_mc_quadrature():
     m = affine_model(alpha=2.0, gamma=1.0, sigma=1.0, horizon_T=0.5,
                      lipschitz_L=2.0)
     cf = WEvaluator(m)
-    val, se = WEvaluator(m, n_paths=4000, n_steps=200)._mc(0.1, np.array([0.7]))
+    val, se = WEvaluator(m)._mc(0.1, np.array([0.7]))
     assert abs(val - float(cf.evaluate(0.1, np.array([0.7])))) <= 3 * se + 1e-12
 
 
@@ -82,7 +82,7 @@ def test_linear_drift_gradient_matches_growth_formula():
 def test_mc_agrees_with_closed_form_on_random_points():
     m = affine_model(alpha=1.0, gamma=1.0, sigma=1.0, horizon_T=0.4)
     cf = WEvaluator(m)
-    mc = WEvaluator(m, n_paths=2000, n_steps=150)
+    mc = WEvaluator(m)
     rng = np.random.Generator(np.random.Philox(key=3))
     hits3, n = 0, 40
     for _ in range(n):
@@ -126,14 +126,13 @@ def test_gap_on_noiseless_model_is_pure_discretization():
     # dominated by the first-order corner rounding of width ~ sqrt(de * s)
     m = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=0.2)
     tc = heaviside_tc(0.0)
-    we = WEvaluator(m)
     t_list = [0.0, 0.08, 0.16]
     sups = {}
     for de in (4e-4, 1e-4):
         grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 50),
                     e_nodes=e_nodes_for(m, de))
         field = solve_reduced_1d(m, grid, tc)
-        table = burgers_gap(field, we, m, t_list)
+        table = burgers_gap(field, m, t_list)
         sups[de] = table.sup_gap
         for t, gap in zip(t_list, table.sup_gap):
             s = 0.2 - t
@@ -148,8 +147,7 @@ def test_gap_rows_expose_running_beta():
     grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 50),
                 e_nodes=e_nodes_for(m, 5e-4))
     field = solve_reduced_1d(m, grid, tc)
-    we = WEvaluator(m)
-    table = burgers_gap(field, we, m, [0.0, 0.08, 0.16])
+    table = burgers_gap(field, m, [0.0, 0.08, 0.16])
     rows = table.rows()
     assert len(rows) == 3
     assert np.isnan(rows[0][2])

@@ -251,6 +251,10 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "sweeps.gap_horizons", "type list", "not 5"]),
     (json.dumps({"sim": {"n_paths": 2000.5}}),
      ["bad config", "sim.n_paths", "type int", "not 2000.5"]),
+    (json.dumps({"sweeps": {"gap_horizons": ["a"]}}),
+     ["bad config", "sweeps.gap_horizons", "type float", "not 'a'"]),
+    (json.dumps({"sweeps": {"gap_horizons": [0.1, True]}}),
+     ["bad config", "sweeps.gap_horizons", "type float", "not True"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -292,7 +296,7 @@ def test_scenario_ensemble_is_built_once_per_run(tmp_path):
     for name in checks:
         X._main_ensemble.cache_clear()
         assert X._CHECKS[name](cfg).stats == rec.stats[name]
-    _, _, field, _, _, ens = X._main_ensemble(X._ensemble_key(cfg))
+    _, _, field, _, ens = X._main_ensemble(X._ensemble_key(cfg))
     for arr in (ens.terminal_E, field.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -361,11 +365,24 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))
     # one call through the wrapped path_normals: its span reads the call's
-    # count, n_steps and d by parameter name
-    code = ("import tracer; tr = tracer.install(); from fbsde_lab import mc_engine; "
-            "mc_engine.path_normals(7, 0, 3, 100, 2); print(tr.spans[-1]['normals'])")
+    # count, n_steps and d by parameter name; then burgers_gap on a tiny
+    # nonlinear_1d field (3 Monte Carlo reads of w inside the p-edge cut) and
+    # on a tiny affine field (3 closed-form reads), so the compensator
+    # counters count the evaluators the program builds, wherever it builds them
+    code = "\n".join([
+        "import tracer; tr = tracer.install()",
+        "from fbsde_lab import burgers_ref, mc_engine, model_core, scenarios, value_pde",
+        "mc_engine.path_normals(7, 0, 3, 100, 2); print(tr.spans[-1]['normals'])",
+        "nl = scenarios.scenario_config('nonlinear_1d')['model']",
+        "for m in (scenarios.build_model(nl, 0.05), model_core.affine_model(",
+        "        alpha=0.5, gamma=1.0, horizon_T=0.05)):",
+        "    f = value_pde.full_field(m, model_core.heaviside_tc(m.cap_lambda),",
+        "                             {'de_full': 4e-3, 'n_p': 5, 'n_t': 4})",
+        "    burgers_ref.burgers_gap(f, m, [0.0])",
+        "print(*(tr.counters[f'burgers_ref.w_{k}']['calls'] for k in ('mc', 'closed')))",
+    ])
     proc = subprocess.run([sys.executable, "-c", code],
                           cwd=root / "perfbench", env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["600"]
+    assert proc.stdout.split() == ["600", "3", "3"]

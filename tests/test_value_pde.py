@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from fbsde_lab.burgers_ref import WEvaluator, psi
+from fbsde_lab.burgers_ref import psi
 from fbsde_lab import value_pde
 from fbsde_lab.model_core import (affine_model, default_mollifier, heaviside_tc,
                                   linear_drift_model, mollify, smooth_ramp_tc)
@@ -84,11 +84,15 @@ def test_far_field_levels_for_modest_compensator():
         assert np.all(sl[:, 1] <= 0.05)
 
 
-def test_cfl_refusal_reports_required_step():
+def test_cfl_refusal_reports_required_step(monkeypatch):
+    monkeypatch.setattr(value_pde, "_MAX_INTERNAL_STEPS", 3)
     m = small_model()
-    with pytest.raises(CFLError):
-        solve_mollified(m, small_grid(m), heaviside_tc(0.0),
-                        max_internal_steps=3)
+    red = Grid(t_nodes=uniform_time_nodes(0.0, m.horizon_T, 10),
+               e_nodes=e_nodes_for(m, 2e-3))
+    for solve, grid in ((solve_mollified, small_grid(m)), (solve_reduced_1d, red)):
+        with pytest.raises(CFLError, match=r"stability requires dt <= \S+ "
+                                           r"\(\d+ steps > budget 3\)"):
+            solve(m, grid, heaviside_tc(0.0))
 
 
 def test_domain_coverage_enforced():
@@ -160,11 +164,11 @@ def test_gradient_band_holds_on_small_solve():
 def test_ramp_far_from_cap_has_flat_gradient():
     m = small_model()
     vf = solve_mollified(m, small_grid(m), smooth_ramp_tc(0.0, 0.1))
-    dv = gradient_fields(vf)
+    de_v = gradient_fields(vf)
     e = vf.grid.e_nodes
     far = (np.abs(e) > 0.35) & (np.abs(e) < 0.39)
     j_mid = len(vf.grid.t_nodes) // 2
-    assert np.max(np.abs(dv.de_v[j_mid][:, far])) <= 1e-6
+    assert np.max(np.abs(de_v[j_mid][:, far])) <= 1e-6
 
 
 def test_dp_v_bound_stable_under_refinement():
@@ -173,9 +177,9 @@ def test_dp_v_bound_stable_under_refinement():
     tops = []
     for de, n_p in ((2e-3, 21), (1e-3, 41)):
         vf = solve_mollified(m, small_grid(m, de=de, n_p=n_p), tc)
-        dv = gradient_fields(vf)
         j = len(vf.grid.t_nodes) // 2
-        tops.append(float(np.max(np.abs(dv.dp_v[j]))))
+        dp_v = np.gradient(vf.values[j], vf.grid.dp[0], axis=0)
+        tops.append(float(np.max(np.abs(dp_v))))
     assert abs(tops[1] - tops[0]) <= 0.2 * max(tops)
 
 
@@ -246,7 +250,6 @@ def test_dim2_solve_matches_reduced_reconstruction():
     red = solve_reduced_1d(
         m, Grid(t_nodes=g.t_nodes, e_nodes=e_nodes_for(m, 5e-4)),
         heaviside_tc(0.0))
-    we = WEvaluator(m)
     worst = 0.0
     e = g.e_nodes
     keep_e = np.abs(e) <= 0.15
@@ -255,9 +258,8 @@ def test_dim2_solve_matches_reduced_reconstruction():
         for i in (6, 8, 10):
             for j in (6, 8, 10):
                 p = np.array([g.p_nodes[0][i], g.p_nodes[1][j]])
-                eb = e[keep_e] + we.evaluate(t, p)
                 worst = max(worst, float(np.max(np.abs(
-                    sl[i, j][keep_e] - red.eval_bar(t, eb)))))
+                    sl[i, j][keep_e] - red.eval(t, p, e[keep_e], m)))))
     assert worst <= 5e-2
 
 
