@@ -20,8 +20,8 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import (check_names, emit_plot_data, run_scenario,
-                          scenario_field, scenario_model, scenario_sim)
+from .experiments import (emit_plot_data, run_scenario, scenario_field,
+                          scenario_model, scenario_sim, servable_checks)
 from .fieldio import dump_field, load_field, write_csv
 from .scenarios import registry_list, scenario_config
 from .mc_engine import simulate_forward
@@ -50,7 +50,7 @@ def _scenario_cfg(args) -> tuple | None:
         print(f"bad config: {exc}", file=sys.stderr)
         return None
     try:
-        check_names(cfg["checks"])
+        servable_checks(cfg)
         for flag in ("seed", "n_paths"):
             if getattr(args, flag, None) is not None:
                 cfg["sim"][flag] = getattr(args, flag)

@@ -32,8 +32,7 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         transmission_scan, trap_diagnostic, variance_scan)
 from .model_core import (affine_model, default_mollifier, heaviside_tc, mollify,
                          validate_assumptions)
-from .scenarios import (build_model, build_tc, config_hash, gap_horizons,
-                        scenario_config)
+from .scenarios import build_model, build_tc, config_hash, gap_horizons
 from .value_pde import (conservation_gap, far_field_violation, full_field,
                         gradient_fields, gradient_band_violation, off_cone_decay,
                         reduced_aligned_field, reduced_tail_field)
@@ -175,8 +174,8 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
     pad = 1.0 / min(ns)
     for n in ns:
         mol = default_mollifier(n)
-        up = full_field(model, mollify(tc, mol, "upper"), gcfg, mollifier_n=n, pad=pad)
-        lo = full_field(model, mollify(tc, mol, "lower"), gcfg, mollifier_n=n, pad=pad)
+        up = full_field(model, mollify(tc, mol, "upper"), gcfg, pad=pad)
+        lo = full_field(model, mollify(tc, mol, "lower"), gcfg, pad=pad)
         worst_order = max(worst_order, float(np.max(lo.values - up.values)))
         gaps.append(conservation_gap(up, lo, m=0.5 * model.horizon_T,
                                      t=t_probe, p=[0.0]))
@@ -289,7 +288,7 @@ def check_flow_squeeze(cfg) -> CheckOutcome:
     g = cfg.get("grid", {})
     field = reduced_tail_field(model, tc,
                                {"de_reduced": g.get("de_reduced", 2e-4),
-                                "tail_ratio": 1.07, "tail_switch": 0.02})
+                                "tail_switch": 0.02})
     T = model.horizon_T
     sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5), n_paths=20_000)
     pairs = [(cone_start(model, 0.55), cone_start(model, 0.30)),
@@ -325,8 +324,7 @@ def check_variance(cfg) -> CheckOutcome:
         t_list = 0.5 * h * np.geomspace(0.05, 1.0, 8)
         field = reduced_aligned_field(model, tc, de, scfg["n_steps"],
                                       t_extra=t_list, t_stop=float(t_list[-1]))
-        sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5),
-                           terminal_refine=False)
+        sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5))
         scan = variance_scan(model, field, sim, t_list)
         slopes.append(scan.time_slope)
         prefs.append(scan.prefactor)
@@ -581,7 +579,7 @@ def check_bound_report(cfg) -> CheckOutcome:
                          cap_lambda=model.cap_lambda, horizon_T=0.4)
     vf_up = full_field(m_cal, tc_up, {"de_full": 2e-3, "p_half": 3.0,
                                       "n_p": 61, "n_t": 100},
-                       mollifier_n=8, pad=0.25, t_extra=[0.2, 0.3])
+                       pad=0.25, t_extra=[0.2, 0.3])
     decay = off_cone_decay(vf_up, gradient_fields(vf_up), m_cal)
 
     ok = far.passed and band.passed
@@ -616,6 +614,15 @@ _CHECKS = {
     "bound_report": check_bound_report,
 }
 
+# the checks making each solve not every scenario can serve: "reduced" reads
+# gamma, "full" grid.de_full; "scenario" (the scenario's field) and "gap" (burgers_gap's)
+# are reduced when the grid names de_reduced and for affine_constant, else full
+_SOLVES = {"full": "equivalence bound_report", "gap": "burgers_gap",
+           "scenario": "dirac_atom trap sandwich variance_zero conditional_support",
+           "reduced": "equivalence mirror_symmetry flow_squeeze variance transmission "
+                      "transmission_sign_change characteristics mass_near_start "
+                      "feynman_kac"}
+
 
 # ---------------------------------------------------------------------------
 # runner
@@ -630,16 +637,34 @@ def check_names(names) -> list:
     return list(names)
 
 
-def run_scenario(name_or_cfg, output_root=None, overrides=None,
-                 checks=None) -> ExperimentRecord:
-    """Execute a scenario pipeline and persist tables plus the record.
+def servable_checks(cfg, names=None) -> list:
+    """``names`` (default: the config's checks) as a list, after refusing any
+    that is not a check or needs a solve (``_SOLVES``) the scenario cannot serve."""
+    todo = check_names(cfg["checks"] if names is None else names)
+    grid, family = cfg.get("grid", {}), cfg["model"]["family"]
+    no_gamma = build_model(cfg["model"]).family_params.get("gamma") is None
+    lacks = {"reduced": f"the {family} family has no gamma" if no_gamma else "",
+             "full": "" if "de_full" in grid else "grid names no 'de_full'"}
+    kind = {"scenario": "reduced" if "de_reduced" in grid else "full",
+            "gap": "reduced" if family == "affine_constant" else "full"}
+    refused = []
+    for solve, users in _SOLVES.items():
+        k = kind.get(solve, solve)
+        refused += [f"check {name!r} needs a {k} solve, but {lacks[k]}"
+                    for name in todo if name in users.split() and lacks[k]]
+    if refused:
+        raise ValueError("; ".join(refused))
+    return todo
+
+
+def run_scenario(cfg, output_root=None, checks=None) -> ExperimentRecord:
+    """Execute a scenario pipeline (``checks``, default the config's own; see
+    ``servable_checks``) and persist tables plus the record.
 
     Validation failure refuses the remaining pipeline; the record is still
     written with the failing verdict.
     """
-    cfg = (scenario_config(name_or_cfg, overrides)
-           if isinstance(name_or_cfg, str) else dict(name_or_cfg))
-    todo = check_names(checks if checks is not None else cfg["checks"])
+    todo = servable_checks(cfg, checks)
     out_dir = None
     if output_root is not None:
         out_dir = Path(output_root) / cfg["name"]

@@ -37,18 +37,15 @@ class SimConfig:
     p0: np.ndarray
     e0: float
     seed: int
-    batch_size: int = 16384
     t_snapshots: tuple = ()
-    terminal_refine: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "p0",
                            np.atleast_1d(np.asarray(self.p0, dtype=float)))
         if self.n_steps < 100:
             raise ValueError("n_steps must be >= 100")
-        if self.n_paths < 1 or self.batch_size < 1:
-            raise ValueError(f"n_paths ({self.n_paths}) and batch_size "
-                             f"({self.batch_size}) must be >= 1")
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths ({self.n_paths}) must be >= 1")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or not 0 <= self.seed < 2**64):   # Philox keys are non-negative
             raise ValueError(f"seed must be an integer in [0, 2**64), not {self.seed!r}")
@@ -78,33 +75,31 @@ class PathEnsemble:
 
 def sim_time_grid(cfg: SimConfig, field: ValueField,
                   extra_times: Sequence[float] = ()) -> np.ndarray:
-    """Uniform Euler grid, optionally refined geometrically near T.
+    """Uniform Euler grid plus ``extra_times``, refined geometrically near T.
 
     The refinement follows the field's last pre-terminal slice so the
     contraction toward the cap keeps resolving through the final instants;
     without it the last uniform step would overshoot the narrowing cone.
+    Every refinement node lies within 2 uniform steps of T.
     """
     T = field.grid.horizon
     base = np.linspace(cfg.t0, T, cfg.n_steps + 1)
-    pieces = [base, np.asarray(extra_times, dtype=float)]
-    if cfg.terminal_refine:
-        interior = field.grid.t_nodes[field.grid.t_nodes < T]
-        s_field = T - float(interior[-1]) if len(interior) else T - cfg.t0
-        dt_unif = (T - cfg.t0) / cfg.n_steps
-        s = min(4.0 * s_field, 2.0 * dt_unif)
-        tail = []
-        while s > s_field / 4.0:
-            tail.append(T - s)
-            s *= 0.6
-        pieces.append(np.asarray(tail))
-    grid = np.union1d(np.union1d(pieces[0], pieces[1]),
-                      pieces[2] if len(pieces) > 2 else np.array([]))
+    interior = field.grid.t_nodes[field.grid.t_nodes < T]
+    s_field = T - float(interior[-1]) if len(interior) else T - cfg.t0
+    dt_unif = (T - cfg.t0) / cfg.n_steps
+    s = min(4.0 * s_field, 2.0 * dt_unif)
+    tail = []
+    while s > s_field / 4.0:
+        tail.append(T - s)
+        s *= 0.6
+    grid = np.union1d(np.union1d(base, np.asarray(extra_times, dtype=float)), tail)
     grid = grid[(grid >= cfg.t0 - 1e-15) & (grid <= T + 1e-15)]
     # collapse near-duplicates that float unions can leave behind
     keep = np.diff(grid, prepend=-np.inf) > 1e-12 * max(1.0, T)
     return grid[keep]
 
 
+_BATCH_PATHS = 16_384   # paths stepped together (results do not depend on it)
 _WORKERS = 2    # threads that draw the normals of one batch
 _BLOCK = 64     # paths drawn into one contiguous buffer before the transposed copy
 
@@ -147,7 +142,7 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
                 field: Optional[ValueField] = None):
     """Euler-Maruyama paths of P over ``tgrid``, batch by batch.
 
-    Yields ``(first, count, steps)`` for each of ceil(n_paths / batch_size)
+    Yields ``(first, count, steps)`` for each of ceil(n_paths / _BATCH_PATHS)
     batches of near-equal size; ``steps`` yields ``(k, t, dt, P, P_next, dW)``
     for each interval [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t,
     the increments dW (``path_normals`` scaled by sqrt(dt)) and
@@ -177,7 +172,7 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
             P = P_next
 
     def batches():
-        n_batches = -(-cfg.n_paths // cfg.batch_size)
+        n_batches = -(-cfg.n_paths // _BATCH_PATHS)
         edges = [cfg.n_paths * b // n_batches for b in range(n_batches + 1)]
         for first, end in zip(edges[:-1], edges[1:]):
             yield first, end - first, steps(first, end - first)
@@ -191,7 +186,8 @@ def _simulate_core(model: ModelSpec, field: ValueField,
     """Per-start terminal arrays and snapshots ``{t: {start: E}}`` of E.
 
     All starts share the same P-path and Brownian increments per path index
-    (common-noise coupling for the flow checks).
+    (common-noise coupling for the flow checks).  A run cut at ``stop_time``
+    has no horizon terminal values: callers read only its snapshots.
     """
     T = field.grid.horizon
     we = WEvaluator(model)
@@ -243,10 +239,8 @@ def _simulate_core(model: ModelSpec, field: ValueField,
             if key in snaps:
                 for a in range(n_starts):
                     snaps[key].setdefault(a, []).append(E[a].copy())
-        full_run = stop_time is None or stop_time >= T - 1e-15
-        for a in range(n_starts):
-            term_E[a, first:first + count] = E[a]
-            term_Y[a, first:first + count] = y_term[a] if full_run else np.nan
+        term_E[:, first:first + count] = E
+        term_Y[:, first:first + count] = y_term
         escaped[:, first:first + count] = esc
         term_P[first:first + count] = P_next   # P at the last grid time
 

@@ -124,8 +124,7 @@ def affine_dirac():
         {"family": "affine_constant", "alpha": 0.1, "gamma": 1.0,
          "sigma": 1.0, "b": 0.0, "cap_lambda": 0.0, "horizon_T": 0.1},
         ["validate", "dirac_atom", "trap", "sandwich"],
-        grid={"de_reduced": 5e-6, "tail_s_min": 1e-5,
-              "tail_ratio": 1.07, "tail_switch": 0.02, "tail_coarse": 1.25},
+        grid={"de_reduced": 5e-6, "tail_s_min": 1e-5, "tail_switch": 0.02},
         sim={"n_paths": 100_000, "n_steps": 1000, "seed": 7,
              "e0_cone": 0.5},
     )
@@ -142,8 +141,7 @@ def degenerate_characteristics():
          "sigma": 1.0, "b": 0.0, "cap_lambda": 0.0, "horizon_T": 0.1},
         ["validate", "characteristics", "dirac_atom", "variance_zero",
          "sandwich"],
-        grid={"de_reduced": 5e-6, "tail_s_min": 1e-5,
-              "tail_ratio": 1.07, "tail_switch": 0.02, "tail_coarse": 1.25},
+        grid={"de_reduced": 5e-6, "tail_s_min": 1e-5, "tail_switch": 0.02},
         sim={"n_paths": 20_000, "n_steps": 1000, "seed": 7, "e0_cone": 0.5},
     )
 
@@ -184,8 +182,7 @@ def elliptic_support():
         {"family": "affine_constant", "alpha": 1.0, "gamma": 1.0,
          "sigma": 1.0, "b": 0.0, "cap_lambda": 0.0, "horizon_T": 0.1},
         ["validate", "conditional_support", "mass_near_start", "sandwich"],
-        grid={"de_reduced": 2e-5, "tail_s_min": 8e-4,
-              "tail_ratio": 1.07, "tail_switch": 0.02, "tail_coarse": 1.25},
+        grid={"de_reduced": 2e-5, "tail_s_min": 8e-4, "tail_switch": 0.02},
         sim={"n_paths": 100_000, "n_steps": 1000, "seed": 7, "e0_cone": 0.5},
         sweeps={"mass_check_horizon": 0.01},
     )
@@ -290,7 +287,8 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
 
 def gap_horizons(cfg: dict) -> list:
     """The horizons T - t that ``burgers_gap`` reads: ``sweeps.gap_horizons``,
-    else [0.4, 0.2, 0.1, 0.05]; refused unless all lie in (0, horizon_T]."""
+    else [0.4, 0.2, 0.1, 0.05]; refused unless all lie in (0, horizon_T] and
+    at least two differ (the gap's rate is fitted across them)."""
     named = cfg.get("sweeps", {}).get("gap_horizons")
     horizons = [0.4, 0.2, 0.1, 0.05] if named is None else named
     T = cfg["model"]["horizon_T"]
@@ -299,4 +297,7 @@ def gap_horizons(cfg: dict) -> list:
         source = "" if named is not None else " (the default; sweeps names none)"
         raise ValueError(f"gap_horizons {outside}{source} lie outside "
                          f"(0, horizon_T] = (0, {T}]")
+    if len(set(horizons)) < 2:
+        raise ValueError(f"gap_horizons {horizons} name fewer than two distinct "
+                         f"horizons; burgers_gap fits its rate across two or more")
     return horizons

@@ -3,8 +3,8 @@
 Two solvers share one monotone core: ``solve_mollified`` marches the full
 (t, p, e) equation
 
-    v_t + <b, v_p> + 1/2 Tr[sigma sigma^T v_pp] + (eps^2/2)(v_pp + v_ee)
-        - f(p, v) v_e = 0,     v(T, p, e) = phi(e),
+    v_t + <b, v_p> + 1/2 Tr[sigma sigma^T v_pp] - f(p, v) v_e = 0,
+        v(T, p, e) = phi(e),
 
 and ``solve_reduced_1d`` marches the one-dimensional equation satisfied by
 the drift-compensated value ``vbar(t, ebar)`` of the affine families, whose
@@ -12,7 +12,7 @@ diffusion coefficient is the squared noise integrand of the compensator.
 
 Scheme: explicit first-order upwind transport in e (upwind direction from
 the sign of f at the previous slice), implicit tridiagonal diffusion-drift
-sweeps in each p-direction, implicit e-diffusion when present.  Every
+sweeps in each p-direction (E carries no noise: no e-diffusion).  Every
 sub-step is monotone under the enforced step bound, so fields stay in [0,1],
 stay non-decreasing in e and obey the discrete comparison principle.
 
@@ -47,6 +47,8 @@ _CFL_SAFETY = 0.85    # fraction of the explicit transport's stable step taken
 _MAX_INTERNAL_STEPS = 2_000_000   # sub-step budget of one solve
 _WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
+_TAIL_RATIO = 1.07    # step ratio of the geometric time tail of stored slices
+_TAIL_COARSE = 1.25   # its ratio above the switch time-to-go
 
 
 class CFLError(RuntimeError):
@@ -124,22 +126,16 @@ def uniform_time_nodes(t0: float, T: float, n: int) -> np.ndarray:
     return np.linspace(t0, T, n + 1)
 
 
-def time_nodes_with_tail(t0: float, T: float, n: int, s_min: float,
-                         ratio: float = 1.07, s_switch: Optional[float] = None,
-                         coarse_ratio: float = 1.25) -> np.ndarray:
-    """Uniform slices plus a geometric tail accumulating at T.
-
-    The tail runs from time-to-go ``s_min`` up by ``ratio`` (switching to
-    ``coarse_ratio`` above ``s_switch``); it is what lets simulated paths
-    keep contracting toward the cap through the final instants.
-    """
+def time_nodes_with_tail(T: float, s_min: float,
+                         s_switch: Optional[float] = None) -> np.ndarray:
+    """0, T and a geometric tail of slices accumulating at T: time-to-go
+    ``s_min`` up by ``_TAIL_RATIO`` (``_TAIL_COARSE`` above ``s_switch``).  The
+    tail lets simulated paths keep contracting toward the cap to the end."""
     tail = [s_min]
-    cap = T - t0
-    while tail[-1] < cap:
-        r = ratio if (s_switch is None or tail[-1] < s_switch) else coarse_ratio
-        tail.append(min(tail[-1] * r, cap))
-    uniform = np.linspace(t0, T, n + 1) if n >= 1 else np.array([t0, T])
-    return np.union1d(uniform, T - np.asarray(tail))
+    while tail[-1] < T:
+        r = _TAIL_RATIO if (s_switch is None or tail[-1] < s_switch) else _TAIL_COARSE
+        tail.append(min(tail[-1] * r, T))
+    return np.union1d(np.array([0.0, T]), T - np.asarray(tail))
 
 
 def e_nodes_for(model: ModelSpec, de: float, pad: float = 0.0) -> np.ndarray:
@@ -324,13 +320,10 @@ def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
     return ab
 
 
-def _solve_axis(u: np.ndarray, axis: int, ab: np.ndarray):
-    """Solve along ``axis`` for every other index; ``ab`` is overwritten (in
-    place, the long e-axis solves make no fresh allocations to re-fault)."""
-    moved = np.moveaxis(u, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    sol = solve_banded((1, 1), ab, flat, overwrite_ab=True, overwrite_b=True)
-    moved[...] = sol.reshape(moved.shape)
+def _solve_axis(u: np.ndarray, ab: np.ndarray):
+    """Solve the system ``ab`` for the vector ``u`` in place; ``ab`` is
+    overwritten (the long e-axis solves make no fresh allocations to re-fault)."""
+    u[...] = solve_banded((1, 1), ab, u, overwrite_ab=True, overwrite_b=True)
 
 
 def _thomas_factors(ab: np.ndarray):
@@ -371,8 +364,23 @@ def _check_budget(total: float, dt_cfl: float):
                        f"({n} steps > budget {_MAX_INTERNAL_STEPS})")
 
 
-def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
-                    epsilon: float = 0.0, mollifier_n=None) -> ValueField:
+def _provenance(model: ModelSpec, grid: Grid, tc: TerminalCondition,
+                scheme_id: str, dt_cfl: float) -> dict:
+    """What a solve records; the viscosity entry stays 0 so field files keep their bytes."""
+    s_last = grid.horizon - float(grid.t_nodes[-2])
+    return {
+        "epsilon": 0.0,
+        "mollifier_n": "heaviside" if tc.kind == "heaviside" else None,
+        "scheme_id": scheme_id,
+        "model_hash": model.model_hash(),
+        "cap_lambda": model.cap_lambda,
+        "tc_kind": tc.kind,
+        "internal_dt": dt_cfl,
+        "smoothing_width": max(grid.de, model.ell2 * s_last),
+    }
+
+
+def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> ValueField:
     """March the full value-function equation backward on a (t, p, e) grid.
 
     Heaviside data may be supplied directly (the scheme's numerical
@@ -388,7 +396,6 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
         raise ValueError("solve_mollified needs a (t, p, e) grid of p-dim 1 or 2")
     check_domain(model, grid)
     de = grid.de
-    eps2 = float(epsilon) ** 2
 
     p_axes = grid.p_nodes
     mesh = np.meshgrid(*p_axes, indexing="ij")
@@ -405,8 +412,6 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
 
     # diffusion/drift coefficients per p-axis (diagonal part of sigma sigma^T)
     sig = model.diffusion(p_flat)                      # (n, d, d)
-    if sig.ndim == 2:
-        sig = sig[..., None]
     a_full = np.einsum("nij,nkj->nik", sig, sig)
     if grid.dim == 2:
         off = a_full.copy()
@@ -423,10 +428,9 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
     out[-1] = u
 
     t_nodes = grid.t_nodes
-    eps_e = 0.5 * eps2 / de**2
     # p-sweep coefficients and views of u with the swept axis first; the
     # trailing unit axis broadcasts the factors over e
-    p_coef = [(np.moveaxis(0.5 * (a_diag[..., k] + eps2), k, 0)[..., None],
+    p_coef = [(np.moveaxis(0.5 * a_diag[..., k], k, 0)[..., None],
                np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
               for k in range(grid.dim)]
     u_swept = [np.moveaxis(u, k, 0) for k in range(grid.dim)]
@@ -447,26 +451,12 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition,
             u[..., 0], u[..., -1] = 0.0, 1.0
             for x, row, fac in zip(u_swept, rows, factors):
                 _thomas_sweep(x, *fac, row)
-            if eps_e > 0.0:
-                ab = _tridiag(dt * eps_e, 0.0, len(grid.e_nodes), False)
-                _solve_axis(u, u.ndim - 1, ab)
             u[..., 0], u[..., -1] = 0.0, 1.0
         _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
         out[j] = u
 
-    s_last = grid.horizon - float(grid.t_nodes[-2])
-    prov = {
-        "epsilon": float(epsilon),
-        "mollifier_n": ("heaviside" if (mollifier_n is None
-                                        and tc.kind == "heaviside") else mollifier_n),
-        "scheme_id": "upwind_semi_implicit_v1",
-        "model_hash": model.model_hash(),
-        "cap_lambda": model.cap_lambda,
-        "tc_kind": tc.kind,
-        "internal_dt": dt_cfl,
-        "smoothing_width": max(de, model.ell2 * s_last),
-    }
-    return ValueField(grid=grid, values=out, provenance=prov)
+    return ValueField(grid=grid, values=out, provenance=_provenance(
+        model, grid, tc, "upwind_semi_implicit_v1", dt_cfl))
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +559,12 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
                 u[0], u[-1] = 0.0, 1.0
         r = d_int(s0, s1) / de**2
         if r > 0.0:
-            _solve_axis(u, 0, _tridiag(r, 0.0, ne, False))
+            _solve_axis(u, _tridiag(r, 0.0, ne, False))
         _snap_unit(u, f"reduced slice s={s1:.6g}")
         out[len(s_store) - 1 - j] = u
 
-    s_last = grid.horizon - float(grid.t_nodes[-2])
-    prov = {
-        "epsilon": 0.0,
-        "mollifier_n": "heaviside" if tc.kind == "heaviside" else None,
-        "scheme_id": "reduced_upwind_semi_implicit_v1",
-        "model_hash": model.model_hash(),
-        "cap_lambda": model.cap_lambda,
-        "tc_kind": tc.kind,
-        "internal_dt": dt_cfl,
-        "smoothing_width": max(de, model.ell2 * s_last),
-    }
-    return ValueField(grid=grid, values=out, provenance=prov)
+    return ValueField(grid=grid, values=out, provenance=_provenance(
+        model, grid, tc, "reduced_upwind_semi_implicit_v1", dt_cfl))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +572,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
 # ---------------------------------------------------------------------------
 
 def full_field(model: ModelSpec, tc: TerminalCondition, gcfg: dict,
-               mollifier_n=None, pad: float = 0.0, t_extra=()) -> ValueField:
+               pad: float = 0.0, t_extra=()) -> ValueField:
     """Full (t, p, e) field: ``n_t`` uniform slices (default 100) plus
     ``t_extra``, e-step ``de_full`` over the e-domain widened by ``pad``, and
     ``n_p`` nodes (default 51) on [-p_half, p_half] (default 3) per p-axis."""
@@ -604,19 +584,18 @@ def full_field(model: ModelSpec, tc: TerminalCondition, gcfg: dict,
         e_nodes=e_nodes_for(model, gcfg["de_full"], pad=pad),
         p_nodes=tuple(np.linspace(-p_half, p_half, gcfg.get("n_p", 51))
                       for _ in range(model.dim_p)))
-    return solve_mollified(model, grid, tc, mollifier_n=mollifier_n)
+    return solve_mollified(model, grid, tc)
 
 
 def reduced_tail_field(model: ModelSpec, tc: TerminalCondition,
                        gcfg: dict) -> ValueField:
     """Reduced field on e-step ``de_reduced`` whose slices form a geometric
-    tail accumulating at the horizon (the ``tail_*`` keys of ``gcfg``)."""
+    tail accumulating at the horizon (``tail_s_min`` and ``tail_switch`` of
+    ``gcfg``)."""
     t_nodes = time_nodes_with_tail(
-        0.0, model.horizon_T, 0,
-        s_min=gcfg.get("tail_s_min", 2.0 * gcfg["de_reduced"] / model.ell1),
-        ratio=gcfg.get("tail_ratio", 1.07),
-        s_switch=gcfg.get("tail_switch"),
-        coarse_ratio=gcfg.get("tail_coarse", 1.25))
+        model.horizon_T,
+        gcfg.get("tail_s_min", 2.0 * gcfg["de_reduced"] / model.ell1),
+        gcfg.get("tail_switch"))
     e = e_nodes_for(model, gcfg["de_reduced"])
     return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
 

@@ -55,7 +55,7 @@ def test_write_csv_is_deterministic(tmp_path):
 def test_roundtrip_keeps_every_axis_exactly(tmp_path):
     # first + step * arange misses these e- and p-nodes by up to 4e-13
     m = affine_model(alpha=[0.5, 0.3], gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=time_nodes_with_tail(0.0, 0.1, 1, s_min=2e-2, ratio=2.0),
+    g = Grid(t_nodes=time_nodes_with_tail(0.1, 2e-2),
              e_nodes=e_nodes_for(m, 8e-6),
              p_nodes=(np.linspace(0.1, 0.7, 3), np.linspace(-0.3, 0.9, 3)))
     vf = ValueField(grid=g, values=np.zeros((len(g.t_nodes),) + g.space_shape()))

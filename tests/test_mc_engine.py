@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  _BLOCK, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
 from fbsde_lab.value_pde import (Grid, e_nodes_for, gradient_fields,
-                                 solve_mollified, solve_reduced_1d, time_nodes_with_tail,
-                                 uniform_time_nodes)
+                                 reduced_aligned_field, solve_mollified, solve_reduced_1d,
+                                 time_nodes_with_tail, uniform_time_nodes)
 
 
 def degenerate_setup(n_paths=500, e0_frac=0.5, T=0.1):
     model = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=T)
     tc = heaviside_tc(0.0)
-    t_nodes = time_nodes_with_tail(0.0, T, 400, s_min=4e-5, ratio=1.07,
-                                   s_switch=0.02, coarse_ratio=1.25)
+    t_nodes = np.union1d(np.linspace(0.0, T, 401), time_nodes_with_tail(T, 4e-5, 0.02))
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 2e-5))
     field = solve_reduced_1d(model, grid, tc)
     cfg = SimConfig(n_paths=n_paths, n_steps=400, t0=0.0, p0=np.zeros(1),
@@ -38,8 +38,7 @@ def degenerate_setup(n_paths=500, e0_frac=0.5, T=0.1):
 def noisy_setup(n_paths=4000, alpha=0.5, T=0.1, seed=11, snapshots=()):
     model = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
     tc = heaviside_tc(0.0)
-    t_nodes = time_nodes_with_tail(0.0, T, 400, s_min=4e-5, ratio=1.07,
-                                   s_switch=0.02, coarse_ratio=1.25)
+    t_nodes = np.union1d(np.linspace(0.0, T, 401), time_nodes_with_tail(T, 4e-5, 0.02))
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 2e-5))
     field = solve_reduced_1d(model, grid, tc)
     cfg = SimConfig(n_paths=n_paths, n_steps=400, t0=0.0, p0=np.zeros(1),
@@ -74,18 +73,24 @@ def _noisy_de_v():
 @example(n_paths=5, batch_size=64)      # one batch larger than n_paths
 def test_batch_size_does_not_change_results(n_paths, batch_size):
     model, field, cfg = _noisy_field()
-    whole = dataclasses.replace(cfg, n_paths=n_paths)
-    split = dataclasses.replace(whole, batch_size=batch_size)
-    a = simulate_forward(model, field, whole)
-    b = simulate_forward(model, field, split)
-    for name in ("terminal_E", "terminal_Y", "terminal_Ebar", "escaped"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    # the other stepper callers; repr spells every float exactly
-    assert repr(trap_diagnostic(model, whole)) \
-        == repr(trap_diagnostic(model, split))
+    cfg = dataclasses.replace(cfg, n_paths=n_paths)
     de_v = _noisy_de_v()
-    assert repr(feynman_kac_grad_p(model, field, de_v, whole)) \
-        == repr(feynman_kac_grad_p(model, field, de_v, split))
+
+    def run():   # repr spells every float exactly
+        ens = simulate_forward(model, field, cfg)
+        return ([getattr(ens, name) for name in ("terminal_E", "terminal_Y",
+                                                 "terminal_Ebar", "escaped")],
+                # the other stepper callers
+                repr(trap_diagnostic(model, cfg)),
+                repr(feynman_kac_grad_p(model, field, de_v, cfg)))
+
+    whole = run()
+    # hypothesis refuses function-scoped fixtures such as monkeypatch
+    with mock.patch.object(mc_engine, "_BATCH_PATHS", batch_size):
+        split = run()
+    for a, b in zip(whole[0], split[0]):
+        assert np.array_equal(a, b)
+    assert whole[1:] == split[1:]
 
 
 @pytest.mark.parametrize("dim_p, start, message", [
@@ -258,8 +263,8 @@ def test_sandwich_full_slack_never_violates():
 def test_sandwich_smooth_ramp_small_violation():
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
     tc = smooth_ramp_tc(0.0, 0.1)
-    t_nodes = time_nodes_with_tail(0.0, 0.1, 400, s_min=4e-5, ratio=1.07,
-                                   s_switch=0.02, coarse_ratio=1.25)
+    t_nodes = np.union1d(np.linspace(0.0, 0.1, 401),
+                         time_nodes_with_tail(0.1, 4e-5, 0.02))
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 1e-4))
     field = solve_reduced_1d(model, grid, tc)
     cfg = SimConfig(n_paths=4000, n_steps=400, t0=0.0, p0=np.zeros(1),
@@ -310,6 +315,28 @@ def test_variance_scan_rejects_late_times():
     model, field, cfg = noisy_setup(n_paths=300)
     with pytest.raises(ValueError):
         variance_scan(model, field, cfg, t_list=[0.09])
+
+
+def test_variance_scan_steps_on_uniform_nodes_and_requested_times(monkeypatch):
+    # the Euler grid's refinement near T starts within two uniform steps of T,
+    # so a scan stopping at or before (t0 + T)/2 never steps on it
+    model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    t_list = 0.05 * np.geomspace(0.05, 1.0, 8)   # as check_variance asks at T = 0.1
+    field = reduced_aligned_field(model, heaviside_tc(0.0), 1e-4, 200,
+                                  t_extra=t_list, t_stop=float(t_list[-1]))
+    cfg = SimConfig(n_paths=50, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.05, seed=3)
+    grids, stepper = [], mc_engine.euler_paths
+    monkeypatch.setattr(mc_engine, "euler_paths", lambda m, c, tgrid, f:
+                        grids.append(tgrid) or stepper(m, c, tgrid, f))
+    variance_scan(model, field, cfg, t_list)
+    allowed = np.union1d(np.linspace(0.0, 0.1, 201), t_list)
+    allowed = allowed[allowed <= t_list[-1] + 1e-15]
+    (tgrid,) = grids
+
+    def gaps(a, b):   # distance from each node of a to the nearest node of b
+        return np.min(np.abs(a[:, None] - b[None, :]), axis=1)
+    assert np.all(gaps(tgrid, allowed) <= 1e-12)
+    assert np.all(gaps(allowed, tgrid) <= 1e-12)
 
 
 def test_prefactor_report_verdicts():
@@ -399,10 +426,8 @@ def test_trap_probability_increases_toward_horizon():
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(n_paths=10, n_steps=50, t0=0.0, p0=np.zeros(1), e0=0.0, seed=1)
-    for bad in ({"n_paths": 0}, {"batch_size": 0}):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            SimConfig(**{"n_paths": 10, "n_steps": 200, "t0": 0.0,
-                         "p0": np.zeros(1), "e0": 0.0, "seed": 1, **bad})
+    with pytest.raises(ValueError, match=re.escape("n_paths (0) must be >= 1")):
+        SimConfig(n_paths=0, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0, seed=1)
     for seed in (-1, 2**64, 7.0, True, "7"):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,

@@ -19,6 +19,10 @@ def light_overrides():
     return {"sim": {"n_paths": 2000, "n_steps": 400, "seed": 7}}
 
 
+def light_config():
+    return scenario_config("degenerate_characteristics", light_overrides())
+
+
 def test_catalog_contents_and_stability():
     cat = registry_list()
     names = [c["name"] for c in cat]
@@ -43,8 +47,7 @@ def test_unknown_scenario_is_refused():
 
 
 def test_run_scenario_writes_record_and_tables(tmp_path):
-    rec = run_scenario("degenerate_characteristics", output_root=tmp_path,
-                       overrides=light_overrides(),
+    rec = run_scenario(light_config(), output_root=tmp_path,
                        checks=["validate", "characteristics", "dirac_atom"])
     out = tmp_path / "degenerate_characteristics"
     assert (out / "record.json").exists()
@@ -56,12 +59,9 @@ def test_run_scenario_writes_record_and_tables(tmp_path):
 
 
 def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):
-    kw = dict(overrides=light_overrides(),
-              checks=["validate", "characteristics"])
-    rec1 = run_scenario("degenerate_characteristics",
-                        output_root=tmp_path / "a", **kw)
-    rec2 = run_scenario("degenerate_characteristics",
-                        output_root=tmp_path / "b", **kw)
+    checks = ["validate", "characteristics"]
+    rec1 = run_scenario(light_config(), output_root=tmp_path / "a", checks=checks)
+    rec2 = run_scenario(light_config(), output_root=tmp_path / "b", checks=checks)
     assert rec1.config_hash == rec2.config_hash
     assert rec1.stats == rec2.stats
     for f1 in sorted((tmp_path / "a" / "degenerate_characteristics").glob("*.csv")):
@@ -70,9 +70,7 @@ def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):
 
 
 def test_emit_plot_data_atom_curve_monotone(tmp_path):
-    run_scenario("degenerate_characteristics", output_root=tmp_path,
-                 overrides=light_overrides(),
-                 checks=["validate", "dirac_atom"])
+    run_scenario(light_config(), output_root=tmp_path, checks=["validate", "dirac_atom"])
     out = tmp_path / "degenerate_characteristics"
     path = emit_plot_data(out, "dirac_atom")
     lines = path.read_text().strip().splitlines()
@@ -83,14 +81,13 @@ def test_emit_plot_data_atom_curve_monotone(tmp_path):
 
 
 def test_emit_plot_data_missing_check_errors(tmp_path):
-    run_scenario("degenerate_characteristics", output_root=tmp_path,
-                 overrides=light_overrides(), checks=["validate"])
+    run_scenario(light_config(), output_root=tmp_path, checks=["validate"])
     with pytest.raises(FileNotFoundError):
         emit_plot_data(tmp_path / "degenerate_characteristics", "dirac_atom")
 
 
 def test_validation_failure_refuses_pipeline(tmp_path):
-    bad = scenario_config("degenerate_characteristics", light_overrides())
+    bad = light_config()
     bad["model"]["gamma"] = 1.0
     bad["model"]["alpha"] = 0.0
     bad["model"]["lipschitz_L"] = 1.0
@@ -255,6 +252,13 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "sweeps.gap_horizons", "type float", "not 'a'"]),
     (json.dumps({"sweeps": {"gap_horizons": [0.1, True]}}),
      ["bad config", "sweeps.gap_horizons", "type float", "not True"]),
+    # burgers_gap fits its rate across at least two distinct horizons
+    (json.dumps({"sweeps": {"gap_horizons": []}}),
+     ["bad config", "gap_horizons []", "fewer than two distinct"]),
+    (json.dumps({"sweeps": {"gap_horizons": [0.05]}}),
+     ["bad config", "gap_horizons [0.05]", "fewer than two distinct"]),
+    (json.dumps({"sweeps": {"gap_horizons": [0.05, 0.05]}}),
+     ["bad config", "gap_horizons [0.05, 0.05]", "fewer than two distinct"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -267,6 +271,45 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
         assert not out.exists()   # refused before any check ran
+
+
+@pytest.mark.parametrize("scenario, over, words", [
+    ("nonlinear_1d", {"checks": ["mirror_symmetry"]},
+     ["check 'mirror_symmetry'", "reduced solve", "nonlinear_1d family has no gamma"]),
+    ("nonlinear_1d", {"checks": ["transmission"]},
+     ["check 'transmission'", "reduced solve", "nonlinear_1d family has no gamma"]),
+    # a grid naming de_reduced makes the scenario's own field a reduced one
+    ("nonlinear_1d", {"checks": ["sandwich"], "grid": {"de_reduced": 1e-3}},
+     ["check 'sandwich'", "reduced solve", "nonlinear_1d family has no gamma"]),
+    ("linear_drift_neg", {"checks": ["burgers_gap"],
+                          "sweeps": {"gap_horizons": [0.2, 0.1]}},
+     ["check 'burgers_gap'", "full solve", "grid names no 'de_full'"]),
+])
+def test_cli_refuses_a_check_the_scenario_cannot_serve(tmp_path, capsys, scenario,
+                                                      over, words):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(over))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", scenario, "--config", str(cfgfile),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and all(w in err for w in words), err
+    assert not out.exists()   # refused before any check ran
+    with pytest.raises(ValueError, match=re.escape(words[0])):
+        run_scenario(scenario_config(scenario, over))
+
+
+def test_every_registry_run_is_served():
+    # each scenario's own check list passes the CLI's config path, which
+    # refuses checks a scenario cannot serve; no check runs here
+    from argparse import Namespace
+    from fbsde_lab.cli import _scenario_cfg
+    for entry in registry_list():
+        args = Namespace(scenario=entry["name"], config=None, seed=None, n_paths=None)
+        resolved = _scenario_cfg(args)
+        assert resolved is not None, entry["name"]
+        assert resolved[0]["checks"] == entry["checks"]
 
 
 @pytest.mark.parametrize("flags, words", [
