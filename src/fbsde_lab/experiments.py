@@ -622,6 +622,8 @@ _SOLVES = {"full": "equivalence bound_report", "gap": "burgers_gap",
            "reduced": "equivalence mirror_symmetry flow_squeeze variance transmission "
                       "transmission_sign_change characteristics mass_near_start "
                       "feynman_kac"}
+# the checks whose estimator needs a model with one forward dimension
+_ONE_DIM = "feynman_kac"
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +641,12 @@ def check_names(names) -> list:
 
 def servable_checks(cfg, names=None) -> list:
     """``names`` (default: the config's checks) as a list, after refusing any
-    that is not a check or needs a solve (``_SOLVES``) the scenario cannot serve."""
+    that is not a check, needs a solve (``_SOLVES``) the scenario cannot serve,
+    or needs one forward dimension (``_ONE_DIM``) the model lacks."""
     todo = check_names(cfg["checks"] if names is None else names)
     grid, family = cfg.get("grid", {}), cfg["model"]["family"]
-    no_gamma = build_model(cfg["model"]).family_params.get("gamma") is None
+    model = build_model(cfg["model"])
+    no_gamma = model.family_params.get("gamma") is None
     lacks = {"reduced": f"the {family} family has no gamma" if no_gamma else "",
              "full": "" if "de_full" in grid else "grid names no 'de_full'"}
     kind = {"scenario": "reduced" if "de_reduced" in grid else "full",
@@ -652,6 +656,10 @@ def servable_checks(cfg, names=None) -> list:
         k = kind.get(solve, solve)
         refused += [f"check {name!r} needs a {k} solve, but {lacks[k]}"
                     for name in todo if name in users.split() and lacks[k]]
+    if model.dim_p != 1:
+        refused += [f"check {name!r} needs a model with one forward dimension, "
+                    f"but the model has {model.dim_p}"
+                    for name in todo if name in _ONE_DIM.split()]
     if refused:
         raise ValueError("; ".join(refused))
     return todo

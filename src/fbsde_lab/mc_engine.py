@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import ValueField, _interp_space, _slice_index, check_model
+from .value_pde import _WORKERS, ValueField, _interp_space, _slice_index, check_model
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,6 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
 
 
 _BATCH_PATHS = 16_384   # paths stepped together (results do not depend on it)
-_WORKERS = 2    # threads that draw the normals of one batch
 _BLOCK = 64     # paths drawn into one contiguous buffer before the transposed copy
 
 

@@ -21,6 +21,11 @@ the plain formula's ufunc order (bit for bit) on scratch buffers made once per
 solve, and each p-direction matrix is factored once per stored span (fixed
 step) for an in-place, row-vectorised Thomas sweep.  ``_tridiag`` assembles
 every tridiagonal M-matrix; the long e-axis systems go to ``solve_banded``.
+On grids of at least ``_THREAD_MIN_CELLS`` cells the full solver evaluates
+the feedback and the transport of each sub-step on ``_WORKERS`` threads, one
+contiguous range of p-rows each: both act within a row, so every element
+sees the same operations and the field is the same bit for bit.  The
+p-sweeps and the edge pins stay on the calling thread.
 
 The reduced transport updates only the nodes that can change: binary data
 keep vbar exactly 1, or below 2**-60, outside a band around the cap, where
@@ -33,6 +38,9 @@ one way to build a field from a scenario's grid settings.
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -49,6 +57,8 @@ _WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
 _TAIL_RATIO = 1.07    # step ratio of the geometric time tail of stored slices
 _TAIL_COARSE = 1.25   # its ratio above the switch time-to-go
+_WORKERS = 2          # threads of one full-solver substep, and of the path normals
+_THREAD_MIN_CELLS = 35_000   # full-solver grids below this stay on one thread
 
 
 class CFLError(RuntimeError):
@@ -276,18 +286,18 @@ def _snap_unit(u: np.ndarray, context: str):
 
 
 def _upwind_transport(u: np.ndarray, speed: np.ndarray, dt_over_de: float,
-                      back, fwd, a_plus, a_minus):
+                      diff, a_plus, a_minus):
     """In-place explicit upwind step of u_t + speed * u_e = 0 (last axis e),
-    u -= dt_over_de * (a_plus * back + a_minus * fwd), on scratch buffers
-    shaped like ``u``."""
-    np.subtract(u[..., 1:], u[..., :-1], out=back[..., 1:])
-    back[..., 0] = 0.0
-    np.subtract(u[..., 1:], u[..., :-1], out=fwd[..., :-1])
-    fwd[..., -1] = 0.0
+    u -= dt_over_de * (a_plus * back + a_minus * fwd).  ``diff`` is one node
+    longer than ``u`` along e and zero at both ends (the caller's pads, never
+    written here): it takes the differences along e in between, and back and
+    fwd are its two shifted views.  ``a_plus`` and ``a_minus`` are shaped
+    like ``u``."""
+    np.subtract(u[..., 1:], u[..., :-1], out=diff[..., 1:-1])
     np.maximum(speed, 0.0, out=a_plus)
     np.minimum(speed, 0.0, out=a_minus)
-    a_plus *= back
-    a_minus *= fwd
+    a_plus *= diff[..., :-1]
+    a_minus *= diff[..., 1:]
     a_plus += a_minus
     a_plus *= dt_over_de
     u -= a_plus
@@ -338,9 +348,11 @@ def _thomas_factors(ab: np.ndarray):
     return low, piv, up
 
 
-def _thomas_sweep(x: np.ndarray, low, piv, up, row: np.ndarray):
+def _thomas_sweep(x, low, piv, up, row: np.ndarray):
     """Solve in place along axis 0 of ``x``, a whole row ``x[i]`` per step;
-    ``row`` is a scratch buffer shaped like ``x[0]``."""
+    ``row`` is a scratch buffer shaped like ``x[0]``.  Each of ``x``, ``low``,
+    ``piv`` and ``up`` may be an array or a list of its rows (views made once,
+    which spares the indexing of every step)."""
     for i in range(len(low)):
         np.multiply(low[i], x[i], out=row)
         x[i + 1] -= row
@@ -349,6 +361,44 @@ def _thomas_sweep(x: np.ndarray, low, piv, up, row: np.ndarray):
         np.multiply(up[i], x[i + 1], out=row)
         x[i] -= row
         x[i] /= piv[i]
+
+
+@contextmanager
+def _row_threads(step, parts):
+    """Yield ``run(arg)``, which applies ``step(arg, *part)`` to every part,
+    the last on the calling thread and each other on a thread of its own,
+    and returns the results; a worker's error is re-raised by ``run``.  The
+    threads are started once and wait on a queue between runs."""
+    todo = [queue.SimpleQueue() for _ in parts[:-1]]
+    done = queue.SimpleQueue()
+
+    def serve(part, jobs):
+        for arg in iter(jobs.get, None):
+            try:
+                done.put(step(arg, *part))
+            except BaseException as exc:     # handed to the calling thread
+                done.put(exc)
+
+    def run(arg):
+        for jobs in todo:
+            jobs.put(arg)
+        results = [step(arg, *parts[-1])] + [done.get() for _ in todo]
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return results
+
+    threads = [threading.Thread(target=serve, args=(part, jobs), daemon=True)
+               for part, jobs in zip(parts, todo)]
+    for thread in threads:
+        thread.start()
+    try:
+        yield run
+    finally:
+        for jobs in todo:
+            jobs.put(None)
+        for thread in threads:
+            thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +478,49 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
     out[-1] = u
 
     t_nodes = grid.t_nodes
-    # p-sweep coefficients and views of u with the swept axis first; the
+    # p-sweep coefficients and the rows of u along each p-axis (views); the
     # trailing unit axis broadcasts the factors over e
     p_coef = [(np.moveaxis(0.5 * a_diag[..., k], k, 0)[..., None],
                np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
               for k in range(grid.dim)]
-    u_swept = [np.moveaxis(u, k, 0) for k in range(grid.dim)]
-    rows = [np.empty(x.shape[1:]) for x in u_swept]
-    scratch = [np.empty_like(u) for _ in range(4)]
+    u_swept = [list(np.moveaxis(u, k, 0)) for k in range(grid.dim)]
+    rows = [np.empty(x[0].shape) for x in u_swept]
 
+    # feedback and transport act within a p-row: contiguous ranges of the
+    # first p-axis, each with its scratch, on the calling thread and workers
     p_bcast = p_stack[..., None, :]          # broadcasts against (*p_shape, ne)
-    for j in range(len(t_nodes) - 2, -1, -1):
-        span = float(t_nodes[j + 1] - t_nodes[j])
-        n_sub = max(1, int(np.ceil(span / dt_cfl)))
-        dt = span / n_sub
-        factors = [_thomas_factors(_tridiag(dt * diff / dx**2, dt * drift / dx,
-                                            len(diff), True))
-                   for diff, drift, dx in p_coef]
-        for _ in range(n_sub):
-            speed = model.feedback.value(p_bcast, u)
-            _upwind_transport(u, speed, dt / de, *scratch)
-            u[..., 0], u[..., -1] = 0.0, 1.0
-            for x, row, fac in zip(u_swept, rows, factors):
-                _thomas_sweep(x, *fac, row)
-            u[..., 0], u[..., -1] = 0.0, 1.0
-        _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
-        out[j] = u
+    n_rows = u.shape[0]
+    n_parts = min(_WORKERS, n_rows) if u.size >= _THREAD_MIN_CELLS else 1
+    # a worker starts each substep a wake-up after the calling thread, so the
+    # calling thread takes the last range, one and a half shares of the rows
+    edges = [round(n_rows * w / (n_parts + 0.5)) for w in range(n_parts)] + [n_rows]
+    parts = [(u[lo:hi], p_bcast[lo:hi], np.zeros(u[lo:hi].shape[:-1] + (u.shape[-1] + 1,)),
+              np.empty_like(u[lo:hi]), np.empty_like(u[lo:hi]))
+             for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def feedback_transport(dt_over_de, u_part, p_part, *scratch):
+        speed = model.feedback.value(p_part, u_part)
+        _upwind_transport(u_part, speed, dt_over_de, *scratch)
+        return speed
+
+    with _row_threads(feedback_transport, parts) as run:
+        for j in range(len(t_nodes) - 2, -1, -1):
+            span = float(t_nodes[j + 1] - t_nodes[j])
+            n_sub = max(1, int(np.ceil(span / dt_cfl)))
+            dt = span / n_sub
+            factors = [[list(f) for f in _thomas_factors(
+                           _tridiag(dt * diff / dx**2, dt * drift / dx, len(diff), True))]
+                       for diff, drift, dx in p_coef]
+            for _ in range(n_sub):
+                # the speed arrays stay referenced until the next ones are made,
+                # so the allocator does not hand their pages back every substep
+                speeds = run(dt / de)
+                u[..., 0], u[..., -1] = 0.0, 1.0
+                for x, row, fac in zip(u_swept, rows, factors):
+                    _thomas_sweep(x, *fac, row)
+                u[..., 0], u[..., -1] = 0.0, 1.0
+            _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
+            out[j] = u
 
     return ValueField(grid=grid, values=out, provenance=_provenance(
         model, grid, tc, "upwind_semi_implicit_v1", dt_cfl))
@@ -556,6 +623,8 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
                 np.multiply(c, mid, out=fl)
                 fl *= sl
                 mid -= fl
+                # not a dead store: the pivoting e-solve below leaves u[0]
+                # slightly off 0, and a = 1 reads it
                 u[0], u[-1] = 0.0, 1.0
         r = d_int(s0, s1) / de**2
         if r > 0.0:

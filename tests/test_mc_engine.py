@@ -19,6 +19,7 @@ from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  trap_diagnostic, variance_scan,
                                  _BLOCK, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
+from fbsde_lab.scenarios import build_model, scenario_config
 from fbsde_lab.value_pde import (Grid, e_nodes_for, gradient_fields,
                                  reduced_aligned_field, solve_mollified, solve_reduced_1d,
                                  time_nodes_with_tail, uniform_time_nodes)
@@ -411,6 +412,32 @@ def test_trap_bridge_pinned_at_cap():
     assert rep.p_hat_F > 0.5
     assert rep.zbar_terminal_dev <= 1e-12
     assert rep.zbar_near_terminal_dev <= 1e-3
+
+
+def _strip_probability(a, tau, terms=50):
+    """P(sup_[0, tau] |W| < a) for a standard Brownian motion W (the series
+    for Brownian motion in a strip)."""
+    k = np.arange(terms)
+    return float(4 / np.pi * np.sum((-1.0) ** k / (2 * k + 1)
+                                    * np.exp(-(2 * k + 1) ** 2 * np.pi**2 * tau / (8 * a**2))))
+
+
+@pytest.mark.parametrize("horizon", [0.4, 0.1])
+def test_trap_probability_matches_the_strip_series(horizon):
+    # affine family: M_t = sigma |alpha| W_t, so F is a Brownian strip event
+    # over tau = sigma^2 |alpha|^2 (T - t0); the sup is monitored only at the
+    # grid times, which the barrier shift of Broadie, Glasserman and Kou
+    # (0.5826 sigma |alpha| sqrt(dt)) corrects for
+    cfg = scenario_config("affine_dirac")
+    model = build_model(cfg["model"], horizon=horizon)
+    n_steps = 500
+    sim = SimConfig(n_paths=20_000, n_steps=n_steps, t0=0.0, p0=np.zeros(1),
+                    e0=0.0, seed=8)
+    rep = trap_diagnostic(model, sim)
+    scale = model.family_params["sigma"] * float(np.linalg.norm(model.family_params["alpha"]))
+    a = model.ell1 / 16 + 0.5826 * scale * np.sqrt(horizon / n_steps)
+    exact = _strip_probability(a, scale**2 * horizon)
+    assert abs(rep.p_hat_F - exact) <= 3 * rep.std_error, (rep.p_hat_F, exact)
 
 
 def test_trap_probability_increases_toward_horizon():

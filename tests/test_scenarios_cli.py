@@ -284,6 +284,8 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     ("linear_drift_neg", {"checks": ["burgers_gap"],
                           "sweeps": {"gap_horizons": [0.2, 0.1]}},
      ["check 'burgers_gap'", "full solve", "grid names no 'de_full'"]),
+    ("affine_smooth_ramp", {"checks": ["feynman_kac"], "model": {"alpha": [0.5, 0.3]}},
+     ["check 'feynman_kac'", "one forward dimension", "the model has 2"]),
 ])
 def test_cli_refuses_a_check_the_scenario_cannot_serve(tmp_path, capsys, scenario,
                                                       over, words):

@@ -1,3 +1,8 @@
+import dataclasses
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,7 +290,9 @@ def test_upwind_transport_is_bit_identical_to_formula(p_shape):
     speed = rng.uniform(-2.0, 2.0, u.shape)
     ref = u.copy()
     _transport_reference(ref, speed, 0.3)
-    scratch = [np.full_like(u, np.nan) for _ in range(4)]
+    diff = np.full(p_shape + (51,), np.nan)
+    diff[..., 0] = diff[..., -1] = 0.0         # the caller's zero pads
+    scratch = [diff, np.full_like(u, np.nan), np.full_like(u, np.nan)]
     for _ in range(2):          # stale scratch contents must not leak in
         v = u.copy()
         _upwind_transport(v, speed, 0.3, *scratch)
@@ -413,3 +420,65 @@ def test_scheme_invariants_on_random_grids(family, coef, T, shift, width, n_p, n
         assert v.min() >= 0.0 and v.max() <= 1.0
         assert np.min(np.diff(v, axis=-1)) >= -1e-12
     assert np.max(lo - hi) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the full solver's substep on several threads
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["nonlinear", "affine", "dim2"]),
+       coef=st.floats(0.0, 0.9), T=st.floats(0.05, 0.15),
+       n_p=st.integers(3, 8), n_t=st.integers(2, 4), workers=st.integers(2, 4))
+def test_thread_split_changes_no_bit(family, coef, T, n_p, n_t, workers):
+    if family == "nonlinear":
+        m = build_model({"family": "nonlinear_1d", "f0_amplitude": 0.2 * coef,
+                         "sigma": 0.75, "horizon_T": T})
+    else:
+        alpha = [coef, 0.5 * coef] if family == "dim2" else coef
+        m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
+    p = tuple(np.linspace(-1.5, 1.5, n_p) for _ in range(m.dim_p))
+    g = Grid(t_nodes=uniform_time_nodes(0.0, T, n_t),
+             e_nodes=e_nodes_for(m, 1e-2 if family == "dim2" else 4e-3), p_nodes=p)
+    tc = smooth_ramp_tc(0.0, 0.1)
+    values = {}
+    # hypothesis refuses function-scoped fixtures such as monkeypatch
+    with mock.patch.object(value_pde, "_WORKERS", workers):
+        for min_cells in (0, 10**18):
+            with mock.patch.object(value_pde, "_THREAD_MIN_CELLS", min_cells):
+                values[min_cells] = solve_mollified(m, g, tc).values.tobytes()
+    # bytes, not array_equal: a -0.0 in place of 0.0 would show
+    assert values[0] == values[10**18]
+
+
+def test_thread_split_under_thread_stress(monkeypatch):
+    # more workers than cores, and a thread switch every microsecond
+    m = build_model({"family": "nonlinear_1d", "sigma": 0.75, "horizon_T": 0.1})
+    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 3), e_nodes=e_nodes_for(m, 4e-3),
+             p_nodes=(np.linspace(-1.5, 1.5, 11),))
+    tc = smooth_ramp_tc(0.0, 0.1)
+    serial = solve_mollified(m, g, tc).values.tobytes()
+    monkeypatch.setattr(value_pde, "_WORKERS", 5)
+    monkeypatch.setattr(value_pde, "_THREAD_MIN_CELLS", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = solve_mollified(m, g, tc).values.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
+    m = small_model()
+    caller = threading.current_thread()
+
+    def value(p, y):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("feedback failed on a worker")
+        return m.feedback.value(p, y)
+
+    bad = dataclasses.replace(m, feedback=dataclasses.replace(m.feedback, value=value))
+    monkeypatch.setattr(value_pde, "_THREAD_MIN_CELLS", 0)
+    with pytest.raises(RuntimeError, match="feedback failed on a worker"):
+        solve_mollified(bad, small_grid(bad), heaviside_tc(0.0))
