@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_core import ModelSpec, effective_ell
+from .model_core import ModelSpec, _dot_last, effective_ell
 
 
 def psi(x):
@@ -99,7 +99,7 @@ class WEvaluator:
         alpha, b = pr["alpha"], pr["b"]
         s = self.model.horizon_T - np.asarray(t, dtype=float)
         p = np.asarray(p, dtype=float)
-        return s * (np.tensordot(p, alpha, axes=([-1], [0]))
+        return s * (_dot_last(p, alpha)
                     + 0.5 * s * float(alpha @ b))
 
     def _linear_drift(self, t, p):

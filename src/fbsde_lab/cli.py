@@ -128,9 +128,10 @@ def cmd_simulate_only(args) -> int:
     out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_terminal.csv"
+    # Python floats format faster than numpy scalars, to the same text
     write_csv(path, ["E_T", "Y_T", "Ebar_T", "escaped"],
-              zip(ens.terminal_E, ens.terminal_Y, ens.terminal_Ebar,
-                  ens.escaped.astype(int)))
+              zip(ens.terminal_E.tolist(), ens.terminal_Y.tolist(),
+                  ens.terminal_Ebar.tolist(), ens.escaped.astype(int).tolist()))
     print(f"{path}  escape_fraction={ens.escape_fraction}")
     return 0
 

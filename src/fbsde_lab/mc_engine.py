@@ -99,7 +99,8 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
     return grid[keep]
 
 
-_BATCH_PATHS = 16_384   # paths stepped together (results do not depend on it)
+_BATCH_PATHS = 4_096   # paths stepped together: a batch's normals stay near 32 MB at
+                       # ~1,000 steps (results do not depend on it)
 _BLOCK = 64     # paths drawn into one contiguous buffer before the transposed copy
 
 
@@ -233,7 +234,7 @@ def _simulate_core(model: ModelSpec, field: ValueField,
                     Y = _interp_space(field.grid, field.values[j], P, E[a])
                 if k == k_y:
                     y_term[a] = Y
-                E[a] = E[a] - model.feedback.value(P, Y) * dt
+                E[a] -= model.feedback.value(P, Y) * dt
             key = round(float(tgrid[k + 1]), 12)
             if key in snaps:
                 for a in range(n_starts):

@@ -104,6 +104,21 @@ class ModelSpec:
 # model family constructors
 # ---------------------------------------------------------------------------
 
+def _dot_last(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.tensordot(p, v, axes=([-1], [0]))`` for a vector ``v``: the same
+    ``np.dot`` call on the same reshaped operands, so the same bits, without
+    tensordot's axis bookkeeping (a fixed cost of every Euler step)."""
+    return np.dot(p.reshape(-1, v.size), v.reshape(v.size, 1)).reshape(p.shape[:-1])
+
+
+def _filled(shape: tuple, v) -> np.ndarray:
+    """``np.broadcast_to(v, shape).copy()`` of a float ``v``: the same array,
+    without broadcast_to's set-up (a fixed cost of every Euler step)."""
+    out = np.empty(shape)
+    out[...] = v
+    return out
+
+
 def affine_model(alpha, gamma, sigma=1.0, b=0.0, cap_lambda=0.0, horizon_T=0.4,
                  lipschitz_L=None, dim_p=1) -> ModelSpec:
     """Constant-coefficient affine family: -f(p, y) = <alpha, p> - gamma*y.
@@ -117,27 +132,26 @@ def affine_model(alpha, gamma, sigma=1.0, b=0.0, cap_lambda=0.0, horizon_T=0.4,
         alpha_v = np.full(dim_p, float(alpha_v[0]))
     b_v = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), (dim_p,)).copy()
     sig = float(sigma)
+    sig_eye = sig * np.eye(dim_p)
     gamma = float(gamma)
 
     def f_val(p, y):
-        p = np.asarray(p, dtype=float)
-        ap = np.tensordot(p, alpha_v, axes=([-1], [0]))
+        ap = _dot_last(np.asarray(p, dtype=float), alpha_v)
         return gamma * np.asarray(y, dtype=float) - ap
 
     fb = FeedbackFn(
         value=f_val,
         dy=lambda p, y: np.broadcast_to(gamma, np.broadcast(np.asarray(p)[..., 0], y).shape).copy(),
         dp=lambda p, y: np.broadcast_to(-alpha_v, np.asarray(p, dtype=float).shape).copy(),
-        f_at_zero=lambda p: -np.tensordot(np.asarray(p, dtype=float), alpha_v, axes=([-1], [0])),
+        f_at_zero=lambda p: -_dot_last(np.asarray(p, dtype=float), alpha_v),
     )
     if lipschitz_L is None:
         lipschitz_L = max(1.0, gamma, 1.0 / gamma, sig, 1.0 / sig,
                           float(np.linalg.norm(alpha_v)), float(np.linalg.norm(b_v)))
     return ModelSpec(
         dim_p=dim_p,
-        drift=lambda p: np.broadcast_to(b_v, np.asarray(p, dtype=float).shape).copy(),
-        diffusion=lambda p: np.broadcast_to(sig * np.eye(dim_p),
-                                            np.asarray(p, dtype=float).shape + (dim_p,)).copy(),
+        drift=lambda p: _filled(np.shape(p), b_v),
+        diffusion=lambda p: _filled(np.shape(p) + (dim_p,), sig_eye),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
         ell1=gamma, ell2=gamma, holder_alpha=1.0,
@@ -167,7 +181,7 @@ def linear_drift_model(lam, alpha, gamma, sigma=1.0, b0=0.0, cap_lambda=0.0,
     return ModelSpec(
         dim_p=1,
         drift=lambda p: b0 + lam * np.asarray(p, dtype=float),
-        diffusion=lambda p: np.broadcast_to(sig, np.asarray(p, dtype=float).shape + (1,)).copy(),
+        diffusion=lambda p: _filled(np.shape(p) + (1,), sig),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
         ell1=gamma, ell2=gamma, holder_alpha=1.0,
@@ -210,7 +224,7 @@ def nonlinear_model(f0, f0_prime, mu=1.0, ell1=0.9, ell2=1.1, drift_slope=-0.5,
     return ModelSpec(
         dim_p=1,
         drift=lambda p: drift_slope * np.asarray(p, dtype=float),
-        diffusion=lambda p: np.broadcast_to(sig, np.asarray(p, dtype=float).shape + (1,)).copy(),
+        diffusion=lambda p: _filled(np.shape(p) + (1,), sig),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
         ell1=float(ell1), ell2=float(ell2), holder_alpha=float(holder_alpha),

@@ -189,11 +189,17 @@ def _slice_index(t_nodes: np.ndarray, t) -> np.ndarray:
     return np.clip(j, 0, len(t_nodes) - 1)
 
 
+def _clamp(x, lo, hi):
+    """``np.clip(x, lo, hi)`` bit for bit, NaN and signed zeros included (in
+    this argument order), at a fraction of its fixed cost on small arrays."""
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 def _lin_weights(nodes: np.ndarray, x: np.ndarray):
     dx = nodes[1] - nodes[0]
     pos = (np.asarray(x, dtype=float) - nodes[0]) / dx
-    idx = np.clip(pos.astype(np.int64), 0, len(nodes) - 2)
-    w = np.clip(pos - idx, 0.0, 1.0)
+    idx = _clamp(pos.astype(np.int64), 0, len(nodes) - 2)
+    w = _clamp(pos - idx, 0.0, 1.0)
     return idx, w
 
 
@@ -241,7 +247,7 @@ class ValueField:
 
 def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
     """Multilinear interpolation of one stored slice at points (p, e)."""
-    e = np.clip(np.asarray(e, dtype=float), grid.e_nodes[0], grid.e_nodes[-1])
+    e = _clamp(np.asarray(e, dtype=float), grid.e_nodes[0], grid.e_nodes[-1])
     ie, we_ = _lin_weights(grid.e_nodes, e)
     if grid.dim == 0:
         return (1.0 - we_) * sl[ie] + we_ * sl[ie + 1]
@@ -250,7 +256,7 @@ def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
         p = p[None, :]
     idxs, wts = [], []
     for k, nodes in enumerate(grid.p_nodes):
-        pk = np.clip(p[..., k], nodes[0], nodes[-1])
+        pk = _clamp(p[..., k], nodes[0], nodes[-1])
         ik, wk = _lin_weights(nodes, pk)
         idxs.append(ik); wts.append(wk)
     if grid.dim == 1:

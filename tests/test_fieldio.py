@@ -1,6 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fbsde_lab.cli import main
 from fbsde_lab.fieldio import dump_field, load_field, write_csv
 from fbsde_lab.model_core import affine_model, heaviside_tc
 from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, solve_mollified,
@@ -91,3 +95,90 @@ def test_missing_header_line_is_named(tmp_path, key):
     path.write_bytes(b"\n".join(kept) + b"\n\n" + payload)
     with pytest.raises(ValueError, match=f"no '{key}' line"):
         load_field(path)
+
+
+def _small_field_file(tmp_path):
+    m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 1e-2))
+    path = tmp_path / "f.bin"
+    dump_field(ValueField(grid=g, values=np.zeros((5, len(g.e_nodes)))), path)
+    return path, len(g.e_nodes)
+
+
+def _with_shape(text):
+    def edit(raw):
+        head, _, payload = raw.partition(b"\n\n")
+        lines = [b"shape: " + text.encode() if ln.startswith(b"shape: ") else ln
+                 for ln in head.split(b"\n")]
+        return b"\n".join(lines) + b"\n\n" + payload
+    return edit
+
+
+# each malformed file: (edit of a good file's bytes, key the refusal names, words)
+_MALFORMED = {
+    "shape_not_integer": (_with_shape("[5, 4.5]"), "shape", "non-negative integers"),
+    "shape_negative": (_with_shape("[-5, 21]"), "shape", "non-negative integers"),
+    "shape_bool": (_with_shape("[true, 21]"), "shape", "non-negative integers"),
+    "shape_not_list": (_with_shape("105"), "shape", "must be a list"),
+    "shape_off_axes": (_with_shape("[5, 7, 3]"), "shape", "does not match"),
+    "payload_short": (lambda raw: raw[:-8], "shape", "payload holds"),
+    "payload_long": (lambda raw: raw + b"\0" * 8, "shape", "payload holds"),
+    "no_blank_line": (lambda raw: raw.replace(b"\n\n", b"\n", 1), "provenance",
+                      "blank line"),
+    "no_blank_line_binary": (lambda raw: raw.replace(b"\n\n", b"\n\xff\n", 1),
+                             "provenance", "blank line"),
+    "header_never_ends": (lambda raw: raw.partition(b"\n\n")[0] + b"\n", "provenance",
+                          "does not end"),
+    "p_dims_not_integer": (
+        lambda raw: raw.replace(b"p_dims: 0", b"p_dims: 0.5", 1), "p_dims",
+        "non-negative integers"),
+    "nodes_not_numbers": (
+        lambda raw: raw.replace(b"t_nodes: [", b't_nodes: ["x", ', 1), "t_nodes",
+        "list of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_refuses_a_malformed_field_file(tmp_path, capsys, case):
+    edit, key, words = _MALFORMED[case]
+    path, _ = _small_field_file(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(words)):
+        load_field(path)
+    code = main(["simulate-only", "--scenario", "degenerate_characteristics",
+                 "--field", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"cannot load field: {path}: ")
+    assert repr(key) in err and words in err
+    assert not (tmp_path / "out").exists()
+
+
+def _eight_megabyte_field():
+    rng = np.random.default_rng(3)
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 100), e_nodes=np.linspace(-0.5, 0.5, 10_001))
+    return ValueField(grid=g, values=rng.random((100, 10_001)))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_field_holds_the_payload_about_once(tmp_path):
+    vf = _eight_megabyte_field()
+    path = tmp_path / "big.bin"
+    dump_field(vf, path)
+    payload = vf.values.nbytes
+    assert _traced_peak(load_field, path) < 1.5 * payload
+    assert np.array_equal(load_field(path).values, vf.values)
+
+
+def test_dump_field_copies_no_payload(tmp_path):
+    vf = _eight_megabyte_field()
+    assert _traced_peak(dump_field, vf, tmp_path / "big.bin") < 0.5 * vf.values.nbytes

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
-from fbsde_lab import mc_engine
+from fbsde_lab import mc_engine, value_pde
 from fbsde_lab.burgers_ref import BurgersProfile, characteristic, psi
+from fbsde_lab.experiments import scenario_field, scenario_model, scenario_sim
 from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
-                                 feynman_kac_grad_p, flow_squeeze_check,
+                                 euler_paths, feynman_kac_grad_p, flow_squeeze_check,
                                  gaussian_control_terminal, path_normals,
-                                 prefactor_report, simulate_forward,
+                                 prefactor_report, sim_time_grid, simulate_forward,
                                  terminal_sandwich_check, transmission_scan,
                                  trap_diagnostic, variance_scan,
                                  _BLOCK, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
-from fbsde_lab.scenarios import build_model, scenario_config
-from fbsde_lab.value_pde import (Grid, e_nodes_for, gradient_fields,
+from fbsde_lab.scenarios import build_model, registry_list, scenario_config
+from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, gradient_fields,
                                  reduced_aligned_field, solve_mollified, solve_reduced_1d,
                                  time_nodes_with_tail, uniform_time_nodes)
 
@@ -461,3 +462,20 @@ def test_simconfig_validation():
                       seed=seed)
     SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,
               seed=2**64 - 1)
+
+
+@pytest.mark.parametrize("name", [entry["name"] for entry in registry_list()])
+def test_batch_normals_stay_within_budget(monkeypatch, name):
+    # every scenario's checks include the path-reading sandwich; the field is
+    # the scenario's own grid with unsolved (zero) values, which is all the
+    # time grid reads, and the batches are listed but never stepped
+    def unsolved(model, grid, tc):
+        return ValueField(grid=grid, values=np.zeros((len(grid.t_nodes),) + grid.space_shape()))
+    monkeypatch.setattr(value_pde, "solve_reduced_1d", unsolved)
+    monkeypatch.setattr(value_pde, "solve_mollified", unsolved)
+    cfg = scenario_config(name)
+    model, tc = scenario_model(cfg)
+    sim = scenario_sim(cfg, model)
+    tgrid = sim_time_grid(sim, scenario_field(cfg, model, tc))
+    largest = max(count for _, count, _ in euler_paths(model, sim, tgrid))
+    assert largest * (len(tgrid) - 1) * model.dim_p * 8 <= 40e6

@@ -197,3 +197,23 @@ def test_effective_ell_identity_on_grid():
     lhs = v * ell
     rhs = m.feedback.value(p, v) - m.feedback.f_at_zero(p)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 5), (0,)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_affine_coefficients_match_their_reference_forms(lead, dim):
+    # the fast forms must give tensordot's and broadcast_to's bits exactly
+    from fbsde_lab.model_core import _dot_last
+    rng = np.random.default_rng(11)
+    alpha = rng.normal(size=dim)
+    m = affine_model(alpha=alpha, gamma=1.3, sigma=0.7, b=rng.normal(size=dim))
+    p = rng.normal(size=lead + (dim,))
+    p.flat[:1] = -0.0
+    pairs = [
+        (_dot_last(p, alpha), np.tensordot(p, alpha, axes=([-1], [0]))),
+        (m.drift(p), np.broadcast_to(m.family_params["b"], p.shape).copy()),
+        (m.diffusion(p), np.broadcast_to(0.7 * np.eye(dim), p.shape + (dim,)).copy()),
+    ]
+    for fast, ref in pairs:
+        assert fast.shape == ref.shape and fast.dtype == ref.dtype
+        assert fast.tobytes() == ref.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -431,3 +432,22 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["600", "3", "3"]
+
+
+def test_solve_and_simulate_only_outputs_are_pinned(tmp_path):
+    # the bytes of a whole round trip; a change that moves numbers on purpose
+    # updates both digests and says so in CHANGES.md
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"de_reduced": 1e-4},
+                                   "sim": {"n_paths": 300}}))
+    common = ["--scenario", "degenerate_characteristics", "--config", str(cfgfile),
+              "--out", str(tmp_path)]
+    assert main(["solve-only", *common]) == 0
+    field = tmp_path / "degenerate_characteristics_field.bin"
+    assert main(["simulate-only", *common, "--field", str(field), "--seed", "7"]) == 0
+    payload = field.read_bytes().partition(b"\n\n")[2]
+    terminal = (tmp_path / "degenerate_characteristics_terminal.csv").read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "966682c41087eb142c2323363d556d2ba16875a954c0fb11081814fa22106b92")
+    assert hashlib.sha256(terminal).hexdigest() == (
+        "6cc0ed03f97935541032e54d63728ddaa8cfc53c53d7d876688dcfd6d3a6c024")

@@ -482,3 +482,21 @@ def test_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(value_pde, "_THREAD_MIN_CELLS", 0)
     with pytest.raises(RuntimeError, match="feedback failed on a worker"):
         solve_mollified(bad, small_grid(bad), heaviside_tc(0.0))
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5, 1e-300, -1e-300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(-3, 3), max_size=70),
+       stride=st.integers(1, 2),
+       bounds=st.tuples(st.sampled_from(_EDGE_FLOATS[:2] + [-0.5, 0.25]),
+                        st.sampled_from(_EDGE_FLOATS[:2] + [1.0, 0.5])))
+def test_clamp_is_np_clip_bit_for_bit(values, stride, bounds):
+    # signed zeros and NaN included: the argument order of minimum/maximum
+    # decides which zero comes back, on the scalar and the SIMD loops alike
+    lo, hi = sorted(bounds)
+    x = np.array(values * stride, dtype=float)[::stride]
+    assert value_pde._clamp(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+    idx = np.arange(-3, len(values))
+    assert np.array_equal(value_pde._clamp(idx, 0, 5), np.clip(idx, 0, 5))
