@@ -1,10 +1,9 @@
 """Numerical laboratory for a degenerate FBSDE with binary terminal condition."""
 
 from .model_core import (
-    AssumptionError, FeedbackFn, ModelSpec, Mollifier, TerminalCondition,
-    ValidationReport, affine_model, default_mollifier, effective_ell,
-    heaviside_tc, linear_drift_model, mollify, nonlinear_model, smooth_ramp_tc,
-    validate_assumptions,
+    AssumptionError, FeedbackFn, ModelSpec, TerminalCondition, ValidationReport,
+    affine_model, effective_ell, heaviside_tc, linear_drift_model, mollify,
+    nonlinear_model, smooth_ramp_tc, validate_assumptions,
 )
 from .burgers_ref import (
     BurgersProfile, GapTable, WEvaluator, burgers_gap, characteristic, psi,
@@ -12,7 +11,7 @@ from .burgers_ref import (
 from .value_pde import (
     CFLError, Grid, SolveDivergenceError, ValueField,
     conservation_gap, e_nodes_for, gradient_fields, solve_mollified,
-    solve_reduced_1d, time_nodes_with_tail, uniform_time_nodes,
+    solve_reduced_1d, time_nodes_with_tail,
 )
 from .mc_engine import (
     AtomCurve, FlowReport, GradPEstimate, PathEnsemble, PrefactorReport,

@@ -34,27 +34,28 @@ class BurgersProfile:
     def __post_init__(self):
         if self.ell <= 0:
             raise ValueError("ell must be positive")
+        if self.horizon_T <= 0:
+            raise ValueError("horizon_T must be positive")
 
 
-def characteristic(e0, t0: float, t: float, profile: BurgersProfile):
-    """Exact characteristic position at time t started from e0 at t0.
+def characteristic(e0, t: float, profile: BurgersProfile):
+    """Exact characteristic position at time t started from e0 at time 0.
 
     Outside the cone the motion is trivial (frozen below the cap, uniform
-    speed ell above); inside the cone [cap, cap + ell*(T - t0)] the fan
-    contracts linearly and collapses onto the cap at t = T.
+    speed ell above); inside the cone [cap, cap + ell*T] the fan contracts
+    linearly and collapses onto the cap at t = T.
     """
     T, lam, ell = profile.horizon_T, profile.cap_lambda, profile.ell
-    if not (t0 <= t <= T):
-        raise ValueError("need t0 <= t <= T")
+    if not (0.0 <= t <= T):
+        raise ValueError("need 0 <= t <= T")
     e0 = np.asarray(e0, dtype=float)
-    width = ell * (T - t0)
+    width = ell * T
     below = e0 < lam
     above = e0 > lam + width
     inside = ~below & ~above
     out = np.where(below, e0, 0.0)
-    out = np.where(above, e0 - ell * (t - t0), out)
-    frac = np.where(T > t0, (t - t0) / (T - t0), 1.0)
-    out = np.where(inside, e0 - (e0 - lam) * frac, out)
+    out = np.where(above, e0 - ell * t, out)
+    out = np.where(inside, e0 - (e0 - lam) * (t / T), out)
     return out if out.ndim else float(out)
 
 

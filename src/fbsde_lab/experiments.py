@@ -30,7 +30,7 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         gaussian_control_terminal, prefactor_report,
                         simulate_forward, terminal_sandwich_check,
                         transmission_scan, trap_diagnostic, variance_scan)
-from .model_core import (affine_model, default_mollifier, heaviside_tc, mollify,
+from .model_core import (BUMP_MEAN, affine_model, heaviside_tc, mollify,
                          validate_assumptions)
 from .scenarios import build_model, build_tc, config_hash, gap_horizons
 from .value_pde import (conservation_gap, far_field_violation, full_field,
@@ -98,7 +98,7 @@ def scenario_sim(cfg, model, **over) -> SimConfig:
     fraction ``e0_cone`` (default 1/2); ``over`` replaces any field."""
     scfg = cfg["sim"]
     return SimConfig(**{"n_paths": scfg["n_paths"], "n_steps": scfg["n_steps"],
-                        "t0": 0.0, "p0": np.zeros(model.dim_p),
+                        "p0": np.zeros(model.dim_p),
                         "e0": cone_start(model, scfg.get("e0_cone", 0.5)),
                         "seed": scfg["seed"], **over})
 
@@ -125,7 +125,7 @@ def _main_ensemble(key: str):
 
 
 def cone_start(model, frac: float) -> float:
-    """E start with ebar - cap = frac * gamma * T, from p = 0 (w(t0,0)=0 here)."""
+    """E start with ebar - cap = frac * gamma * T, from p = 0 (w(0, 0) = 0 here)."""
     gamma = model.family_params.get("gamma", model.ell1)
     return model.cap_lambda + frac * gamma * model.horizon_T
 
@@ -150,13 +150,11 @@ def check_gradient_band(cfg) -> CheckOutcome:
     """Gradient band on the fixed acceptance grid (400 e, 200 t, 50 p)."""
     model, tc = scenario_model(cfg)
     half = 2.0 * model.lipschitz_L * model.horizon_T
-    t0 = time.time()
     vf = full_field(model, tc, {"de_full": 2.0 * half / _BAND_N_E, "n_t": _BAND_N_T,
                                 "p_half": 2.5, "n_p": _BAND_N_P})
     entry = gradient_band_violation(vf, gradient_fields(vf), model)
     return CheckOutcome("gradient_band", "pass" if entry.passed else "fail",
-                        {"worst_violation": entry.worst,
-                         "solve_seconds": time.time() - t0})
+                        {"worst_violation": entry.worst})
 
 
 def check_comparison_mollified(cfg) -> CheckOutcome:
@@ -173,9 +171,8 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
     t_probe = 0.5 * model.horizon_T
     pad = 1.0 / min(ns)
     for n in ns:
-        mol = default_mollifier(n)
-        up = full_field(model, mollify(tc, mol, "upper"), gcfg, pad=pad)
-        lo = full_field(model, mollify(tc, mol, "lower"), gcfg, pad=pad)
+        up = full_field(model, mollify(tc, n, "upper"), gcfg, pad=pad)
+        lo = full_field(model, mollify(tc, n, "lower"), gcfg, pad=pad)
         worst_order = max(worst_order, float(np.max(lo.values - up.values)))
         gaps.append(conservation_gap(up, lo, m=0.5 * model.horizon_T,
                                      t=t_probe, p=[0.0]))
@@ -194,20 +191,19 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
 
 
 def check_conservation_gap(cfg) -> CheckOutcome:
-    """Terminal window gap equals twice bump_mean/n; decreasing in n at t < T."""
+    """Terminal window gap equals twice the bump mean over n."""
     model = build_model(cfg["model"])
     tc = heaviside_tc(model.cap_lambda)
     ns = cfg.get("sweeps", {}).get("mollifier_n", [4, 8, 16])
     rows = []
     ok = True
     for n in ns:
-        mol = default_mollifier(n)
-        up = mollify(tc, mol, "upper")
-        lo = mollify(tc, mol, "lower")
+        up = mollify(tc, n, "upper")
+        lo = mollify(tc, n, "lower")
         x = np.linspace(model.cap_lambda - 2.0 / n, model.cap_lambda + 2.0 / n,
                         20001)
         gap = float(np.trapezoid(up(x) - lo(x), x))
-        expect = 2.0 * mol.bump_mean / n
+        expect = 2.0 * BUMP_MEAN / n
         rows.append((n, gap, expect))
         ok = ok and abs(gap - expect) <= 0.01 * expect
     return CheckOutcome("conservation_gap", "pass" if ok else "fail",
@@ -329,8 +325,8 @@ def check_variance(cfg) -> CheckOutcome:
         slopes.append(scan.time_slope)
         prefs.append(scan.prefactor)
         flagged = flagged or scan.below_resolution
-        for dt_, v_, se_ in zip(scan.t_offsets, scan.variances, scan.jackknife_se):
-            rows.append((h, dt_, v_, se_))
+        for t_, v_, se_ in zip(scan.times, scan.variances, scan.jackknife_se):
+            rows.append((h, t_, v_, se_))
     pref_rep = prefactor_report(horizons, prefs)
     slopes_ok = all(abs(s - 3.0) <= 0.3 for s in slopes)
     if lam_drift < 0:
@@ -353,8 +349,7 @@ def _transmission_profile(model, field):
     """Transmission profiles at t = 0, p = 0 across the horizon's cone."""
     gamma, h = model.family_params["gamma"], model.horizon_T
     e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
-    return transmission_scan(field, gradient_fields(field), model, 0.0,
-                             np.zeros(model.dim_p), e_grid)
+    return transmission_scan(field, gradient_fields(field), model, e_grid)
 
 
 def check_transmission(cfg) -> CheckOutcome:
@@ -478,13 +473,13 @@ def check_characteristics(cfg) -> CheckOutcome:
         ens = simulate_forward(model, field, sim)
         for t in t_probe:
             sim_e = float(ens.snapshots[round(t, 12)][0])
-            ref = float(characteristic(e0, 0.0, t, prof))
+            ref = float(characteristic(e0, t, prof))
             worst = max(worst, abs(sim_e - ref))
             rows.append((float(e0), t, sim_e, ref))
         rows.append((float(e0), T, float(ens.terminal_E[0]),
-                     float(characteristic(e0, 0.0, T, prof))))
+                     float(characteristic(e0, T, prof))))
         worst = max(worst, abs(float(ens.terminal_E[0])
-                               - float(characteristic(e0, 0.0, T, prof))))
+                               - float(characteristic(e0, T, prof))))
         spread = float(np.ptp(ens.terminal_E))
         worst = max(worst, spread)   # all paths identical in the noiseless model
     ok = worst <= 1e-3
@@ -573,8 +568,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     far = far_field_violation(vf, model)
     band = gradient_band_violation(vf, gradient_fields(vf), model)
 
-    mol = default_mollifier(8)
-    tc_up = mollify(heaviside_tc(model.cap_lambda), mol, "upper")
+    tc_up = mollify(heaviside_tc(model.cap_lambda), 8, "upper")
     m_cal = affine_model(alpha=1.0, gamma=1.0, sigma=1.0,
                          cap_lambda=model.cap_lambda, horizon_T=0.4)
     vf_up = full_field(m_cal, tc_up, {"de_full": 2e-3, "p_half": 3.0,

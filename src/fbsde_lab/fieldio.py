@@ -132,21 +132,13 @@ def load_field(path) -> ValueField:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Comma-separated, '.' decimal, header row; atomic via temp rename."""
+    """Comma-separated, '.' decimal, header row; atomic via temp rename.  Each
+    cell is written as ``str`` of itself, which for a float or a numpy float64
+    is the shortest text that reads back to the same value."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows(rows)
     tmp.replace(path)
-
-
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
-

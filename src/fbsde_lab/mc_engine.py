@@ -33,7 +33,6 @@ from .value_pde import _WORKERS, ValueField, _interp_space, _slice_index, check_
 class SimConfig:
     n_paths: int
     n_steps: int
-    t0: float
     p0: np.ndarray
     e0: float
     seed: int
@@ -75,7 +74,8 @@ class PathEnsemble:
 
 def sim_time_grid(cfg: SimConfig, field: ValueField,
                   extra_times: Sequence[float] = ()) -> np.ndarray:
-    """Uniform Euler grid plus ``extra_times``, refined geometrically near T.
+    """Uniform Euler grid on [0, T] plus ``extra_times``, refined
+    geometrically near T.
 
     The refinement follows the field's last pre-terminal slice so the
     contraction toward the cap keeps resolving through the final instants;
@@ -83,17 +83,17 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
     Every refinement node lies within 2 uniform steps of T.
     """
     T = field.grid.horizon
-    base = np.linspace(cfg.t0, T, cfg.n_steps + 1)
+    base = np.linspace(0.0, T, cfg.n_steps + 1)
     interior = field.grid.t_nodes[field.grid.t_nodes < T]
-    s_field = T - float(interior[-1]) if len(interior) else T - cfg.t0
-    dt_unif = (T - cfg.t0) / cfg.n_steps
+    s_field = T - float(interior[-1]) if len(interior) else T
+    dt_unif = T / cfg.n_steps
     s = min(4.0 * s_field, 2.0 * dt_unif)
     tail = []
     while s > s_field / 4.0:
         tail.append(T - s)
         s *= 0.6
     grid = np.union1d(np.union1d(base, np.asarray(extra_times, dtype=float)), tail)
-    grid = grid[(grid >= cfg.t0 - 1e-15) & (grid <= T + 1e-15)]
+    grid = grid[(grid >= -1e-15) & (grid <= T + 1e-15)]
     # collapse near-duplicates that float unions can leave behind
     keep = np.diff(grid, prepend=-np.inf) > 1e-12 * max(1.0, T)
     return grid[keep]
@@ -146,16 +146,13 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
     batches of near-equal size; ``steps`` yields ``(k, t, dt, P, P_next, dW)``
     for each interval [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t,
     the increments dW (``path_normals`` scaled by sqrt(dt)) and
-    P_next = P + b(P) dt + sigma(P) dW.  A start the model cannot take, or a
+    P_next = P + b(P) dt + sigma(P) dW.  A ``p0`` the model cannot take, or a
     ``field`` (the one the caller reads along the paths) solved for another
     model, is refused here, before any path is drawn.
     """
     d = model.dim_p
     if cfg.p0.shape != (d,):
         raise ValueError(f"p0 has shape {cfg.p0.shape}; the model needs ({d},)")
-    if not cfg.t0 < model.horizon_T:
-        raise ValueError(f"t0 = {cfg.t0} is not before the horizon "
-                         f"T = {model.horizon_T}")
     if field is not None:
         check_model(model, field)
 
@@ -325,8 +322,8 @@ def gaussian_control_terminal(model: ModelSpec, cfg: SimConfig) -> np.ndarray:
     """
     T = model.horizon_T
     x, w = leggauss(64)
-    s_nodes = 0.5 * (T - cfg.t0) * x + 0.5 * (T + cfg.t0)
-    w_nodes = 0.5 * (T - cfg.t0) * w
+    s_nodes = 0.5 * T * x + 0.5 * T
+    w_nodes = 0.5 * T * w
     we = WEvaluator(model)
     var = 0.0
     for s_k, w_k in zip(s_nodes, w_nodes):
@@ -404,19 +401,18 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField,
     """Two-sided flow inequality under common noise, plus terminal coalescence.
 
     For each pair e > e' and recorded t the difference must satisfy
-    (e - e') >= E_t^e - E_t^{e'} >= ((T-t)/(T-t0))^{ell2/ell1} (e - e')
+    (e - e') >= E_t^e - E_t^{e'} >= ((T-t)/T)^{ell2/ell1} (e - e')
     within three times the declared integration-error bound.  Times must lie
-    in (t0, T).  A pair coalesces when both paths end within 1% of T - t0 of
-    the cap.
+    in (0, T).  A pair coalesces when both paths end within 1% of T of the
+    cap.
     """
     T = field.grid.horizon
-    outside = [float(t) for t in t_list if not cfg.t0 < t < T]
+    outside = [float(t) for t in t_list if not 0.0 < t < T]
     if outside:
-        raise ValueError(f"t_list entries {outside} lie outside (t0, T) = "
-                         f"({cfg.t0}, {T})")
+        raise ValueError(f"t_list entries {outside} lie outside (0, T) = (0, {T})")
     starts = sorted({float(x) for pair in e_pairs for x in pair})
     idx = {x: i for i, x in enumerate(starts)}
-    dt_unif = (T - cfg.t0) / cfg.n_steps
+    dt_unif = T / cfg.n_steps
     tE, _, _, esc, snaps = _simulate_core(
         model, field, cfg, np.asarray(starts), tuple(t_list))
     ratio = model.ell2 / model.ell1
@@ -434,7 +430,7 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField,
             key = round(float(t), 12)
             diff = snaps[key][idx[e_a]] - snaps[key][idx[e_b]]
             s = T - float(t)
-            env = ((s / (T - cfg.t0)) ** ratio) * gap0
+            env = ((s / T) ** ratio) * gap0
             tol = 3.0 * gap0 * (dt_unif / max(s, dt_unif)
                                 + de_f / (model.ell1 * max(s, de_f / model.ell1)))
             good = (diff <= gap0 + tol) & (diff >= env - tol)
@@ -445,7 +441,7 @@ def flow_squeeze_check(model: ModelSpec, field: ValueField,
         per_pair.append(ok_pair / n_pair)
         ok_total += ok_pair
         n_total += n_pair
-    delta = 1e-2 * (T - cfg.t0)
+    delta = 1e-2 * T
     lam = model.cap_lambda
     coals = []
     for (e_a, e_b) in e_pairs:
@@ -476,7 +472,7 @@ def _jackknife_var_se(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class VarianceScan:
-    t_offsets: np.ndarray
+    times: np.ndarray
     variances: np.ndarray
     jackknife_se: np.ndarray
     time_slope: float
@@ -488,14 +484,13 @@ def variance_scan(model: ModelSpec, field: ValueField,
                   cfg: SimConfig, t_list) -> VarianceScan:
     """Sample variance of E_t over the requested times with jackknife errors.
 
-    Reports the regression slope of log var against log(t - t0) and the
-    cube-law prefactor geomean(var / (t-t0)^3).  Times must lie in
-    (t0, (T + t0)/2].
+    Reports the regression slope of log var against log t and the cube-law
+    prefactor geomean(var / t^3).  Times must lie in (0, T/2].
     """
     T = field.grid.horizon
     t_arr = np.sort(np.asarray(list(t_list), dtype=float))
-    if t_arr[0] <= cfg.t0 or t_arr[-1] > 0.5 * (T + cfg.t0) + 1e-12:
-        raise ValueError("t_list must lie in (t0, (T+t0)/2]")
+    if t_arr[0] <= 0.0 or t_arr[-1] > 0.5 * T + 1e-12:
+        raise ValueError("t_list must lie in (0, T/2]")
     _, _, _, esc, snaps = _simulate_core(
         model, field, cfg, np.array([cfg.e0]), tuple(t_arr),
         stop_time=float(t_arr[-1]))
@@ -507,11 +502,10 @@ def variance_scan(model: ModelSpec, field: ValueField,
         ses.append(_jackknife_var_se(E))
     vs = np.asarray(vs)
     ses = np.asarray(ses)
-    offs = t_arr - cfg.t0
-    slope = float(np.polyfit(np.log(offs), np.log(np.maximum(vs, 1e-300)), 1)[0])
-    pref = float(np.exp(np.mean(np.log(np.maximum(vs, 1e-300)) - 3 * np.log(offs))))
+    slope = float(np.polyfit(np.log(t_arr), np.log(np.maximum(vs, 1e-300)), 1)[0])
+    pref = float(np.exp(np.mean(np.log(np.maximum(vs, 1e-300)) - 3 * np.log(t_arr))))
     below = bool(np.any(vs <= 0) or np.any(ses > 0.5 * np.maximum(vs, 1e-300)))
-    return VarianceScan(t_offsets=offs, variances=vs, jackknife_se=ses,
+    return VarianceScan(times=t_arr, variances=vs, jackknife_se=ses,
                         time_slope=slope, prefactor=pref, below_resolution=below)
 
 
@@ -572,8 +566,8 @@ def _brackets(e, vals):
 
 
 def transmission_scan(field: ValueField, de_v: np.ndarray, model: ModelSpec,
-                      t0: float, p, e_grid) -> TransmissionProfile:
-    """Profile of the noise-transmission coefficient along e at fixed (t0, p).
+                      e_grid) -> TransmissionProfile:
+    """Profile of the noise-transmission coefficient along e at (t, p) = (0, 0).
 
     Reads a reduced (dim 0) field, hence an affine-type model, and its e-gradient
     ``de_v``; reports both normalizations alpha - gamma*dp_v and alpha - dp_v
@@ -587,14 +581,12 @@ def transmission_scan(field: ValueField, de_v: np.ndarray, model: ModelSpec,
     check_model(model, field)
     we = WEvaluator(model)
     e_grid = np.asarray(e_grid, dtype=float)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    s = model.horizon_T - t0
+    s = model.horizon_T
     lam = model.cap_lambda
     gamma = model.family_params["gamma"]
 
-    ebar = e_grid + float(we.evaluate(t0, p))
-    j = int(_slice_index(field.grid.t_nodes, t0))
-    dp_v = _interp_space(field.grid, de_v[j], None, ebar) * we.dp_w(t0)[0]
+    ebar = e_grid + float(we.evaluate(0.0, np.zeros(model.dim_p)))
+    dp_v = _interp_space(field.grid, de_v[0], None, ebar) * we.dp_w(0.0)[0]
     a0 = float(np.atleast_1d(model.family_params["alpha"])[0])
     profiles = {"alpha_minus_gamma_dpv": a0 - gamma * dp_v,
                 "alpha_minus_dpv": a0 - dp_v}
@@ -699,20 +691,19 @@ def trap_diagnostic(model: ModelSpec, cfg: SimConfig) -> TrapReport:
     """Probability of the bridge trap event and the pinned bridge endpoints.
 
     Simulates the normalized martingale M_t = int (T-s)^{-1} <sigma^T dp_w, dW>
-    along P-paths from (cfg.t0, cfg.p0); F is the event that sup |M| stays
+    along P-paths from (0, cfg.p0); F is the event that sup |M| stays
     below ell1/16.  On F the explicitly integrated bridges, started at
     ebar = cfg.e0,
-    Zbar_t = cap + (T-t) [ (ebar-cap)/(T-t0) +- C' int (T-s)^{beta-1} ds + M_t ]
+    Zbar_t = cap + (T-t) [ (ebar-cap)/T +- C' int (T-s)^{beta-1} ds + M_t ]
     are pinned to the cap at the horizon; beta = 1/4 and
-    C' = ell1 beta / (32 (T-t0)^beta).
+    C' = ell1 beta / (32 T^beta).
     """
     T = model.horizon_T
-    tgrid = np.linspace(cfg.t0, T, cfg.n_steps + 1)
+    tgrid = np.linspace(0.0, T, cfg.n_steps + 1)
     batches = euler_paths(model, cfg, tgrid)
     we = WEvaluator(model)
-    h = T - cfg.t0
     beta = 0.25
-    c_prime = model.ell1 * beta / (32.0 * h**beta)
+    c_prime = model.ell1 * beta / (32.0 * T**beta)
 
     sup_M = np.zeros(cfg.n_paths)
     M_last = np.zeros(cfg.n_paths)
@@ -731,12 +722,12 @@ def trap_diagnostic(model: ModelSpec, cfg: SimConfig) -> TrapReport:
     p_hat = float(np.mean(on_F))
     se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / cfg.n_paths))
     # closed-form bridge at the horizon and just before it
-    drift_int_full = c_prime * (h**beta) / beta
-    z_term = lam + (T - T) * ((cfg.e0 - lam) / h + drift_int_full + M_last)
+    drift_int_full = c_prime * (T**beta) / beta
+    z_term = lam + (T - T) * ((cfg.e0 - lam) / T + drift_int_full + M_last)
     t_near = float(tgrid[-2])
     s_near = T - t_near
-    drift_int_near = c_prime * (h**beta - s_near**beta) / beta
-    z_near = lam + s_near * ((cfg.e0 - lam) / h + drift_int_near + M_last)
+    drift_int_near = c_prime * (T**beta - s_near**beta) / beta
+    z_near = lam + s_near * ((cfg.e0 - lam) / T + drift_int_near + M_last)
     if np.any(on_F):
         term_dev = float(np.max(np.abs(z_term[on_F] - lam)))
         near_dev = float(np.max(np.abs(z_near[on_F] - lam)))

@@ -299,51 +299,28 @@ def _poly_bump(t):
     return np.where(inside, 30.0 * t**2 * (1.0 - t) ** 2, 0.0)
 
 
-_MOLLIFIER_QUAD_ORDER = 32   # Gauss-Legendre nodes on the bump support
+BUMP_MEAN = 0.5              # mean of ``_poly_bump``
+_MOLLIFIER_QUAD_ORDER = 32   # Gauss-Legendre nodes on the bump support (0, 1)
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Compactly supported bump density on (0, infinity) with known mean."""
+def mollify(tc: TerminalCondition, n: int, side: str) -> TerminalCondition:
+    """Smooth one-sided approximation of order ``n`` >= 1 of a monotone
+    terminal condition.
 
-    bump_density: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-    bump_mean: float
-    order_n: int
-
-    def __post_init__(self):
-        if self.order_n < 1:
-            raise ValueError("order_n must be >= 1")
-        lo, hi = self.support
-        x, w = leggauss(_MOLLIFIER_QUAD_ORDER)
-        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * w
-        mass = float(np.sum(wt * self.bump_density(t)))
-        if abs(mass - 1.0) > 1e-10:
-            raise ValueError(f"bump density mass {mass} deviates from 1 beyond 1e-10")
-
-
-def default_mollifier(order_n: int) -> Mollifier:
-    return Mollifier(bump_density=_poly_bump, support=(0.0, 1.0),
-                     bump_mean=0.5, order_n=order_n)
-
-
-def mollify(tc: TerminalCondition, m: Mollifier, side: str) -> TerminalCondition:
-    """Smooth one-sided approximation of a monotone terminal condition.
-
-    ``side='upper'`` averages phi_+(x + t/n) against the bump (result >= phi),
-    ``side='lower'`` averages phi_+(x - t/n) (result <= phi).  Both results
-    are C^1, non-decreasing and [0,1]-valued; quadrature is fixed-order
-    Gauss-Legendre on the bump support.
+    ``side='upper'`` averages phi_+(x + t/n) against ``_poly_bump`` (result
+    >= phi), ``side='lower'`` averages phi_+(x - t/n) (result <= phi).  Both
+    results are C^1, non-decreasing and [0,1]-valued; quadrature is
+    fixed-order Gauss-Legendre on the bump support (0, 1).
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
-    lo, hi = m.support
+    if n < 1:
+        raise ValueError(f"mollifier order n = {n} must be >= 1")
     x_gl, w_gl = leggauss(_MOLLIFIER_QUAD_ORDER)
-    t = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
-    wt = 0.5 * (hi - lo) * w_gl * m.bump_density(t)
+    t = 0.5 * x_gl + 0.5
+    wt = 0.5 * w_gl * _poly_bump(t)
     wt = wt / np.sum(wt)
-    shift = t / m.order_n if side == "upper" else -t / m.order_n
+    shift = t / n if side == "upper" else -t / n
 
     def phi_plus(x):
         _, plus = phi_sides_arrays(tc, x)
@@ -355,8 +332,7 @@ def mollify(tc: TerminalCondition, m: Mollifier, side: str) -> TerminalCondition
         return vals @ wt
 
     return TerminalCondition(eval=smoothed, kind="custom_monotone",
-                             threshold=tc.threshold,
-                             width=(hi / m.order_n))
+                             threshold=tc.threshold, width=1.0 / n)
 
 
 # ---------------------------------------------------------------------------

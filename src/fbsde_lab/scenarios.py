@@ -282,7 +282,28 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
             cfg[key] = val
     if "gap_horizons" in cfg.get("sweeps", {}) or "burgers_gap" in cfg["checks"]:
         gap_horizons(cfg)
+    _check_sweeps(cfg.get("sweeps", {}))
     return cfg
+
+
+def _check_sweeps(sweeps: dict):
+    """Refuse the sweep values no check can take: a ``mollifier_n`` that is
+    empty or holds an order below 1, ``variance_horizons`` with fewer than two
+    distinct horizons (the prefactor's decay is fitted across them) or one
+    not above 0, and a ``transmission_horizon`` or ``mass_check_horizon`` not
+    above 0.  Their types are checked with the other config values."""
+    ns = sweeps.get("mollifier_n")
+    if ns is not None and (not ns or min(ns) < 1):
+        raise ValueError(f"sweeps.mollifier_n {ns} must be a non-empty list of "
+                         "mollifier orders >= 1")
+    hs = sweeps.get("variance_horizons")
+    if hs is not None and (len(set(hs)) < 2 or not all(h > 0 for h in hs)):
+        raise ValueError(f"sweeps.variance_horizons {hs} must hold at least two "
+                         "distinct horizons, all above 0; variance fits the "
+                         "prefactor's decay across them")
+    for key in ("transmission_horizon", "mass_check_horizon"):
+        if key in sweeps and not sweeps[key] > 0:
+            raise ValueError(f"sweeps.{key} {sweeps[key]} must be above 0")
 
 
 def gap_horizons(cfg: dict) -> list:

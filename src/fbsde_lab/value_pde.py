@@ -121,19 +121,11 @@ class Grid:
         return tuple(float(p[1] - p[0]) for p in self.p_nodes)
 
     @property
-    def t0(self) -> float:
-        return float(self.t_nodes[0])
-
-    @property
     def horizon(self) -> float:
         return float(self.t_nodes[-1])
 
     def space_shape(self) -> tuple:
         return tuple(len(p) for p in self.p_nodes) + (len(self.e_nodes),)
-
-
-def uniform_time_nodes(t0: float, T: float, n: int) -> np.ndarray:
-    return np.linspace(t0, T, n + 1)
 
 
 def time_nodes_with_tail(T: float, s_min: float,
@@ -157,7 +149,8 @@ def e_nodes_for(model: ModelSpec, de: float, pad: float = 0.0) -> np.ndarray:
 
 
 def check_domain(model: ModelSpec, grid: Grid):
-    """Raise ValueError unless the grid covers the model's e-domain and horizon."""
+    """Raise ValueError unless the grid covers the model's e-domain and its
+    time axis runs from 0, where every path starts, to the model's horizon."""
     half = 2.0 * model.lipschitz_L * model.horizon_T
     lo, hi = model.cap_lambda - half, model.cap_lambda + half
     tol = 1e-9 * max(1.0, abs(hi))
@@ -165,6 +158,8 @@ def check_domain(model: ModelSpec, grid: Grid):
         raise ValueError(
             f"e-domain [{grid.e_nodes[0]}, {grid.e_nodes[-1]}] must contain "
             f"[{lo}, {hi}]")
+    if grid.t_nodes[0] != 0.0:
+        raise ValueError(f"grid starts at t = {grid.t_nodes[0]}, not at 0")
     if abs(grid.horizon - model.horizon_T) > 1e-12 * max(1.0, model.horizon_T):
         raise ValueError(
             f"grid ends at {grid.horizon}, model horizon is {model.horizon_T}")
@@ -464,7 +459,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
     fmax = float(np.max(np.abs(np.concatenate([f0, f1]))))
     dt_cfl = _CFL_SAFETY * de / (fmax + model.ell2)
 
-    _check_budget(float(grid.horizon - grid.t0), dt_cfl)
+    _check_budget(grid.horizon, dt_cfl)
 
     # diffusion/drift coefficients per p-axis (diagonal part of sigma sigma^T)
     sig = model.diffusion(p_flat)                      # (n, d, d)
@@ -603,7 +598,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
     de = grid.de
     ne = len(e)
     dt_cfl = _CFL_SAFETY * de / (2.0 * gamma)
-    _check_budget(float(grid.horizon - grid.t0), dt_cfl)
+    _check_budget(grid.horizon, dt_cfl)
 
     u = tc(e).astype(float).copy()
     u[0], u[-1] = 0.0, 1.0
@@ -654,7 +649,7 @@ def full_field(model: ModelSpec, tc: TerminalCondition, gcfg: dict,
     p_half = gcfg.get("p_half", 3.0)
     grid = Grid(
         t_nodes=np.union1d(
-            uniform_time_nodes(0.0, model.horizon_T, gcfg.get("n_t", 100)),
+            np.linspace(0.0, model.horizon_T, gcfg.get("n_t", 100) + 1),
             np.asarray(t_extra, dtype=float)),
         e_nodes=e_nodes_for(model, gcfg["de_full"], pad=pad),
         p_nodes=tuple(np.linspace(-p_half, p_half, gcfg.get("n_p", 51))

@@ -4,7 +4,7 @@ import pytest
 from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, burgers_gap,
                                    characteristic, psi)
 from fbsde_lab.model_core import affine_model, heaviside_tc, linear_drift_model, nonlinear_model
-from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d, uniform_time_nodes
+from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d
 
 
 def test_psi_pointwise():
@@ -24,24 +24,30 @@ def test_psi_monotone_lipschitz_fixes_unit_interval():
 
 def test_characteristics_three_branches():
     prof = BurgersProfile(ell=1.0, cap_lambda=0.0, horizon_T=1.0)
-    t0 = 0.0
     # below the cap: frozen
-    assert characteristic(-0.5, t0, 0.7, prof) == -0.5
+    assert characteristic(-0.5, 0.7, prof) == -0.5
     # above the cone: uniform unit speed
-    assert characteristic(1.5, t0, 0.7, prof) == pytest.approx(1.5 - 0.7)
+    assert characteristic(1.5, 0.7, prof) == pytest.approx(1.5 - 0.7)
     # inside the cone: hits the cap exactly at T
-    assert characteristic(0.5, t0, 1.0, prof) == pytest.approx(0.0, abs=1e-15)
-    mid = characteristic(0.5, t0, 0.5, prof)
+    assert characteristic(0.5, 1.0, prof) == pytest.approx(0.0, abs=1e-15)
+    mid = characteristic(0.5, 0.5, prof)
     assert mid == pytest.approx(0.5 - 0.5 * 0.5)
+
+
+def test_profile_refuses_a_horizon_not_above_0():
+    # characteristics run from t = 0 to the horizon
+    for T in (0.0, -0.1):
+        with pytest.raises(ValueError, match="horizon_T must be positive"):
+            BurgersProfile(ell=1.0, cap_lambda=0.0, horizon_T=T)
 
 
 def test_characteristics_monotone_and_collapse():
     prof = BurgersProfile(ell=1.3, cap_lambda=0.2, horizon_T=0.8)
     e0 = np.linspace(-1.0, 2.0, 301)
     for t in (0.3, 0.8):
-        out = characteristic(e0, 0.0, t, prof)
+        out = characteristic(e0, t, prof)
         assert np.all(np.diff(out) >= -1e-14)
-    at_T = characteristic(e0, 0.0, 0.8, prof)
+    at_T = characteristic(e0, 0.8, prof)
     cone = (e0 >= 0.2) & (e0 <= 0.2 + 1.3 * 0.8)
     assert np.allclose(at_T[cone], 0.2, atol=1e-14)
 
@@ -129,7 +135,7 @@ def test_gap_on_noiseless_model_is_pure_discretization():
     t_list = [0.0, 0.08, 0.16]
     sups = {}
     for de in (4e-4, 1e-4):
-        grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 50),
+        grid = Grid(t_nodes=np.linspace(0.0, 0.2, 51),
                     e_nodes=e_nodes_for(m, de))
         field = solve_reduced_1d(m, grid, tc)
         table = burgers_gap(field, m, t_list)
@@ -144,7 +150,7 @@ def test_gap_on_noiseless_model_is_pure_discretization():
 def test_gap_rows_expose_running_beta():
     m = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=0.2)
     tc = heaviside_tc(0.0)
-    grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 50),
+    grid = Grid(t_nodes=np.linspace(0.0, 0.2, 51),
                 e_nodes=e_nodes_for(m, 5e-4))
     field = solve_reduced_1d(m, grid, tc)
     table = burgers_gap(field, m, [0.0, 0.08, 0.16])

@@ -8,13 +8,12 @@ from fbsde_lab.cli import main
 from fbsde_lab.fieldio import dump_field, load_field, write_csv
 from fbsde_lab.model_core import affine_model, heaviside_tc
 from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, solve_mollified,
-                                 solve_reduced_1d, time_nodes_with_tail,
-                                 uniform_time_nodes)
+                                 solve_reduced_1d, time_nodes_with_tail)
 
 
 def test_roundtrip_full_field(tmp_path):
     m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 10),
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 11),
              e_nodes=e_nodes_for(m, 5e-3),
              p_nodes=(np.linspace(-1, 1, 9),))
     vf = solve_mollified(m, g, heaviside_tc(0.0))
@@ -31,7 +30,7 @@ def test_roundtrip_full_field(tmp_path):
 
 def test_roundtrip_reduced_field(tmp_path):
     m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 10),
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 11),
              e_nodes=e_nodes_for(m, 1e-3))
     vr = solve_reduced_1d(m, g, heaviside_tc(0.0))
     path = tmp_path / "red.bin"
@@ -56,6 +55,37 @@ def test_write_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_csv_writes_each_cell_as_its_shortest_text(tmp_path):
+    # float and numpy float64 cells as the shortest text that reads back to
+    # the same value (repr of the float), integers and bools as str
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-320,
+               2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 1e300]
+    rows = [(np.float64(x), float(x), np.int64(-7), np.bool_(x > 0), "s", 3, False)
+            for x in special]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["f64", "f", "i64", "b", "s", "i", "bool"], rows)
+    assert path.read_bytes() == (
+        b"f64,f,i64,b,s,i,bool\r\n"
+        b"nan,nan,-7,False,s,3,False\r\n"
+        b"inf,inf,-7,True,s,3,False\r\n"
+        b"-inf,-inf,-7,False,s,3,False\r\n"
+        b"0.0,0.0,-7,False,s,3,False\r\n"
+        b"-0.0,-0.0,-7,False,s,3,False\r\n"
+        b"5e-324,5e-324,-7,True,s,3,False\r\n"
+        b"1e-320,1e-320,-7,True,s,3,False\r\n"
+        b"2.2250738585072014e-308,2.2250738585072014e-308,-7,True,s,3,False\r\n"
+        b"0.1,0.1,-7,True,s,3,False\r\n"
+        b"0.3333333333333333,0.3333333333333333,-7,True,s,3,False\r\n"
+        b"1e+16,1e+16,-7,True,s,3,False\r\n"
+        b"1e+300,1e+300,-7,True,s,3,False\r\n")
+    # any float64 bit pattern, NaN payloads and subnormals included
+    bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
+    cells = bits.view(np.float64)
+    write_csv(path, ["x"], zip(cells))
+    lines = path.read_text().splitlines()[1:]
+    assert lines == [repr(float(x)) for x in cells]
+
+
 def test_roundtrip_keeps_every_axis_exactly(tmp_path):
     # first + step * arange misses these e- and p-nodes by up to 4e-13
     m = affine_model(alpha=[0.5, 0.3], gamma=1.0, sigma=1.0, horizon_T=0.1)
@@ -74,7 +104,7 @@ def test_roundtrip_keeps_every_axis_exactly(tmp_path):
 
 def test_truncated_payload_names_both_sizes(tmp_path):
     m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 1e-2))
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 5), e_nodes=e_nodes_for(m, 1e-2))
     path = tmp_path / "cut.bin"
     dump_field(ValueField(grid=g, values=np.zeros((5, len(g.e_nodes)))), path)
     raw = path.read_bytes()
@@ -87,7 +117,7 @@ def test_truncated_payload_names_both_sizes(tmp_path):
 @pytest.mark.parametrize("key", ["shape", "p_dims", "t_nodes", "e_nodes", "provenance"])
 def test_missing_header_line_is_named(tmp_path, key):
     m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 1e-2))
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 5), e_nodes=e_nodes_for(m, 1e-2))
     path = tmp_path / "f.bin"
     dump_field(ValueField(grid=g, values=np.zeros((5, len(g.e_nodes)))), path)
     head, _, payload = path.read_bytes().partition(b"\n\n")
@@ -99,7 +129,7 @@ def test_missing_header_line_is_named(tmp_path, key):
 
 def _small_field_file(tmp_path):
     m = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 1e-2))
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 5), e_nodes=e_nodes_for(m, 1e-2))
     path = tmp_path / "f.bin"
     dump_field(ValueField(grid=g, values=np.zeros((5, len(g.e_nodes)))), path)
     return path, len(g.e_nodes)

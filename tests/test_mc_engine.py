@@ -23,7 +23,7 @@ from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
 from fbsde_lab.scenarios import build_model, registry_list, scenario_config
 from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, gradient_fields,
                                  reduced_aligned_field, solve_mollified, solve_reduced_1d,
-                                 time_nodes_with_tail, uniform_time_nodes)
+                                 time_nodes_with_tail)
 
 
 def degenerate_setup(n_paths=500, e0_frac=0.5, T=0.1):
@@ -32,7 +32,7 @@ def degenerate_setup(n_paths=500, e0_frac=0.5, T=0.1):
     t_nodes = np.union1d(np.linspace(0.0, T, 401), time_nodes_with_tail(T, 4e-5, 0.02))
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 2e-5))
     field = solve_reduced_1d(model, grid, tc)
-    cfg = SimConfig(n_paths=n_paths, n_steps=400, t0=0.0, p0=np.zeros(1),
+    cfg = SimConfig(n_paths=n_paths, n_steps=400, p0=np.zeros(1),
                     e0=e0_frac * T, seed=11)
     return model, field, cfg
 
@@ -43,7 +43,7 @@ def noisy_setup(n_paths=4000, alpha=0.5, T=0.1, seed=11, snapshots=()):
     t_nodes = np.union1d(np.linspace(0.0, T, 401), time_nodes_with_tail(T, 4e-5, 0.02))
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 2e-5))
     field = solve_reduced_1d(model, grid, tc)
-    cfg = SimConfig(n_paths=n_paths, n_steps=400, t0=0.0, p0=np.zeros(1),
+    cfg = SimConfig(n_paths=n_paths, n_steps=400, p0=np.zeros(1),
                     e0=0.5 * T, seed=seed, t_snapshots=snapshots)
     return model, field, cfg
 
@@ -98,8 +98,6 @@ def test_batch_size_does_not_change_results(n_paths, batch_size):
 @pytest.mark.parametrize("dim_p, start, message", [
     (1, {"p0": np.zeros(2)}, "p0 has shape (2,); the model needs (1,)"),
     (2, {"p0": np.zeros(1)}, "p0 has shape (1,); the model needs (2,)"),
-    (1, {"t0": 0.1}, "t0 = 0.1 is not before the horizon T = 0.1"),
-    (1, {"t0": 0.15}, "t0 = 0.15 is not before the horizon T = 0.1"),
 ])
 def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
     _, field, cfg = _noisy_field()
@@ -123,7 +121,7 @@ def test_field_simulators_refuse_a_field_of_another_model():
             lambda: flow_squeeze_check(model, field, cfg, [(0.05, 0.03)], [0.05]),
             # refused before the derivative fields are read
             lambda: feynman_kac_grad_p(model, field, None, cfg),
-            lambda: transmission_scan(field, None, model, 0.0, [0.0], [0.05]),
+            lambda: transmission_scan(field, None, model, [0.05]),
             # a reduced field reads w from the model it is given
             lambda: field.eval(0.0, np.zeros(1), np.array([0.05]), model)]
     for run in runs:
@@ -269,7 +267,7 @@ def test_sandwich_smooth_ramp_small_violation():
                          time_nodes_with_tail(0.1, 4e-5, 0.02))
     grid = Grid(t_nodes=t_nodes, e_nodes=e_nodes_for(model, 1e-4))
     field = solve_reduced_1d(model, grid, tc)
-    cfg = SimConfig(n_paths=4000, n_steps=400, t0=0.0, p0=np.zeros(1),
+    cfg = SimConfig(n_paths=4000, n_steps=400, p0=np.zeros(1),
                     e0=0.05, seed=11)
     ens = simulate_forward(model, field, cfg)
     assert terminal_sandwich_check(ens, tc, eta=0.05) <= 0.01
@@ -321,12 +319,12 @@ def test_variance_scan_rejects_late_times():
 
 def test_variance_scan_steps_on_uniform_nodes_and_requested_times(monkeypatch):
     # the Euler grid's refinement near T starts within two uniform steps of T,
-    # so a scan stopping at or before (t0 + T)/2 never steps on it
+    # so a scan stopping at or before T/2 never steps on it
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
     t_list = 0.05 * np.geomspace(0.05, 1.0, 8)   # as check_variance asks at T = 0.1
     field = reduced_aligned_field(model, heaviside_tc(0.0), 1e-4, 200,
                                   t_extra=t_list, t_stop=float(t_list[-1]))
-    cfg = SimConfig(n_paths=50, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.05, seed=3)
+    cfg = SimConfig(n_paths=50, n_steps=200, p0=np.zeros(1), e0=0.05, seed=3)
     grids, stepper = [], mc_engine.euler_paths
     monkeypatch.setattr(mc_engine, "euler_paths", lambda m, c, tgrid, f:
                         grids.append(tgrid) or stepper(m, c, tgrid, f))
@@ -358,27 +356,27 @@ def test_prefactor_report_verdicts():
 def test_transmission_zero_alpha_profile_vanishes():
     model, field, cfg = degenerate_setup(n_paths=100)
     e_grid = np.linspace(-0.05, 0.15, 101)
-    prof = transmission_scan(field, gradient_fields(field), model, 0.0, [0.0], e_grid)
+    prof = transmission_scan(field, gradient_fields(field), model, e_grid)
     assert np.max(np.abs(prof.profiles["alpha_minus_gamma_dpv"])) <= 1e-6
 
 
 def test_transmission_scan_refuses_a_full_field():
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 4),
+    grid = Grid(t_nodes=np.linspace(0.0, 0.1, 5),
                 e_nodes=e_nodes_for(model, 4e-3), p_nodes=(np.linspace(-1, 1, 5),))
     field = solve_mollified(model, grid, heaviside_tc(0.0))
     with pytest.raises(ValueError, match=r"reduced \(dim 0\) field"):
-        transmission_scan(field, gradient_fields(field), model, 0.0, [0.0],
+        transmission_scan(field, gradient_fields(field), model,
                           np.linspace(-0.05, 0.15, 11))
 
 
 def test_feynman_kac_constant_sigma_weight_is_one():
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.2)
     tc = smooth_ramp_tc(0.0, 0.15)
-    grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 200),
+    grid = Grid(t_nodes=np.linspace(0.0, 0.2, 201),
                 e_nodes=e_nodes_for(model, 2e-4))
     field = solve_reduced_1d(model, grid, tc)
-    cfg = SimConfig(n_paths=4000, n_steps=200, t0=0.0, p0=np.zeros(1),
+    cfg = SimConfig(n_paths=4000, n_steps=200, p0=np.zeros(1),
                     e0=0.06, seed=11)
     est = feynman_kac_grad_p(model, field, gradient_fields(field), cfg)
     assert est.ess_fraction == pytest.approx(1.0)
@@ -396,10 +394,10 @@ def test_feynman_kac_sign_of_integrand():
     # dp_f <= 0 and de_v >= 0 force a non-negative estimate
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.2)
     tc = smooth_ramp_tc(0.0, 0.15)
-    grid = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 200),
+    grid = Grid(t_nodes=np.linspace(0.0, 0.2, 201),
                 e_nodes=e_nodes_for(model, 5e-4))
     field = solve_reduced_1d(model, grid, tc)
-    cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
+    cfg = SimConfig(n_paths=2000, n_steps=200, p0=np.zeros(1),
                     e0=0.0, seed=13)
     est = feynman_kac_grad_p(model, field, gradient_fields(field), cfg)
     assert est.estimate >= -3 * est.std_error
@@ -407,7 +405,7 @@ def test_feynman_kac_sign_of_integrand():
 
 def test_trap_bridge_pinned_at_cap():
     model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
+    cfg = SimConfig(n_paths=2000, n_steps=200, p0=np.zeros(1),
                     e0=0.05, seed=11)
     rep = trap_diagnostic(model, cfg)
     assert rep.p_hat_F > 0.5
@@ -426,13 +424,13 @@ def _strip_probability(a, tau, terms=50):
 @pytest.mark.parametrize("horizon", [0.4, 0.1])
 def test_trap_probability_matches_the_strip_series(horizon):
     # affine family: M_t = sigma |alpha| W_t, so F is a Brownian strip event
-    # over tau = sigma^2 |alpha|^2 (T - t0); the sup is monitored only at the
+    # over tau = sigma^2 |alpha|^2 T; the sup is monitored only at the
     # grid times, which the barrier shift of Broadie, Glasserman and Kou
     # (0.5826 sigma |alpha| sqrt(dt)) corrects for
     cfg = scenario_config("affine_dirac")
     model = build_model(cfg["model"], horizon=horizon)
     n_steps = 500
-    sim = SimConfig(n_paths=20_000, n_steps=n_steps, t0=0.0, p0=np.zeros(1),
+    sim = SimConfig(n_paths=20_000, n_steps=n_steps, p0=np.zeros(1),
                     e0=0.0, seed=8)
     rep = trap_diagnostic(model, sim)
     scale = model.family_params["sigma"] * float(np.linalg.norm(model.family_params["alpha"]))
@@ -445,7 +443,7 @@ def test_trap_probability_increases_toward_horizon():
     p_hats = []
     for T in (0.4, 0.1):
         model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=T)
-        cfg = SimConfig(n_paths=2000, n_steps=200, t0=0.0, p0=np.zeros(1),
+        cfg = SimConfig(n_paths=2000, n_steps=200, p0=np.zeros(1),
                         e0=0.5 * T, seed=11)
         p_hats.append(trap_diagnostic(model, cfg).p_hat_F)
     assert p_hats[1] > p_hats[0]
@@ -453,14 +451,14 @@ def test_trap_probability_increases_toward_horizon():
 
 def test_simconfig_validation():
     with pytest.raises(ValueError):
-        SimConfig(n_paths=10, n_steps=50, t0=0.0, p0=np.zeros(1), e0=0.0, seed=1)
+        SimConfig(n_paths=10, n_steps=50, p0=np.zeros(1), e0=0.0, seed=1)
     with pytest.raises(ValueError, match=re.escape("n_paths (0) must be >= 1")):
-        SimConfig(n_paths=0, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0, seed=1)
+        SimConfig(n_paths=0, n_steps=200, p0=np.zeros(1), e0=0.0, seed=1)
     for seed in (-1, 2**64, 7.0, True, "7"):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
-            SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,
+            SimConfig(n_paths=10, n_steps=200, p0=np.zeros(1), e0=0.0,
                       seed=seed)
-    SimConfig(n_paths=10, n_steps=200, t0=0.0, p0=np.zeros(1), e0=0.0,
+    SimConfig(n_paths=10, n_steps=200, p0=np.zeros(1), e0=0.0,
               seed=2**64 - 1)
 
 

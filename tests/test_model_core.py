@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from fbsde_lab.model_core import (
-    AssumptionError, FeedbackFn, ModelSpec, affine_model, default_mollifier,
+    BUMP_MEAN, AssumptionError, FeedbackFn, ModelSpec, _poly_bump, affine_model,
     effective_ell, heaviside_tc, linear_drift_model, mollify, nonlinear_model,
     phi_sides_arrays, smooth_ramp_tc, validate_assumptions,
 )
@@ -108,16 +110,15 @@ def test_heaviside_value_at_threshold_is_one():
 # ---------------------------------------------------------------------------
 
 def test_default_bump_normalized_with_mean_half():
-    m = default_mollifier(10)
     t = np.linspace(0, 1, 200001)
-    assert np.trapezoid(m.bump_density(t), t) == pytest.approx(1.0, abs=1e-8)
-    assert np.trapezoid(t * m.bump_density(t), t) == pytest.approx(0.5, abs=1e-8)
+    assert np.trapezoid(_poly_bump(t), t) == pytest.approx(1.0, abs=1e-8)
+    assert np.trapezoid(t * _poly_bump(t), t) == pytest.approx(BUMP_MEAN, abs=1e-8)
+    assert BUMP_MEAN == 0.5
 
 
 def test_mollified_pair_brackets_phi_on_dense_grid():
     tc = heaviside_tc(0.0)
-    m = default_mollifier(10)
-    up, lo = mollify(tc, m, "upper"), mollify(tc, m, "lower")
+    up, lo = mollify(tc, 10, "upper"), mollify(tc, 10, "lower")
     x = np.linspace(-1.0, 1.0, 10001)
     assert np.all(up(x) >= tc(x) - 1e-12)
     assert np.all(lo(x) <= tc(x) + 1e-12)
@@ -126,10 +127,9 @@ def test_mollified_pair_brackets_phi_on_dense_grid():
 
 
 def test_heaviside_l1_gap_equals_mean_over_n():
-    # integral of (upper mollified - heaviside) is bump_mean / n exactly
+    # integral of (upper mollified - heaviside) is the bump mean / n exactly
     tc = heaviside_tc(0.0)
-    m = default_mollifier(10)
-    up = mollify(tc, m, "upper")
+    up = mollify(tc, 10, "upper")
     x = np.linspace(-0.2, 0.1, 300001)
     gap = np.trapezoid(up(x) - tc(x), x)
     assert gap == pytest.approx(0.05, abs=1e-6)
@@ -138,7 +138,7 @@ def test_heaviside_l1_gap_equals_mean_over_n():
 def test_mollified_converges_at_continuity_points():
     tc = heaviside_tc(0.0)
     for x in (-0.4, 0.7):
-        vals = [float(mollify(tc, default_mollifier(n), "upper")(np.asarray(x)))
+        vals = [float(mollify(tc, n, "upper")(np.asarray(x)))
                 for n in (4, 16, 64)]
         errs = [abs(v - float(tc(np.asarray(x)))) for v in vals]
         assert errs[-1] <= 1e-12
@@ -149,19 +149,17 @@ def test_ramp_mollification_transport_bound():
     # slope-1 clamp ramp: sup distance bounded by (support max)/n
     tc = smooth_ramp_tc(0.0, width=1.0)
     for n in (5, 20):
-        up = mollify(tc, default_mollifier(n), "upper")
+        up = mollify(tc, n, "upper")
         x = np.linspace(-2, 2, 20001)
         assert np.max(np.abs(up(x) - tc(x))) <= 1.0 / n + 1e-12
 
 
-def test_mollifier_rejects_bad_side_and_density():
+def test_mollify_rejects_bad_side_and_order():
     tc = heaviside_tc(0.0)
-    with pytest.raises(ValueError):
-        mollify(tc, default_mollifier(4), "sideways")
-    from fbsde_lab.model_core import Mollifier
-    with pytest.raises(ValueError):
-        Mollifier(bump_density=lambda t: 2.0 * np.ones_like(t),
-                  support=(0.0, 1.0), bump_mean=1.0, order_n=4)
+    with pytest.raises(ValueError, match="side"):
+        mollify(tc, 4, "sideways")
+    with pytest.raises(ValueError, match=re.escape("mollifier order n = 0 must be >= 1")):
+        mollify(tc, 0, "upper")
 
 
 # ---------------------------------------------------------------------------

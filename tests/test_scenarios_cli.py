@@ -205,6 +205,25 @@ def test_simulate_only_refuses_field_of_another_horizon(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_simulate_only_refuses_a_field_that_does_not_start_at_0(tmp_path, capsys):
+    # paths start at t = 0; they would read the field's first slice until then
+    from fbsde_lab.fieldio import dump_field, load_field
+    from fbsde_lab.value_pde import Grid, ValueField
+    cfgfile, path = _solve_only(tmp_path, "degenerate_characteristics")
+    vf = load_field(path)
+    late = Grid(t_nodes=vf.grid.t_nodes[1:], e_nodes=vf.grid.e_nodes)
+    dump_field(ValueField(grid=late, values=vf.values[1:],
+                          provenance=vf.provenance), path)
+    code = main(["simulate-only", "--scenario", "degenerate_characteristics",
+                 "--field", str(path), "--config", str(cfgfile),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"field {path} does not fit" in err
+    assert f"grid starts at t = {late.t_nodes[0]}, not at 0" in err
+    assert not (tmp_path / "degenerate_characteristics_terminal.csv").exists()
+
+
 def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     cfgfile, path = _solve_only(tmp_path, "degenerate_characteristics")
     head, _, payload = path.read_bytes().partition(b"\n\n")
@@ -260,6 +279,25 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "gap_horizons [0.05]", "fewer than two distinct"]),
     (json.dumps({"sweeps": {"gap_horizons": [0.05, 0.05]}}),
      ["bad config", "gap_horizons [0.05, 0.05]", "fewer than two distinct"]),
+    # the other sweeps, refused whichever checks the config names
+    (json.dumps({"checks": ["conservation_gap"], "sweeps": {"mollifier_n": []}}),
+     ["bad config", "sweeps.mollifier_n []", "non-empty", ">= 1"]),
+    (json.dumps({"checks": ["validate"], "sweeps": {"mollifier_n": [0, 4]}}),
+     ["bad config", "sweeps.mollifier_n [0, 4]", ">= 1"]),
+    (json.dumps({"checks": ["validate"], "sweeps": {"variance_horizons": []}}),
+     ["bad config", "sweeps.variance_horizons []", "two distinct"]),
+    (json.dumps({"checks": ["validate"], "sweeps": {"variance_horizons": [0.2]}}),
+     ["bad config", "sweeps.variance_horizons [0.2]", "two distinct"]),
+    (json.dumps({"checks": ["validate"],
+                 "sweeps": {"variance_horizons": [0.2, 0.2]}}),
+     ["bad config", "sweeps.variance_horizons [0.2, 0.2]", "two distinct"]),
+    (json.dumps({"checks": ["validate"],
+                 "sweeps": {"variance_horizons": [0.2, 0.0]}}),
+     ["bad config", "sweeps.variance_horizons [0.2, 0.0]", "above 0"]),
+    (json.dumps({"checks": ["validate"], "sweeps": {"transmission_horizon": 0.0}}),
+     ["bad config", "sweeps.transmission_horizon 0.0", "above 0"]),
+    (json.dumps({"checks": ["validate"], "sweeps": {"mass_check_horizon": -0.01}}),
+     ["bad config", "sweeps.mass_check_horizon -0.01", "above 0"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 
 from fbsde_lab.burgers_ref import psi
 from fbsde_lab import value_pde
-from fbsde_lab.model_core import (affine_model, default_mollifier, heaviside_tc,
+from fbsde_lab.model_core import (BUMP_MEAN, affine_model, heaviside_tc,
                                   linear_drift_model, mollify, smooth_ramp_tc)
 from fbsde_lab.scenarios import build_model
 from fbsde_lab.value_pde import (CFLError, Grid, _thomas_factors, _thomas_sweep,
@@ -18,7 +18,7 @@ from fbsde_lab.value_pde import (CFLError, Grid, _thomas_factors, _thomas_sweep,
                                  e_nodes_for, gradient_fields,
                                  gradient_band_violation, reduced_diffusion_integral,
                                  solve_mollified, solve_reduced_1d,
-                                 time_nodes_with_tail, uniform_time_nodes)
+                                 time_nodes_with_tail)
 
 
 def small_model(alpha=0.5, gamma=1.0, sigma=1.0, T=0.2):
@@ -26,7 +26,7 @@ def small_model(alpha=0.5, gamma=1.0, sigma=1.0, T=0.2):
 
 
 def small_grid(model, de=2e-3, n_t=40, n_p=21, p_half=2.0, pad=0.0):
-    return Grid(t_nodes=uniform_time_nodes(0.0, model.horizon_T, n_t),
+    return Grid(t_nodes=np.linspace(0.0, model.horizon_T, n_t + 1),
                 e_nodes=e_nodes_for(model, de, pad=pad),
                 p_nodes=(np.linspace(-p_half, p_half, n_p),))
 
@@ -90,7 +90,7 @@ def test_far_field_levels_for_modest_compensator():
 def test_cfl_refusal_reports_required_step(monkeypatch):
     monkeypatch.setattr(value_pde, "_MAX_INTERNAL_STEPS", 3)
     m = small_model()
-    red = Grid(t_nodes=uniform_time_nodes(0.0, m.horizon_T, 10),
+    red = Grid(t_nodes=np.linspace(0.0, m.horizon_T, 11),
                e_nodes=e_nodes_for(m, 2e-3))
     for solve, grid in ((solve_mollified, small_grid(m)), (solve_reduced_1d, red)):
         with pytest.raises(CFLError, match=r"stability requires dt <= \S+ "
@@ -100,11 +100,23 @@ def test_cfl_refusal_reports_required_step(monkeypatch):
 
 def test_domain_coverage_enforced():
     m = small_model()
-    g = Grid(t_nodes=uniform_time_nodes(0.0, m.horizon_T, 10),
+    g = Grid(t_nodes=np.linspace(0.0, m.horizon_T, 11),
              e_nodes=np.linspace(-0.1, 0.1, 64),
              p_nodes=(np.linspace(-1, 1, 11),))
     with pytest.raises(ValueError):
         solve_mollified(m, g, heaviside_tc(0.0))
+
+
+def test_solvers_refuse_a_time_axis_that_does_not_start_at_0():
+    # every path starts at t = 0, so every field holds the slice there
+    m = small_model()
+    late = np.linspace(0.06, m.horizon_T, 11)
+    full = Grid(t_nodes=late, e_nodes=e_nodes_for(m, 2e-3),
+                p_nodes=(np.linspace(-1, 1, 11),))
+    red = Grid(t_nodes=late, e_nodes=e_nodes_for(m, 2e-3))
+    for solve, grid in ((solve_mollified, full), (solve_reduced_1d, red)):
+        with pytest.raises(ValueError, match=r"grid starts at t = 0\.06, not at 0"):
+            solve(m, grid, heaviside_tc(0.0))
 
 
 def test_divergence_guard_is_quiet_on_sane_runs():
@@ -120,7 +132,7 @@ def test_divergence_guard_is_quiet_on_sane_runs():
 
 def test_reduced_mirror_symmetry():
     m = affine_model(alpha=0.8, gamma=1.0, sigma=1.0, horizon_T=0.4)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.4, 100),
+    g = Grid(t_nodes=np.linspace(0.0, 0.4, 101),
              e_nodes=e_nodes_for(m, 2e-4))
     vr = solve_reduced_1d(m, g, heaviside_tc(0.0))
     worst = 0.0
@@ -137,7 +149,7 @@ def test_reduced_mirror_symmetry():
 def test_reduced_zero_noise_limit_is_rarefaction():
     m = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=0.2)
     de = 2e-4
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 50), e_nodes=e_nodes_for(m, de))
+    g = Grid(t_nodes=np.linspace(0.0, 0.2, 51), e_nodes=e_nodes_for(m, de))
     vr = solve_reduced_1d(m, g, heaviside_tc(0.0))
     for t in (0.0, 0.1):
         s = 0.2 - t
@@ -190,9 +202,8 @@ def test_conservation_gap_basics():
     m = small_model()
     tc = heaviside_tc(0.0)
     g = small_grid(m, pad=0.3)
-    mol = default_mollifier(8)
-    up = solve_mollified(m, g, mollify(tc, mol, "upper"))
-    lo = solve_mollified(m, g, mollify(tc, mol, "lower"))
+    up = solve_mollified(m, g, mollify(tc, 8, "upper"))
+    lo = solve_mollified(m, g, mollify(tc, 8, "lower"))
     assert conservation_gap(up, up, m=0.2, t=0.1, p=[0.0]) == 0.0
     gap = conservation_gap(up, lo, m=0.2, t=0.1, p=[0.0])
     assert gap > 0
@@ -204,11 +215,10 @@ def test_terminal_window_gap_matches_quadrature():
     # at t = T the window integral of (upper - lower) is 2 * mean / n
     tc = heaviside_tc(0.0)
     for n in (4, 16):
-        mol = default_mollifier(n)
-        up, lo = mollify(tc, mol, "upper"), mollify(tc, mol, "lower")
+        up, lo = mollify(tc, n, "upper"), mollify(tc, n, "lower")
         x = np.linspace(-2.0 / n, 2.0 / n, 40001)
         gap = np.trapezoid(up(x) - lo(x), x)
-        assert gap == pytest.approx(2 * mol.bump_mean / n, rel=1e-3)
+        assert gap == pytest.approx(2 * BUMP_MEAN / n, rel=1e-3)
 
 
 def _window_sup_gaps(fields, delta=0.05):
@@ -222,7 +232,7 @@ def test_mollifier_sequence_monotone():
     m = small_model()
     g = small_grid(m, pad=0.3)
     tc = heaviside_tc(0.0)
-    fields = [solve_mollified(m, g, mollify(tc, default_mollifier(n), "upper"))
+    fields = [solve_mollified(m, g, mollify(tc, n, "upper"))
               for n in (4, 8, 16)]
     for a, b in zip(fields[:-1], fields[1:]):
         assert np.max(b.values - a.values) <= 1e-6
@@ -235,7 +245,7 @@ def test_mollifier_sequence_monotone():
 
 def test_dim2_solve_matches_reduced_reconstruction():
     m = affine_model(alpha=[0.4, 0.2], gamma=1.0, sigma=1.0, horizon_T=0.15)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.15, 30),
+    g = Grid(t_nodes=np.linspace(0.0, 0.15, 31),
              e_nodes=e_nodes_for(m, 2e-3),
              p_nodes=(np.linspace(-1.5, 1.5, 17), np.linspace(-1.5, 1.5, 17)))
     vf = solve_mollified(m, g, heaviside_tc(0.0))
@@ -349,7 +359,7 @@ def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n
         lam = 1.0 if family == "drift_up" else -1.0
         m = linear_drift_model(lam=lam, alpha=alpha, gamma=1.0, horizon_T=T)
     de = 1e-3
-    g = Grid(t_nodes=uniform_time_nodes(0.0, T, n_t), e_nodes=e_nodes_for(m, de))
+    g = Grid(t_nodes=np.linspace(0.0, T, n_t + 1), e_nodes=e_nodes_for(m, de))
     # every span takes several window blocks of substeps
     assert T / (n_t - 1) / (0.85 * de / 2.0) > 2 * value_pde._WINDOW_BLOCK
     tc = heaviside_tc(0.0) if ramp is None else smooth_ramp_tc(0.0, ramp)
@@ -359,7 +369,7 @@ def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n
 
 def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monkeypatch):
     m = affine_model(alpha=0.3, gamma=1.0, sigma=1.0, horizon_T=0.2)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.2, 3), e_nodes=e_nodes_for(m, 1e-3))
+    g = Grid(t_nodes=np.linspace(0.0, 0.2, 4), e_nodes=e_nodes_for(m, 1e-3))
     tc = heaviside_tc(0.0)
     ref = _reduced_reference(m, g, tc)
     assert np.any((ref > 0.0) & (ref < 2.0**-60))
@@ -412,7 +422,7 @@ def test_scheme_invariants_on_random_grids(family, coef, T, shift, width, n_p, n
         m = affine_model(alpha=coef, gamma=1.0, sigma=1.0, horizon_T=T)
     e = e_nodes_for(m, 5e-3, pad=0.2)
     p = () if family == "reduced" else (np.linspace(-1.5, 1.5, n_p),)
-    g = Grid(t_nodes=uniform_time_nodes(0.0, T, n_t), e_nodes=e, p_nodes=p)
+    g = Grid(t_nodes=np.linspace(0.0, T, n_t + 1), e_nodes=e, p_nodes=p)
     solve = solve_reduced_1d if family == "reduced" else solve_mollified
     hi = solve(m, g, smooth_ramp_tc(-shift, width)).values
     lo = solve(m, g, smooth_ramp_tc(shift, width)).values
@@ -438,7 +448,7 @@ def test_thread_split_changes_no_bit(family, coef, T, n_p, n_t, workers):
         alpha = [coef, 0.5 * coef] if family == "dim2" else coef
         m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
     p = tuple(np.linspace(-1.5, 1.5, n_p) for _ in range(m.dim_p))
-    g = Grid(t_nodes=uniform_time_nodes(0.0, T, n_t),
+    g = Grid(t_nodes=np.linspace(0.0, T, n_t + 1),
              e_nodes=e_nodes_for(m, 1e-2 if family == "dim2" else 4e-3), p_nodes=p)
     tc = smooth_ramp_tc(0.0, 0.1)
     values = {}
@@ -454,7 +464,7 @@ def test_thread_split_changes_no_bit(family, coef, T, n_p, n_t, workers):
 def test_thread_split_under_thread_stress(monkeypatch):
     # more workers than cores, and a thread switch every microsecond
     m = build_model({"family": "nonlinear_1d", "sigma": 0.75, "horizon_T": 0.1})
-    g = Grid(t_nodes=uniform_time_nodes(0.0, 0.1, 3), e_nodes=e_nodes_for(m, 4e-3),
+    g = Grid(t_nodes=np.linspace(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 4e-3),
              p_nodes=(np.linspace(-1.5, 1.5, 11),))
     tc = smooth_ramp_tc(0.0, 0.1)
     serial = solve_mollified(m, g, tc).values.tobytes()
