@@ -28,10 +28,14 @@ from .mc_engine import simulate_forward
 from .value_pde import check_domain, check_model
 
 
-def _output_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("FBSDE_LAB_OUTPUT", "fbsde_lab_out"))
+def _output_root(args) -> Path | None:
+    """The output root, or None after printing why an existing file that is
+    not a directory is refused (before anything is solved or simulated)."""
+    root = Path(args.out or os.environ.get("FBSDE_LAB_OUTPUT", "fbsde_lab_out"))
+    if root.exists() and not root.is_dir():
+        print(f"output root {root} exists and is not a directory", file=sys.stderr)
+        return None
+    return root
 
 
 def _scenario_cfg(args) -> tuple | None:
@@ -63,13 +67,14 @@ def _scenario_cfg(args) -> tuple | None:
 
 def cmd_run(args) -> int:
     scenario = _scenario_cfg(args)
-    if scenario is None:
+    out = _output_root(args)
+    if scenario is None or out is None:
         return 2
     cfg = scenario[0]
-    record = run_scenario(cfg, output_root=_output_root(args))
+    record = run_scenario(cfg, output_root=out)
     for name, verdict in record.verdicts.items():
         print(f"{verdict.upper():7s} {name}  ({record.timings[name]}s)")
-    print(f"record: {_output_root(args) / cfg['name'] / 'record.json'}")
+    print(f"record: {out / cfg['name'] / 'record.json'}")
     return 0 if record.all_passed else 1
 
 
@@ -95,11 +100,11 @@ def cmd_plot_data(args) -> int:
 
 def cmd_solve_only(args) -> int:
     scenario = _scenario_cfg(args)
-    if scenario is None:
+    out = _output_root(args)
+    if scenario is None or out is None:
         return 2
     cfg, model, tc, _ = scenario
     field = scenario_field(cfg, model, tc)
-    out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_field.bin"
     dump_field(field, path)
@@ -109,7 +114,8 @@ def cmd_solve_only(args) -> int:
 
 def cmd_simulate_only(args) -> int:
     scenario = _scenario_cfg(args)
-    if scenario is None:
+    out = _output_root(args)
+    if scenario is None or out is None:
         return 2
     cfg, model, _, sim = scenario
     try:
@@ -125,7 +131,6 @@ def cmd_simulate_only(args) -> int:
               file=sys.stderr)
         return 2
     ens = simulate_forward(model, field, sim)
-    out = _output_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg['name']}_terminal.csv"
     # Python floats format faster than numpy scalars, to the same text

@@ -676,9 +676,9 @@ def run_scenario(cfg, output_root=None, checks=None) -> ExperimentRecord:
     cache0 = _main_ensemble.cache_info()
     for check_name in todo:
         fn = _CHECKS[check_name]
-        t0 = time.time()
+        t0 = time.perf_counter()
         outcome = fn(cfg)
-        timings[check_name] = round(time.time() - t0, 3)
+        timings[check_name] = round(time.perf_counter() - t0, 3)
         verdicts[check_name] = outcome.verdict
         stats[check_name] = outcome.stats
         if out_dir is not None:

@@ -20,7 +20,10 @@ Transport and p-sweeps allocate nothing per sub-step: the transport keeps
 the plain formula's ufunc order (bit for bit) on scratch buffers made once per
 solve, and each p-direction matrix is factored once per stored span (fixed
 step) for an in-place, row-vectorised Thomas sweep.  ``_tridiag`` assembles
-every tridiagonal M-matrix; the long e-axis systems go to ``solve_banded``.
+every tridiagonal M-matrix; the long e-axis systems go to scipy's
+``solve_banded``.  scipy is imported inside ``_solve_axis``, so only a
+process that solves a reduced equation with noise loads it; importing the
+package, simulating paths and the full solver never do.
 On grids of at least ``_THREAD_MIN_CELLS`` cells the full solver evaluates
 the feedback and the transport of each sub-step on ``_WORKERS`` threads, one
 contiguous range of p-rows each: both act within a row, so every element
@@ -45,7 +48,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .burgers_ref import WEvaluator, _rows_by_p_node
 from .model_core import ModelSpec, TerminalCondition
@@ -190,12 +192,14 @@ def _clamp(x, lo, hi):
     return np.minimum(hi, np.maximum(lo, x))
 
 
-def _lin_weights(nodes: np.ndarray, x: np.ndarray):
-    dx = nodes[1] - nodes[0]
-    pos = (np.asarray(x, dtype=float) - nodes[0]) / dx
-    idx = _clamp(pos.astype(np.int64), 0, len(nodes) - 2)
-    w = _clamp(pos - idx, 0.0, 1.0)
-    return idx, w
+def _lin_weights(nodes: np.ndarray, x):
+    """Lower node index and weight of the points ``x``, clamped to the axis.
+    The position is non-negative after the clamp, so its floor is the
+    truncation; ``fmin`` sends NaN to the last cell, whose weight stays NaN."""
+    x = _clamp(np.asarray(x, dtype=float), nodes[0], nodes[-1])
+    pos = (x - nodes[0]) / (nodes[1] - nodes[0])
+    low = np.fmin(np.floor(pos), len(nodes) - 2)
+    return low.astype(np.intp), _clamp(pos - low, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -242,17 +246,15 @@ class ValueField:
 
 def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
     """Multilinear interpolation of one stored slice at points (p, e)."""
-    e = _clamp(np.asarray(e, dtype=float), grid.e_nodes[0], grid.e_nodes[-1])
     ie, we_ = _lin_weights(grid.e_nodes, e)
     if grid.dim == 0:
-        return (1.0 - we_) * sl[ie] + we_ * sl[ie + 1]
+        return (1.0 - we_) * sl.take(ie) + we_ * sl.take(ie + 1)
     p = np.asarray(p, dtype=float)
     if p.ndim == 1:
         p = p[None, :]
     idxs, wts = [], []
     for k, nodes in enumerate(grid.p_nodes):
-        pk = _clamp(p[..., k], nodes[0], nodes[-1])
-        ik, wk = _lin_weights(nodes, pk)
+        ik, wk = _lin_weights(nodes, p[..., k])
         idxs.append(ik); wts.append(wk)
     if grid.dim == 1:
         i0, w0 = idxs[0], wts[0]
@@ -333,7 +335,9 @@ def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
 
 def _solve_axis(u: np.ndarray, ab: np.ndarray):
     """Solve the system ``ab`` for the vector ``u`` in place; ``ab`` is
-    overwritten (the long e-axis solves make no fresh allocations to re-fault)."""
+    overwritten (the long e-axis solves make no fresh allocations to re-fault).
+    scipy is imported here, at its one use, to keep it out of start-up."""
+    from scipy.linalg import solve_banded
     u[...] = solve_banded((1, 1), ab, u, overwrite_ab=True, overwrite_b=True)
 
 

@@ -368,6 +368,21 @@ def test_cli_bad_path_flags_exit_2(tmp_path, capsys, flags, words):
     assert not out.exists()   # refused before any check ran
 
 
+@pytest.mark.parametrize("cmd", ["run", "solve-only", "simulate-only"])
+def test_cli_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, cmd):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    extra = ["--field", str(tmp_path / "missing.bin")] if cmd == "simulate-only" else []
+    from fbsde_lab import cli
+    for name in ("run_scenario", "scenario_field", "load_field", "simulate_forward"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran past the refusal"))
+    code = main([cmd, "--scenario", "degenerate_characteristics",
+                 "--out", str(out), *extra])
+    assert code == 2
+    assert f"output root {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 def test_scenario_ensemble_is_built_once_per_run(tmp_path):
     from fbsde_lab import experiments as X
     cfg = scenario_config("affine_dirac", {"grid": {"de_reduced": 1e-4},
@@ -489,3 +504,30 @@ def test_solve_and_simulate_only_outputs_are_pinned(tmp_path):
         "966682c41087eb142c2323363d556d2ba16875a954c0fb11081814fa22106b92")
     assert hashlib.sha256(terminal).hexdigest() == (
         "6cc0ed03f97935541032e54d63728ddaa8cfc53c53d7d876688dcfd6d3a6c024")
+
+
+def test_scipy_loads_only_for_a_reduced_solve_with_noise(tmp_path):
+    # scipy is imported inside value_pde._solve_axis alone; a module-level
+    # import anywhere would bring its start-up cost back to every command
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"de_reduced": 1e-3},
+                                   "sim": {"n_paths": 50}}))
+
+    def scipy_loaded(*commands):
+        code = "\n".join(["import sys", "from fbsde_lab import cli"]
+                         + [f"assert cli.main({c!r}) == 0" for c in commands]
+                         + ["print('scipy' in sys.modules)"])
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1] == "True"
+
+    common = ["--config", str(cfgfile), "--out", str(tmp_path)]
+    degenerate = ["--scenario", "degenerate_characteristics", *common]
+    field = str(tmp_path / "degenerate_characteristics_field.bin")
+    assert not scipy_loaded()
+    assert not scipy_loaded(["solve-only", *degenerate],
+                            ["simulate-only", *degenerate, "--field", field])
+    assert scipy_loaded(["solve-only", "--scenario", "affine_dirac", *common])

@@ -510,3 +510,69 @@ def test_clamp_is_np_clip_bit_for_bit(values, stride, bounds):
     assert value_pde._clamp(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
     idx = np.arange(-3, len(values))
     assert np.array_equal(value_pde._clamp(idx, 0, 5), np.clip(idx, 0, 5))
+
+
+def _lin_weights_by_truncation(nodes, x):
+    # reference: the weights by integer truncation of the position
+    x = value_pde._clamp(np.asarray(x, dtype=float), nodes[0], nodes[-1])
+    pos = (x - nodes[0]) / (nodes[1] - nodes[0])
+    with np.errstate(invalid="ignore"):     # NaN cast to int64
+        idx = value_pde._clamp(pos.astype(np.int64), 0, len(nodes) - 2)
+    return idx, value_pde._clamp(pos - idx, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("nodes", [
+    e_nodes_for(small_model(), 2e-3),                  # e-axis, cap 1 (pad-free)
+    e_nodes_for(small_model(alpha=0.0, T=0.1), 1e-5),  # long e-axis
+    np.linspace(-2.0, 2.0, 21),                        # p-axes
+    np.linspace(-1.5, 2.5, 61),
+    np.linspace(0.0, 1.0, 2),                          # a single cell
+])
+def test_lin_weights_match_truncation_bit_for_bit(nodes):
+    rng = np.random.default_rng(5)
+    lo, hi = nodes[0], nodes[-1]
+    x = np.concatenate([
+        nodes,                                            # exact nodes, both ends
+        rng.uniform(lo, hi, 2000),
+        rng.uniform(lo - 1.0, lo, 50), rng.uniform(hi, hi + 1.0, 50),   # outside
+        [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), -np.inf, np.inf,
+         np.nan, -0.0, 0.0, 1e300, -1e300],
+    ])
+    idx, w = value_pde._lin_weights(nodes, x)
+    ref_idx, ref_w = _lin_weights_by_truncation(nodes, x)
+    assert idx.min() >= 0 and idx.max() <= len(nodes) - 2   # NaN included
+    nan = np.isnan(ref_w)
+    assert np.array_equal(nan, np.isnan(w)) and nan.sum() == 1
+    assert np.array_equal(idx[~nan], ref_idx[~nan])
+    assert w[~nan].tobytes() == ref_w[~nan].tobytes()
+
+
+def test_lin_weights_only_change_the_sign_of_a_zero_weight():
+    # -0.0 at an axis starting at +0.0: truncation keeps the weight -0.0, the
+    # floor form gives +0.0; equal values, and the blend (1 - w) a + w b only
+    # differs if the slice holds -0.0 at that node
+    nodes = np.linspace(0.0, 1.0, 11)
+    (i, w), (ref_i, ref_w) = (f(nodes, np.array([-0.0]))
+                              for f in (value_pde._lin_weights, _lin_weights_by_truncation))
+    assert i[0] == ref_i[0] == 0 and w[0] == ref_w[0] == 0.0
+    assert (np.signbit(w[0]), np.signbit(ref_w[0])) == (False, True)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_interp_space_nan_and_outside_points(dim):
+    # points outside the grid read the edge values; NaN reads NaN, as it did
+    rng = np.random.default_rng(3)
+    e = np.linspace(0.5, 1.5, 41)
+    p_nodes = tuple(np.linspace(-1.0, 1.0, 9) for _ in range(dim))
+    grid = Grid(t_nodes=np.array([0.0, 0.1]), e_nodes=e, p_nodes=p_nodes)
+    sl = rng.uniform(0.0, 1.0, grid.space_shape())
+    pe = np.array([np.nan, -5.0, 5.0, 0.5, 1.5, 1.0])
+    p = np.zeros((len(pe), dim))
+    out = value_pde._interp_space(grid, sl, p if dim else None, pe)
+    edge = sl[(len(p_nodes[0]) // 2,) * dim] if dim else sl
+    assert np.isnan(out[0])
+    assert np.allclose(out[1:], [edge[0], edge[-1], edge[0], edge[-1], edge[20]],
+                       rtol=0, atol=1e-12)
+    if dim:
+        p[-1, 0] = np.nan
+        assert np.isnan(value_pde._interp_space(grid, sl, p, pe)[-1])
