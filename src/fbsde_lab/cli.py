@@ -40,8 +40,8 @@ def _output_root(args) -> Path | None:
 
 def _scenario_cfg(args) -> tuple | None:
     """(config, model, terminal condition, SimConfig) of the scenario with the
-    config file and the ``--seed`` and ``--n-paths`` flags applied, or None
-    after printing why the scenario is unknown or the config is refused."""
+    config file and the ``--seed`` flag applied, or None after printing why
+    the scenario is unknown or the config is refused."""
     try:
         overrides = json.loads(Path(args.config).read_text()) if args.config else {}
         if overrides is None:   # scenario_config would read null as "no overrides"
@@ -55,9 +55,8 @@ def _scenario_cfg(args) -> tuple | None:
         return None
     try:
         servable_checks(cfg)
-        for flag in ("seed", "n_paths"):
-            if getattr(args, flag, None) is not None:
-                cfg["sim"][flag] = getattr(args, flag)
+        if getattr(args, "seed", None) is not None:
+            cfg["sim"]["seed"] = args.seed
         model, tc = scenario_model(cfg)
         return cfg, model, tc, scenario_sim(cfg, model)
     except (KeyError, TypeError, ValueError) as exc:
@@ -149,7 +148,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario pipeline")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--n-paths", type=int, dest="n_paths")
     run_p.add_argument("--config", help="JSON config overriding registry fields")
     run_p.add_argument("--out", help="output root directory")
     run_p.set_defaults(fn=cmd_run)
@@ -174,7 +172,6 @@ def main(argv=None) -> int:
     simo_p.add_argument("--scenario", required=True)
     simo_p.add_argument("--field", required=True)
     simo_p.add_argument("--seed", type=int)
-    simo_p.add_argument("--n-paths", type=int, dest="n_paths")
     simo_p.add_argument("--config")
     simo_p.add_argument("--out")
     simo_p.set_defaults(fn=cmd_simulate_only)

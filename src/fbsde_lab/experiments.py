@@ -95,11 +95,11 @@ def scenario_field(cfg, model, tc):
 
 def scenario_sim(cfg, model, **over) -> SimConfig:
     """Path settings from ``cfg["sim"]``, started at t = 0, p = 0 and the cone
-    fraction ``e0_cone`` (default 1/2); ``over`` replaces any field."""
+    midpoint; ``over`` replaces any field."""
     scfg = cfg["sim"]
     return SimConfig(**{"n_paths": scfg["n_paths"], "n_steps": scfg["n_steps"],
                         "p0": np.zeros(model.dim_p),
-                        "e0": cone_start(model, scfg.get("e0_cone", 0.5)),
+                        "e0": cone_start(model, 0.5),
                         "seed": scfg["seed"], **over})
 
 
@@ -144,6 +144,8 @@ def check_validate(cfg) -> CheckOutcome:
 
 # the fixed grid of the gradient-band check: e-cells, stored slices, p-nodes
 _BAND_N_E, _BAND_N_T, _BAND_N_P = 400, 200, 50
+# the mollifier orders of the comparison and conservation-gap checks
+_MOLLIFIER_NS = (4, 8, 16)
 
 
 def check_gradient_band(cfg) -> CheckOutcome:
@@ -164,13 +166,12 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
     g = cfg.get("grid", {})
     gcfg = {"de_full": 2e-3, "p_half": g.get("p_half", 3.0), "n_p": 41,
             "n_t": 50}
-    ns = cfg.get("sweeps", {}).get("mollifier_n", [4, 8, 16])
     order_slack = 1e-6
     worst_order = -np.inf
     gaps, uppers = [], []
     t_probe = 0.5 * model.horizon_T
-    pad = 1.0 / min(ns)
-    for n in ns:
+    pad = 1.0 / min(_MOLLIFIER_NS)
+    for n in _MOLLIFIER_NS:
         up = full_field(model, mollify(tc, n, "upper"), gcfg, pad=pad)
         lo = full_field(model, mollify(tc, n, "lower"), gcfg, pad=pad)
         worst_order = max(worst_order, float(np.max(lo.values - up.values)))
@@ -187,17 +188,16 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
          "window_gaps": gaps, "gap_decreasing": dec,
          "upper_sequence_non_increasing": mono_n},
         {"conservation_gap": (["mollifier_n", "window_gap"],
-                              list(zip(ns, gaps)))})
+                              list(zip(_MOLLIFIER_NS, gaps)))})
 
 
 def check_conservation_gap(cfg) -> CheckOutcome:
     """Terminal window gap equals twice the bump mean over n."""
     model = build_model(cfg["model"])
     tc = heaviside_tc(model.cap_lambda)
-    ns = cfg.get("sweeps", {}).get("mollifier_n", [4, 8, 16])
     rows = []
     ok = True
-    for n in ns:
+    for n in _MOLLIFIER_NS:
         up = mollify(tc, n, "upper")
         lo = mollify(tc, n, "lower")
         x = np.linspace(model.cap_lambda - 2.0 / n, model.cap_lambda + 2.0 / n,
@@ -238,7 +238,7 @@ def check_equivalence(cfg) -> CheckOutcome:
     g = cfg.get("grid", {})
     vf = full_field(model, tc, g)
     red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4),
-                                g.get("n_t", 100))
+                                len(vf.grid.t_nodes) - 1)
     T = model.horizon_T
     pv = vf.grid.p_nodes[0]
     keep_p = np.abs(pv) <= 1.0
@@ -259,8 +259,7 @@ def check_mirror_symmetry(cfg) -> CheckOutcome:
     model = build_model(cfg["model"])
     tc = heaviside_tc(model.cap_lambda)
     g = cfg.get("grid", {})
-    red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4),
-                                g.get("n_t", 100))
+    red = reduced_aligned_field(model, tc, g.get("de_reduced", 2e-4), 100)
     gamma = model.family_params["gamma"]
     lam = model.cap_lambda
     T = model.horizon_T
@@ -286,7 +285,7 @@ def check_flow_squeeze(cfg) -> CheckOutcome:
                                {"de_reduced": g.get("de_reduced", 2e-4),
                                 "tail_switch": 0.02})
     T = model.horizon_T
-    sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5), n_paths=20_000)
+    sim = scenario_sim(cfg, model, n_paths=20_000)
     pairs = [(cone_start(model, 0.55), cone_start(model, 0.30)),
              (cone_start(model, 0.30), cone_start(model, 0.10))]
     t_list = [0.25 * T, 0.5 * T, 0.75 * T]
@@ -320,7 +319,7 @@ def check_variance(cfg) -> CheckOutcome:
         t_list = 0.5 * h * np.geomspace(0.05, 1.0, 8)
         field = reduced_aligned_field(model, tc, de, scfg["n_steps"],
                                       t_extra=t_list, t_stop=float(t_list[-1]))
-        sim = scenario_sim(cfg, model, e0=cone_start(model, 0.5))
+        sim = scenario_sim(cfg, model)
         scan = variance_scan(model, field, sim, t_list)
         slopes.append(scan.time_slope)
         prefs.append(scan.prefactor)
@@ -354,8 +353,7 @@ def _transmission_profile(model, field):
 
 def check_transmission(cfg) -> CheckOutcome:
     """In-cone/off-cone transmission ratio at a short horizon (no-drift case)."""
-    h = cfg.get("sweeps", {}).get("transmission_horizon", 0.05)
-    model, tc = scenario_model(cfg, h)
+    model, tc = scenario_model(cfg, 0.05)
     prof = _transmission_profile(model, reduced_aligned_field(model, tc, 2e-5, 400))
     ok = prof.ratio <= 0.1
     return CheckOutcome(
@@ -493,8 +491,7 @@ def check_variance_zero(cfg) -> CheckOutcome:
     model, _, field, _, _ = _main_ensemble(_ensemble_key(cfg))
     T = model.horizon_T
     t_list = [0.25 * T, 0.5 * T]
-    sim = scenario_sim(cfg, model, n_paths=5000, e0=cone_start(model, 0.5),
-                       t_snapshots=tuple(t_list))
+    sim = scenario_sim(cfg, model, n_paths=5000, t_snapshots=tuple(t_list))
     ens = simulate_forward(model, field, sim)
     worst = max(float(np.var(ens.snapshots[round(t, 12)])) for t in t_list)
     return CheckOutcome("variance_zero", "pass" if worst <= 1e-20 else "fail",
@@ -516,7 +513,7 @@ def check_conditional_support(cfg) -> CheckOutcome:
 
 def check_mass_near_start(cfg) -> CheckOutcome:
     """Mass near the started value over a short horizon stays above 1/2."""
-    h = cfg.get("sweeps", {}).get("mass_check_horizon", 0.01)
+    h = 0.01
     model, tc = scenario_model(cfg, h)
     # fine grid with the terminal-value slice well resolved (fan of ~40 cells
     # at the reading slice), so the recorded Y keeps its martingale meaning
@@ -524,9 +521,8 @@ def check_mass_near_start(cfg) -> CheckOutcome:
     g["de_reduced"] = h / 1000
     g["tail_s_min"] = h / 25
     field = reduced_tail_field(model, tc, g)
-    e0 = cone_start(model, 0.5)
-    sim = scenario_sim(cfg, model, n_paths=cfg["sim"]["n_paths"] // 2, e0=e0)
-    y0 = float(field.eval(0.0, sim.p0, e0, model))
+    sim = scenario_sim(cfg, model, n_paths=cfg["sim"]["n_paths"] // 2)
+    y0 = float(field.eval(0.0, sim.p0, sim.e0, model))
     ens = simulate_forward(model, field, sim)
     eps = 0.1
     mass = float(np.mean(np.abs(ens.terminal_Y[ens.ok()] - y0) < 2 * eps))
@@ -703,7 +699,7 @@ def run_scenario(cfg, output_root=None, checks=None) -> ExperimentRecord:
 
 def emit_plot_data(record_dir, which: str, out_path=None) -> Path:
     """Copy the named check's table into a plot-ready CSV; ``which`` must
-    name a check."""
+    name a check, and ``out_path`` a file in an existing directory."""
     check_names([which])
     record_dir = Path(record_dir)
     matches = sorted(record_dir.glob(f"{which}__*.csv"))
@@ -712,5 +708,10 @@ def emit_plot_data(record_dir, which: str, out_path=None) -> Path:
             f"check {which!r} has no table under {record_dir}")
     src = matches[0]
     dst = Path(out_path) if out_path else record_dir / f"plot_{which}.csv"
+    if dst.is_dir():
+        raise ValueError(f"cannot write {dst}: it is a directory")
+    if not dst.parent.is_dir():
+        raise ValueError(f"cannot write {dst}: its directory {dst.parent} "
+                         "does not exist")
     dst.write_text(src.read_text())
     return dst

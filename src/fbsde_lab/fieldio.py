@@ -116,6 +116,9 @@ def load_field(path) -> ValueField:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         provenance = header("provenance")
+        if not isinstance(provenance, dict):
+            raise ValueError(f"{path}: 'provenance' must be a JSON object, "
+                             f"not {kv['provenance'][:60]}")
         want = (len(grid.t_nodes),) + grid.space_shape()
         if shape != want:
             raise ValueError(f"{path}: 'shape' {list(shape)} does not match the "

@@ -57,7 +57,6 @@ class PathEnsemble:
     terminal_Ebar: np.ndarray
     snapshots: dict
     escaped: np.ndarray
-    config: SimConfig
     provenance: dict
 
     @property
@@ -263,7 +262,7 @@ def simulate_forward(model: ModelSpec, field: ValueField,
     snapshots = {t: rec[0] for t, rec in snaps.items()}
     return PathEnsemble(
         terminal_E=tE[0], terminal_Y=tY[0], terminal_Ebar=ebar_T,
-        snapshots=snapshots, escaped=esc[0], config=cfg,
+        snapshots=snapshots, escaped=esc[0],
         provenance=dict(field.provenance))
 
 

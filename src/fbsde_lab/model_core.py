@@ -243,14 +243,13 @@ class TerminalCondition:
     """Monotone [0,1]-valued terminal condition phi.
 
     ``kind`` is ``heaviside`` (indicator of [threshold, inf), value 1 at the
-    threshold), ``smooth_ramp`` (Lipschitz clamp ramp of width ``width``
-    centred at the threshold) or ``custom_monotone``.
+    threshold), ``smooth_ramp`` (Lipschitz clamp ramp centred at the
+    threshold) or ``custom_monotone``.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     kind: str
     threshold: float
-    width: float = 0.0
 
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
@@ -271,7 +270,7 @@ def smooth_ramp_tc(cap_lambda: float, width: float) -> TerminalCondition:
         raise ValueError("ramp width must be positive")
     return TerminalCondition(
         eval=lambda x: np.clip((np.asarray(x, dtype=float) - lam) / w + 0.5, 0.0, 1.0),
-        kind="smooth_ramp", threshold=lam, width=w,
+        kind="smooth_ramp", threshold=lam,
     )
 
 
@@ -332,7 +331,7 @@ def mollify(tc: TerminalCondition, n: int, side: str) -> TerminalCondition:
         return vals @ wt
 
     return TerminalCondition(eval=smoothed, kind="custom_monotone",
-                             threshold=tc.threshold, width=1.0 / n)
+                             threshold=tc.threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,9 @@ def affine_constant():
         ["validate", "gradient_band", "comparison_mollified",
          "conservation_gap", "burgers_gap", "equivalence", "mirror_symmetry",
          "flow_squeeze", "variance", "transmission", "sandwich"],
-        grid={"de_full": 5e-4, "p_half": 3.0, "n_p": 76, "n_t": 100,
-              "de_reduced": 2e-4},
-        sweeps={"mollifier_n": [4, 8, 16],
-                "gap_horizons": [0.4, 0.2, 0.1, 0.05],
-                "variance_horizons": [0.4, 0.2, 0.1],
-                "transmission_horizon": 0.05},
+        grid={"de_full": 5e-4, "p_half": 3.0, "n_p": 76, "de_reduced": 2e-4},
+        sweeps={"gap_horizons": [0.4, 0.2, 0.1, 0.05],
+                "variance_horizons": [0.4, 0.2, 0.1]},
     )
 
 
@@ -125,8 +122,6 @@ def affine_dirac():
          "sigma": 1.0, "b": 0.0, "cap_lambda": 0.0, "horizon_T": 0.1},
         ["validate", "dirac_atom", "trap", "sandwich"],
         grid={"de_reduced": 5e-6, "tail_s_min": 1e-5, "tail_switch": 0.02},
-        sim={"n_paths": 100_000, "n_steps": 1000, "seed": 7,
-             "e0_cone": 0.5},
     )
 
 
@@ -142,7 +137,7 @@ def degenerate_characteristics():
         ["validate", "characteristics", "dirac_atom", "variance_zero",
          "sandwich"],
         grid={"de_reduced": 5e-6, "tail_s_min": 1e-5, "tail_switch": 0.02},
-        sim={"n_paths": 20_000, "n_steps": 1000, "seed": 7, "e0_cone": 0.5},
+        sim={"n_paths": 20_000, "n_steps": 1000, "seed": 7},
     )
 
 
@@ -183,8 +178,6 @@ def elliptic_support():
          "sigma": 1.0, "b": 0.0, "cap_lambda": 0.0, "horizon_T": 0.1},
         ["validate", "conditional_support", "mass_near_start", "sandwich"],
         grid={"de_reduced": 2e-5, "tail_s_min": 8e-4, "tail_switch": 0.02},
-        sim={"n_paths": 100_000, "n_steps": 1000, "seed": 7, "e0_cone": 0.5},
-        sweeps={"mass_check_horizon": 0.01},
     )
 
 
@@ -198,7 +191,7 @@ def nonlinear_1d():
          "mu": 1.0, "sigma": 0.75, "drift_slope": -0.5, "cap_lambda": 0.0,
          "horizon_T": 0.42},
         ["validate", "gradient_band", "burgers_gap", "sandwich"],
-        grid={"de_full": 3e-4, "p_half": 2.0, "n_p": 37, "n_t": 100},
+        grid={"de_full": 3e-4, "p_half": 2.0, "n_p": 37},
         sweeps={"gap_horizons": [0.4, 0.2, 0.1, 0.05]},
         sim={"n_paths": 20_000, "n_steps": 500, "seed": 7},
     )
@@ -214,7 +207,7 @@ def affine_smooth_ramp():
          "sigma": 1.0, "b": 0.0, "cap_lambda": 0.0, "horizon_T": 0.4},
         ["validate", "feynman_kac", "bound_report", "sandwich"],
         tc={"kind": "smooth_ramp", "width": 0.2},
-        grid={"de_full": 2e-3, "p_half": 3.0, "n_p": 61, "n_t": 100},
+        grid={"de_full": 2e-3, "p_half": 3.0, "n_p": 61},
         sim={"n_paths": 50_000, "n_steps": 500, "seed": 7},
     )
 
@@ -287,23 +280,14 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
 
 
 def _check_sweeps(sweeps: dict):
-    """Refuse the sweep values no check can take: a ``mollifier_n`` that is
-    empty or holds an order below 1, ``variance_horizons`` with fewer than two
-    distinct horizons (the prefactor's decay is fitted across them) or one
-    not above 0, and a ``transmission_horizon`` or ``mass_check_horizon`` not
-    above 0.  Their types are checked with the other config values."""
-    ns = sweeps.get("mollifier_n")
-    if ns is not None and (not ns or min(ns) < 1):
-        raise ValueError(f"sweeps.mollifier_n {ns} must be a non-empty list of "
-                         "mollifier orders >= 1")
+    """Refuse ``variance_horizons`` with fewer than two distinct horizons (the
+    prefactor's decay is fitted across them) or one not above 0.  Their type
+    is checked with the other config values."""
     hs = sweeps.get("variance_horizons")
     if hs is not None and (len(set(hs)) < 2 or not all(h > 0 for h in hs)):
         raise ValueError(f"sweeps.variance_horizons {hs} must hold at least two "
                          "distinct horizons, all above 0; variance fits the "
                          "prefactor's decay across them")
-    for key in ("transmission_horizon", "mass_check_horizon"):
-        if key in sweeps and not sweeps[key] > 0:
-            raise ValueError(f"sweeps.{key} {sweeps[key]} must be above 0")
 
 
 def gap_horizons(cfg: dict) -> list:

@@ -96,6 +96,13 @@ class Grid:
         object.__setattr__(self, "e_nodes", e)
         object.__setattr__(self, "p_nodes",
                            tuple(np.asarray(p, dtype=float) for p in self.p_nodes))
+        # a NaN fails no comparison below, and an inf passes the order checks
+        axes = {"t_nodes": t, "e_nodes": e,
+                **{f"p_nodes[{k}]": p for k, p in enumerate(self.p_nodes)}}
+        for name, nodes in axes.items():
+            if not np.all(np.isfinite(nodes)):
+                raise ValueError(f"{name!r} must hold finite nodes only, not "
+                                 f"{nodes[~np.isfinite(nodes)][:3].tolist()}")
         if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
             raise ValueError("t_nodes must be strictly increasing with >= 2 entries")
         if e.ndim != 1 or len(e) < 4:

@@ -165,6 +165,12 @@ _MALFORMED = {
     "nodes_not_numbers": (
         lambda raw: raw.replace(b"t_nodes: [", b't_nodes: ["x", ', 1), "t_nodes",
         "list of numbers"),
+    "e_nodes_nan": (
+        lambda raw: raw.replace(b"e_nodes: [", b"e_nodes: [NaN, ", 1), "e_nodes",
+        "finite nodes"),
+    "provenance_not_object": (
+        lambda raw: re.sub(rb"provenance: [^\n]*", b"provenance: [1, 2]", raw, count=1),
+        "provenance", "JSON object"),
 }
 
 

@@ -42,6 +42,22 @@ def test_catalog_round_trips_through_json():
         build_model(back["model"])   # instantiable after the round trip
 
 
+def test_config_schema_is_pinned():
+    # the keys each config block accepts are those the registry entries name;
+    # a new setting has to be added here on purpose
+    from fbsde_lab.scenarios import _REGISTRY
+    entries = [builder() for builder in _REGISTRY.values()]
+    accepted = {block: sorted(set().union(*(entry.get(block, {}) for entry in entries)))
+                for block in ("grid", "sim", "sweeps", "tc")}
+    assert accepted == {
+        "grid": ["de_full", "de_reduced", "n_p", "p_half", "tail_s_min",
+                 "tail_switch"],
+        "sim": ["n_paths", "n_steps", "seed"],
+        "sweeps": ["gap_horizons", "variance_horizons"],
+        "tc": ["kind", "width"],
+    }
+
+
 def test_unknown_scenario_is_refused():
     with pytest.raises(KeyError):
         scenario_config("no_such_thing")
@@ -137,6 +153,25 @@ def test_cli_plot_data_refuses_a_name_that_is_not_a_check(tmp_path, capsys, name
     assert code == 2
     assert "known checks" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dirac_atom__atom_curve.csv"]
+
+
+@pytest.mark.parametrize("target, words", [
+    ("taken", "it is a directory"),
+    ("missing/plot.csv", "its directory"),
+])
+def test_cli_plot_data_refuses_an_out_csv_it_cannot_write(tmp_path, capsys,
+                                                          target, words):
+    (tmp_path / "dirac_atom__atom_curve.csv").write_text("delta,fraction\n")
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / target
+    code = main(["plot-data", "--record-dir", str(tmp_path), "--check", "dirac_atom",
+                 "--out-csv", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: {words}" in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dirac_atom__atom_curve.csv",
+                                                          "taken"]
+    assert not any((tmp_path / "taken").iterdir())
 
 
 def test_cli_seed_override_changes_hash(tmp_path):
@@ -279,11 +314,12 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "gap_horizons [0.05]", "fewer than two distinct"]),
     (json.dumps({"sweeps": {"gap_horizons": [0.05, 0.05]}}),
      ["bad config", "gap_horizons [0.05, 0.05]", "fewer than two distinct"]),
-    # the other sweeps, refused whichever checks the config names
+    # the mollifier orders are a constant, so the key is unknown
     (json.dumps({"checks": ["conservation_gap"], "sweeps": {"mollifier_n": []}}),
-     ["bad config", "sweeps.mollifier_n []", "non-empty", ">= 1"]),
+     ["bad config", "unknown sweeps key(s) ['mollifier_n']"]),
     (json.dumps({"checks": ["validate"], "sweeps": {"mollifier_n": [0, 4]}}),
-     ["bad config", "sweeps.mollifier_n [0, 4]", ">= 1"]),
+     ["bad config", "unknown sweeps key(s) ['mollifier_n']"]),
+    # variance_horizons, refused whichever checks the config names
     (json.dumps({"checks": ["validate"], "sweeps": {"variance_horizons": []}}),
      ["bad config", "sweeps.variance_horizons []", "two distinct"]),
     (json.dumps({"checks": ["validate"], "sweeps": {"variance_horizons": [0.2]}}),
@@ -294,10 +330,15 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
     (json.dumps({"checks": ["validate"],
                  "sweeps": {"variance_horizons": [0.2, 0.0]}}),
      ["bad config", "sweeps.variance_horizons [0.2, 0.0]", "above 0"]),
+    # so are the two horizons, the full field's slice count and the start
     (json.dumps({"checks": ["validate"], "sweeps": {"transmission_horizon": 0.0}}),
-     ["bad config", "sweeps.transmission_horizon 0.0", "above 0"]),
+     ["bad config", "unknown sweeps key(s) ['transmission_horizon']"]),
     (json.dumps({"checks": ["validate"], "sweeps": {"mass_check_horizon": -0.01}}),
-     ["bad config", "sweeps.mass_check_horizon -0.01", "above 0"]),
+     ["bad config", "unknown sweeps key(s) ['mass_check_horizon']"]),
+    (json.dumps({"checks": ["validate"], "grid": {"n_t": 100}}),
+     ["bad config", "unknown grid key(s) ['n_t']"]),
+    (json.dumps({"checks": ["validate"], "sim": {"e0_cone": 0.5}}),
+     ["bad config", "unknown sim key(s) ['e0_cone']"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -347,25 +388,46 @@ def test_every_registry_run_is_served():
     from argparse import Namespace
     from fbsde_lab.cli import _scenario_cfg
     for entry in registry_list():
-        args = Namespace(scenario=entry["name"], config=None, seed=None, n_paths=None)
+        args = Namespace(scenario=entry["name"], config=None, seed=None)
         resolved = _scenario_cfg(args)
         assert resolved is not None, entry["name"]
         assert resolved[0]["checks"] == entry["checks"]
 
 
 @pytest.mark.parametrize("flags, words", [
-    (["--n-paths", "0"], ["n_paths (0)"]),
-    (["--n-paths", "-5"], ["n_paths (-5)"]),
+    (["--config", {"sim": {"n_paths": 0}}], ["n_paths (0)"]),
+    (["--config", {"sim": {"n_paths": -5}}], ["n_paths (-5)"]),
     (["--seed", "-1"], ["seed", "-1"]),
 ])
 def test_cli_bad_path_flags_exit_2(tmp_path, capsys, flags, words):
+    # a dict among the flags stands for a config file that holds it
+    cfgfile = tmp_path / "cfg.json"
+    args = []
+    for flag in flags:
+        if isinstance(flag, dict):
+            cfgfile.write_text(json.dumps(flag))
+            flag = str(cfgfile)
+        args.append(flag)
     out = tmp_path / "out"
     code = main(["run", "--scenario", "degenerate_characteristics",
-                 "--out", str(out), *flags])
+                 "--out", str(out), *args])
     assert code == 2
     err = capsys.readouterr().err
     assert "bad config" in err and all(w in err for w in words), err
     assert not out.exists()   # refused before any check ran
+
+
+@pytest.mark.parametrize("cmd", ["run", "simulate-only"])
+def test_cli_refuses_the_n_paths_flag(tmp_path, capsys, cmd):
+    # sim.n_paths is set through --config only
+    extra = ["--field", str(tmp_path / "missing.bin")] if cmd == "simulate-only" else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--scenario", "degenerate_characteristics", "--out", str(out),
+              "--n-paths", "100", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-paths 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["run", "solve-only", "simulate-only"])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 from unittest import mock
@@ -39,6 +40,17 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(t_nodes=np.array([0.0, 1.0]), e_nodes=np.linspace(0, 1, 11),
              p_nodes=(np.linspace(0, 1, 5),) * 3)
+
+
+@pytest.mark.parametrize("axis", ["t_nodes", "e_nodes", "p_nodes[0]"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_refuses_a_node_that_is_not_finite(axis, bad):
+    axes = {"t_nodes": np.array([0.0, 0.5, 1.0]), "e_nodes": np.linspace(0, 1, 11),
+            "p_nodes[0]": np.linspace(-1, 1, 5)}
+    axes[axis][-1] = bad
+    with pytest.raises(ValueError, match=re.escape(f"'{axis}' must hold finite")):
+        Grid(t_nodes=axes["t_nodes"], e_nodes=axes["e_nodes"],
+             p_nodes=(axes["p_nodes[0]"],))
 
 
 def test_terminal_slice_matches_tc_exactly():
