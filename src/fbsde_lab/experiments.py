@@ -7,9 +7,11 @@ Identical configs reproduce identical statistics bit for bit.
 
 The checks that read the scenario's own field and paths share one build per
 process (``_main_ensemble``), keyed by the canonical JSON of the config's
-``model``, ``tc``, ``grid`` and ``sim`` blocks.  At most two builds are held
-(least recently used out), and their arrays are read-only, so a hit cannot
-change the numbers.
+``model``, ``tc``, ``grid`` and ``sim`` blocks and ``sweeps.gap_horizons``.
+The field is solved with the build and the paths on a check's first read, so
+a run of field-only checks simulates none.  At most two builds are held (least
+recently used out), and their arrays are read-only, so a hit cannot change
+the numbers.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
                         transmission_scan, trap_diagnostic, variance_scan)
 from .model_core import (BUMP_MEAN, affine_model, heaviside_tc, mollify,
                          validate_assumptions)
-from .scenarios import build_model, build_tc, config_hash, gap_horizons
+from .scenarios import build_model, build_tc, config_hash
 from .value_pde import (conservation_gap, far_field_violation, full_field,
                         gradient_fields, gradient_band_violation, off_cone_decay,
                         reduced_aligned_field, reduced_tail_field)
@@ -86,11 +88,13 @@ def scenario_model(cfg, horizon=None):
 
 def scenario_field(cfg, model, tc):
     """The scenario's own field: the reduced tail field when its grid names
-    ``de_reduced``, else the full (t, p, e) solve."""
+    ``de_reduced``, else the full (t, p, e) solve; either holds a slice at
+    T - h for each of the ``sweeps.gap_horizons`` h that ``burgers_gap`` reads."""
     g = cfg.get("grid", {})
+    t_gap = [model.horizon_T - h for h in cfg.get("sweeps", {}).get("gap_horizons", [])]
     if "de_reduced" in g:
-        return reduced_tail_field(model, tc, g)
-    return full_field(model, tc, g)
+        return reduced_tail_field(model, tc, g, t_extra=t_gap)
+    return full_field(model, tc, g, t_extra=t_gap)
 
 
 def scenario_sim(cfg, model, **over) -> SimConfig:
@@ -104,24 +108,29 @@ def scenario_sim(cfg, model, **over) -> SimConfig:
 
 
 def _ensemble_key(cfg) -> str:
-    """Canonical JSON of the config blocks the scenario ensemble depends on."""
-    return json.dumps({k: cfg.get(k, {}) for k in ("model", "tc", "grid", "sim")},
-                      sort_keys=True)
+    """Canonical JSON of the config values the scenario ensemble depends on."""
+    gap = {"gap_horizons": cfg.get("sweeps", {}).get("gap_horizons", [])}
+    return json.dumps({**{k: cfg.get(k, {}) for k in ("model", "tc", "grid", "sim")},
+                       "sweeps": gap}, sort_keys=True)
 
 
 @functools.lru_cache(maxsize=2)
 def _main_ensemble(key: str):
-    """(model, tc, field, sim, paths) of the scenario blocks in ``key``;
-    memoised."""
+    """(model, tc, field, sim, paths) of the config values in ``key``, where
+    ``paths()`` simulates the path ensemble on its first call; memoised."""
     cfg = json.loads(key)
     model, tc = scenario_model(cfg)
     field = scenario_field(cfg, model, tc)
+    field.values.flags.writeable = False
     sim = scenario_sim(cfg, model)
-    ens = simulate_forward(model, field, sim)
-    for arr in (field.values, ens.terminal_E, ens.terminal_Y,
-                ens.terminal_Ebar, ens.escaped):
-        arr.flags.writeable = False
-    return model, tc, field, sim, ens
+
+    @functools.cache
+    def paths():
+        ens = simulate_forward(model, field, sim)
+        for arr in (ens.terminal_E, ens.terminal_Y, ens.terminal_Ebar, ens.escaped):
+            arr.flags.writeable = False
+        return ens
+    return model, tc, field, sim, paths
 
 
 def cone_start(model, frac: float) -> float:
@@ -212,16 +221,10 @@ def check_conservation_gap(cfg) -> CheckOutcome:
 
 
 def check_burgers_gap(cfg) -> CheckOutcome:
-    """Sup gap to the rescaled profile decreasing toward the horizon."""
-    model, tc = scenario_model(cfg)
-    horizons = gap_horizons(cfg)
-    t_list = [model.horizon_T - h for h in horizons]
-    g = cfg.get("grid", {})
-    if model.family == "affine_constant":
-        de = g.get("de_reduced", 2e-4)
-        field = reduced_aligned_field(model, tc, de, 200, t_extra=t_list)
-    else:
-        field = full_field(model, tc, g, t_extra=t_list)
+    """Sup gap to the rescaled profile decreasing toward the horizon, on the
+    scenario's own field at its slices T - h, h in ``sweeps.gap_horizons``."""
+    model, _, field, _, _ = _main_ensemble(_ensemble_key(cfg))
+    t_list = [model.horizon_T - h for h in cfg["sweeps"]["gap_horizons"]]
     table = burgers_gap(field, model, t_list)
     dec = bool(np.all(np.diff(table.sup_gap) < 0))
     ok = dec and table.beta_hat > 0
@@ -383,7 +386,8 @@ def check_transmission_sign_change(cfg) -> CheckOutcome:
 
 
 def check_dirac_atom(cfg) -> CheckOutcome:
-    model, _, _, sim, ens = _main_ensemble(_ensemble_key(cfg))
+    model, _, _, sim, paths = _main_ensemble(_ensemble_key(cfg))
+    ens = paths()
     if ens.escape_fraction > 1e-3:
         return CheckOutcome("dirac_atom", "fail",
                             {"escape_fraction": ens.escape_fraction})
@@ -429,8 +433,8 @@ def check_trap(cfg) -> CheckOutcome:
     stats = {"horizons": horizons, "p_hat_F": p_hats,
              "zbar_terminal_dev": z_dev_worst, "increasing": increasing}
     # event inclusion: the atom fraction dominates P(F) at the matched horizon
-    model, *_, ens = _main_ensemble(_ensemble_key(cfg))
-    curve = dirac_scan(ens, default_delta_ladder(model.horizon_T))
+    model, *_, paths = _main_ensemble(_ensemble_key(cfg))
+    curve = dirac_scan(paths(), default_delta_ladder(model.horizon_T))
     j = horizons.index(model.horizon_T) if model.horizon_T in horizons else None
     if j is not None:
         se_comb = 3 * (curve.std_errors[-1] + rows[j][2])
@@ -442,7 +446,8 @@ def check_trap(cfg) -> CheckOutcome:
 
 
 def check_sandwich(cfg) -> CheckOutcome:
-    _, tc, field, _, ens = _main_ensemble(_ensemble_key(cfg))
+    _, tc, field, _, paths = _main_ensemble(_ensemble_key(cfg))
+    ens = paths()
     smear = field.provenance.get("smoothing_width", field.grid.de)
     frac = terminal_sandwich_check(ens, tc, eta=0.05,
                                    min_cap_distance=10 * smear)
@@ -499,9 +504,9 @@ def check_variance_zero(cfg) -> CheckOutcome:
 
 
 def check_conditional_support(cfg) -> CheckOutcome:
-    model, *_, ens = _main_ensemble(_ensemble_key(cfg))
+    model, *_, paths = _main_ensemble(_ensemble_key(cfg))
     delta = 1e-2 * model.horizon_T
-    hist = conditional_support(ens, delta)
+    hist = conditional_support(paths(), delta)
     ok = hist.coverage == 1.0 and hist.n_conditioned >= 1000
     return CheckOutcome(
         "conditional_support", "pass" if ok else "fail",
@@ -605,10 +610,11 @@ _CHECKS = {
 }
 
 # the checks making each solve not every scenario can serve: "reduced" reads
-# gamma, "full" grid.de_full; "scenario" (the scenario's field) and "gap" (burgers_gap's)
-# are reduced when the grid names de_reduced and for affine_constant, else full
-_SOLVES = {"full": "equivalence bound_report", "gap": "burgers_gap",
-           "scenario": "dirac_atom trap sandwich variance_zero conditional_support",
+# gamma, "full" grid.de_full; "scenario" (the scenario's field) is reduced when
+# the grid names de_reduced, else full
+_SOLVES = {"full": "equivalence bound_report",
+           "scenario": "burgers_gap dirac_atom trap sandwich variance_zero "
+                       "conditional_support",
            "reduced": "equivalence mirror_symmetry flow_squeeze variance transmission "
                       "transmission_sign_change characteristics mass_near_start "
                       "feynman_kac"}
@@ -639,9 +645,11 @@ def servable_checks(cfg, names=None) -> list:
     no_gamma = model.family_params.get("gamma") is None
     lacks = {"reduced": f"the {family} family has no gamma" if no_gamma else "",
              "full": "" if "de_full" in grid else "grid names no 'de_full'"}
-    kind = {"scenario": "reduced" if "de_reduced" in grid else "full",
-            "gap": "reduced" if family == "affine_constant" else "full"}
+    kind = {"scenario": "reduced" if "de_reduced" in grid else "full"}
     refused = []
+    if "burgers_gap" in todo and "gap_horizons" not in cfg.get("sweeps", {}):
+        refused.append("check 'burgers_gap' needs gap horizons, but sweeps "
+                       "names no gap_horizons")
     for solve, users in _SOLVES.items():
         k = kind.get(solve, solve)
         refused += [f"check {name!r} needs a {k} solve, but {lacks[k]}"

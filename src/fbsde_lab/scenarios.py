@@ -273,36 +273,41 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
             cfg[key].update(val)
         else:
             cfg[key] = val
-    if "gap_horizons" in cfg.get("sweeps", {}) or "burgers_gap" in cfg["checks"]:
-        gap_horizons(cfg)
-    _check_sweeps(cfg.get("sweeps", {}))
+    _check_grid(cfg.get("grid", {}), cfg["model"]["horizon_T"])
+    _check_sweeps(cfg.get("sweeps", {}), cfg["model"]["horizon_T"])
     return cfg
 
 
-def _check_sweeps(sweeps: dict):
-    """Refuse ``variance_horizons`` with fewer than two distinct horizons (the
-    prefactor's decay is fitted across them) or one not above 0.  Their type
-    is checked with the other config values."""
+def _check_grid(grid: dict, horizon: float):
+    """Refuse an e-step not above 0, fewer than 3 p-nodes (the fewest a p-axis
+    holds) and a time tail starting outside (0, horizon_T).  Their types are
+    checked with the other config values."""
+    bad = [f"grid.{key} {grid[key]} must be above 0"
+           for key in ("de_full", "de_reduced") if key in grid and not grid[key] > 0]
+    if grid.get("n_p", 3) < 3:
+        bad.append(f"grid.n_p {grid['n_p']} must be at least 3")
+    if "tail_s_min" in grid and not 0 < grid["tail_s_min"] < horizon:
+        bad.append(f"grid.tail_s_min {grid['tail_s_min']} must lie in "
+                   f"(0, horizon_T) = (0, {horizon})")
+    if bad:
+        raise ValueError("; ".join(bad))
+
+
+def _check_sweeps(sweeps: dict, horizon: float):
+    """Refuse horizon lists that a check fits a rate across with fewer than two
+    distinct horizons, and horizons out of range: ``variance_horizons`` not
+    above 0, ``gap_horizons`` outside (0, horizon_T].  Their types are checked
+    with the other config values."""
     hs = sweeps.get("variance_horizons")
     if hs is not None and (len(set(hs)) < 2 or not all(h > 0 for h in hs)):
         raise ValueError(f"sweeps.variance_horizons {hs} must hold at least two "
                          "distinct horizons, all above 0; variance fits the "
                          "prefactor's decay across them")
-
-
-def gap_horizons(cfg: dict) -> list:
-    """The horizons T - t that ``burgers_gap`` reads: ``sweeps.gap_horizons``,
-    else [0.4, 0.2, 0.1, 0.05]; refused unless all lie in (0, horizon_T] and
-    at least two differ (the gap's rate is fitted across them)."""
-    named = cfg.get("sweeps", {}).get("gap_horizons")
-    horizons = [0.4, 0.2, 0.1, 0.05] if named is None else named
-    T = cfg["model"]["horizon_T"]
-    outside = [h for h in horizons if not 0 < h <= T]
+    hs = sweeps.get("gap_horizons")
+    outside = [h for h in hs or () if not 0 < h <= horizon]
     if outside:
-        source = "" if named is not None else " (the default; sweeps names none)"
-        raise ValueError(f"gap_horizons {outside}{source} lie outside "
-                         f"(0, horizon_T] = (0, {T}]")
-    if len(set(horizons)) < 2:
-        raise ValueError(f"gap_horizons {horizons} name fewer than two distinct "
+        raise ValueError(f"gap_horizons {outside} lie outside "
+                         f"(0, horizon_T] = (0, {horizon}]")
+    if hs is not None and len(set(hs)) < 2:
+        raise ValueError(f"gap_horizons {hs} name fewer than two distinct "
                          f"horizons; burgers_gap fits its rate across two or more")
-    return horizons

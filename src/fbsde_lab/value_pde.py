@@ -36,7 +36,8 @@ an update rounds to no change (see ``solve_reduced_1d``), so every output
 stays bit for bit as the full-grid loop makes it.
 
 ``full_field``, ``reduced_tail_field`` and ``reduced_aligned_field`` are the
-one way to build a field from a scenario's grid settings.
+one way to build a field from a scenario's grid settings and extra slices
+(``t_extra``), such as the scenario field's slice at each gap horizon.
 """
 
 from __future__ import annotations
@@ -669,14 +670,14 @@ def full_field(model: ModelSpec, tc: TerminalCondition, gcfg: dict,
 
 
 def reduced_tail_field(model: ModelSpec, tc: TerminalCondition,
-                       gcfg: dict) -> ValueField:
+                       gcfg: dict, t_extra=()) -> ValueField:
     """Reduced field on e-step ``de_reduced`` whose slices form a geometric
     tail accumulating at the horizon (``tail_s_min`` and ``tail_switch`` of
-    ``gcfg``)."""
-    t_nodes = time_nodes_with_tail(
+    ``gcfg``), plus ``t_extra``."""
+    t_nodes = np.union1d(time_nodes_with_tail(
         model.horizon_T,
         gcfg.get("tail_s_min", 2.0 * gcfg["de_reduced"] / model.ell1),
-        gcfg.get("tail_switch"))
+        gcfg.get("tail_switch")), np.asarray(t_extra, dtype=float))
     e = e_nodes_for(model, gcfg["de_reduced"])
     return solve_reduced_1d(model, Grid(t_nodes=t_nodes, e_nodes=e), tc)
 

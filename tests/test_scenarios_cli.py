@@ -296,9 +296,9 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "gap_horizons [0.5]", "(0, 0.1]"]),
     (json.dumps({"sweeps": {"gap_horizons": [0.1, 0.0]}}),
      ["bad config", "gap_horizons [0.0]", "(0, 0.1]"]),
-    # the default horizons burgers_gap would read are checked too
+    # burgers_gap reads the scenario field at the horizons sweeps names
     (json.dumps({"checks": ["burgers_gap"]}),
-     ["bad config", "gap_horizons [0.4, 0.2]", "default", "(0, 0.1]"]),
+     ["bad config", "check 'burgers_gap'", "sweeps names no gap_horizons"]),
     (json.dumps({"sweeps": {"gap_horizons": 5}}),
      ["bad config", "sweeps.gap_horizons", "type list", "not 5"]),
     (json.dumps({"sim": {"n_paths": 2000.5}}),
@@ -339,6 +339,19 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "unknown grid key(s) ['n_t']"]),
     (json.dumps({"checks": ["validate"], "sim": {"e0_cone": 0.5}}),
      ["bad config", "unknown sim key(s) ['e0_cone']"]),
+    # grid values out of range, refused whichever checks the config names
+    (json.dumps({"grid": {"tail_s_min": 0}}),
+     ["bad config", "grid.tail_s_min 0 must lie in (0, horizon_T) = (0, 0.1)"]),
+    (json.dumps({"grid": {"tail_s_min": 0.2}}),
+     ["bad config", "grid.tail_s_min 0.2 must lie in (0, horizon_T)"]),
+    (json.dumps({"grid": {"de_reduced": 0}}),
+     ["bad config", "grid.de_reduced 0 must be above 0"]),
+    (json.dumps({"grid": {"de_reduced": -1e-4}}),
+     ["bad config", "grid.de_reduced -0.0001 must be above 0"]),
+    (json.dumps({"checks": ["validate"], "grid": {"de_full": 0.0}}),
+     ["bad config", "grid.de_full 0.0 must be above 0"]),
+    (json.dumps({"checks": ["validate"], "grid": {"n_p": 2}}),
+     ["bad config", "grid.n_p 2 must be at least 3"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -361,9 +374,8 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     # a grid naming de_reduced makes the scenario's own field a reduced one
     ("nonlinear_1d", {"checks": ["sandwich"], "grid": {"de_reduced": 1e-3}},
      ["check 'sandwich'", "reduced solve", "nonlinear_1d family has no gamma"]),
-    ("linear_drift_neg", {"checks": ["burgers_gap"],
-                          "sweeps": {"gap_horizons": [0.2, 0.1]}},
-     ["check 'burgers_gap'", "full solve", "grid names no 'de_full'"]),
+    ("nonlinear_1d", {"checks": ["burgers_gap"], "grid": {"de_reduced": 1e-3}},
+     ["check 'burgers_gap'", "reduced solve", "nonlinear_1d family has no gamma"]),
     ("affine_smooth_ramp", {"checks": ["feynman_kac"], "model": {"alpha": [0.5, 0.3]}},
      ["check 'feynman_kac'", "one forward dimension", "the model has 2"]),
 ])
@@ -457,10 +469,63 @@ def test_scenario_ensemble_is_built_once_per_run(tmp_path):
     for name in checks:
         X._main_ensemble.cache_clear()
         assert X._CHECKS[name](cfg).stats == rec.stats[name]
-    _, _, field, _, ens = X._main_ensemble(X._ensemble_key(cfg))
-    for arr in (ens.terminal_E, field.values):
+    _, _, field, _, paths = X._main_ensemble(X._ensemble_key(cfg))
+    for arr in (paths().terminal_E, field.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("scenario, over, solver, checks, n_sims", [
+    ("nonlinear_1d", {"model": {"horizon_T": 0.05}, "grid": {"n_p": 5},
+                      "sweeps": {"gap_horizons": [0.04, 0.02]}, "sim": {"n_paths": 200}},
+     "solve_mollified", ["burgers_gap", "sandwich"], 1),
+    ("affine_constant", {"grid": {"de_reduced": 1e-3}, "sim": {"n_paths": 200}},
+     "solve_reduced_1d", ["burgers_gap", "sandwich"], 1),
+    # the field-only checks of the benchmark's nonlinear_gap workload
+    ("nonlinear_1d", {"model": {"horizon_T": 0.05}, "grid": {"n_p": 5},
+                      "sweeps": {"gap_horizons": [0.04, 0.02]}},
+     "solve_mollified", ["validate", "burgers_gap"], 0),
+])
+def test_a_run_solves_the_scenario_field_once(tmp_path, monkeypatch, scenario, over,
+                                              solver, checks, n_sims):
+    # burgers_gap reads the scenario field from the memo, which simulates its
+    # paths only when a check reads them
+    from fbsde_lab import experiments as X, value_pde
+    calls = {solver: 0, "simulate_forward": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    counted(value_pde, solver)
+    counted(X, "simulate_forward")
+    X._main_ensemble.cache_clear()
+    run_scenario(scenario_config(scenario, over), output_root=tmp_path, checks=checks)
+    assert calls == {solver: 1, "simulate_forward": n_sims}
+    # every check but validate reads the memo: the first read misses
+    data = json.loads((tmp_path / scenario / "record.json").read_text())
+    assert data["cache"] == {"hits": len(checks) - 1 - checks.count("validate"),
+                             "misses": 1}
+
+
+def test_solve_only_dumps_the_field_run_reads(tmp_path):
+    # the field holds a slice at T - h for each gap horizon the config names
+    from fbsde_lab import experiments as X
+    from fbsde_lab.fieldio import load_field
+    over = {"grid": {"de_reduced": 1e-4}, "sweeps": {"gap_horizons": [0.1, 0.03, 0.007]}}
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(over))
+    assert main(["solve-only", "--scenario", "degenerate_characteristics",
+                 "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    field = load_field(tmp_path / "degenerate_characteristics_field.bin")
+    assert set(0.1 - np.array([0.1, 0.03, 0.007])) <= set(field.grid.t_nodes)
+    cfg = scenario_config("degenerate_characteristics", over)
+    _, _, memo, _, _ = X._main_ensemble(X._ensemble_key(cfg))
+    np.testing.assert_array_equal(field.grid.t_nodes, memo.grid.t_nodes)
+    np.testing.assert_array_equal(field.values, memo.values)
 
 
 def test_bound_report_runs_and_keeps_its_entries(tmp_path):
@@ -477,11 +542,22 @@ def test_bound_report_runs_and_keeps_its_entries(tmp_path):
     assert stats["off_cone_ratio"] == 3.6934798211640567
 
 
-def test_burgers_gap_refuses_default_horizons_past_the_horizon():
-    cfg = scenario_config("affine_dirac")   # T = 0.1, no gap horizons named
+def test_burgers_gap_refuses_a_config_without_gap_horizons():
+    cfg = scenario_config("affine_dirac")   # no gap horizons named
     with pytest.raises(ValueError, match=re.escape(
-            "gap_horizons [0.4, 0.2] (the default; sweeps names none)")):
+            "check 'burgers_gap' needs gap horizons, but sweeps names no gap_horizons")):
         run_scenario(cfg, checks=["burgers_gap"])
+
+
+def test_burgers_gap_stats_on_a_light_nonlinear_grid_are_pinned():
+    # the full field's gap slices and the Monte Carlo compensator, bit for bit
+    cfg = scenario_config("nonlinear_1d", {"model": {"horizon_T": 0.05},
+                                           "grid": {"n_p": 5},
+                                           "sweeps": {"gap_horizons": [0.04, 0.02, 0.01]}})
+    out = run_scenario(cfg, checks=["burgers_gap"])
+    assert out.stats["burgers_gap"] == {
+        "sup_gaps": [0.08400131763514973, 0.10723324832850101, 0.1342281562650911],
+        "beta_hat": -0.3381017329782044, "decreasing": False}
 
 
 def test_trap_stats_on_a_light_grid():
