@@ -9,7 +9,7 @@ The checks that read the scenario's own field and paths share one build per
 process (``_main_ensemble``), keyed by the canonical JSON of the config's
 ``model``, ``tc``, ``grid`` and ``sim`` blocks and ``sweeps.gap_horizons``.
 The field is solved with the build and the paths on a check's first read, so
-a run of field-only checks simulates none.  At most two builds are held (least
+a run of field-only checks simulates none.  At most three builds are held (least
 recently used out), and their arrays are read-only, so a hit cannot change
 the numbers.
 """
@@ -114,7 +114,7 @@ def _ensemble_key(cfg) -> str:
                        "sweeps": gap}, sort_keys=True)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=3)
 def _main_ensemble(key: str):
     """(model, tc, field, sim, paths) of the config values in ``key``, where
     ``paths()`` simulates the path ensemble on its first call; memoised."""
@@ -638,15 +638,20 @@ def check_names(names) -> list:
 def servable_checks(cfg, names=None) -> list:
     """``names`` (default: the config's checks) as a list, after refusing any
     that is not a check, needs a solve (``_SOLVES``) the scenario cannot serve,
-    or needs one forward dimension (``_ONE_DIM``) the model lacks."""
+    or needs one forward dimension (``_ONE_DIM``) the model lacks.  An e-step
+    too coarse for 4 nodes on the model's e-domain is refused as well."""
     todo = check_names(cfg["checks"] if names is None else names)
     grid, family = cfg.get("grid", {}), cfg["model"]["family"]
     model = build_model(cfg["model"])
+    half = 2.0 * model.lipschitz_L * model.horizon_T      # as in e_nodes_for
+    refused = [f"grid.{key} {grid[key]} leaves fewer than 4 nodes on the e-domain "
+               f"[{model.cap_lambda - half}, {model.cap_lambda + half}]"
+               for key in ("de_full", "de_reduced")
+               if key in grid and np.ceil(2.0 * half / grid[key]) < 3]
     no_gamma = model.family_params.get("gamma") is None
     lacks = {"reduced": f"the {family} family has no gamma" if no_gamma else "",
              "full": "" if "de_full" in grid else "grid names no 'de_full'"}
     kind = {"scenario": "reduced" if "de_reduced" in grid else "full"}
-    refused = []
     if "burgers_gap" in todo and "gap_horizons" not in cfg.get("sweeps", {}):
         refused.append("check 'burgers_gap' needs gap horizons, but sweeps "
                        "names no gap_horizons")

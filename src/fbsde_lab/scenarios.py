@@ -279,11 +279,12 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
 
 
 def _check_grid(grid: dict, horizon: float):
-    """Refuse an e-step not above 0, fewer than 3 p-nodes (the fewest a p-axis
-    holds) and a time tail starting outside (0, horizon_T).  Their types are
-    checked with the other config values."""
+    """Refuse an e-step or p-half-width not above 0, fewer than 3 p-nodes (the
+    fewest a p-axis holds) and a time tail starting outside (0, horizon_T).
+    Their types are checked with the other config values."""
     bad = [f"grid.{key} {grid[key]} must be above 0"
-           for key in ("de_full", "de_reduced") if key in grid and not grid[key] > 0]
+           for key in ("de_full", "de_reduced", "p_half")
+           if key in grid and not grid[key] > 0]
     if grid.get("n_p", 3) < 3:
         bad.append(f"grid.n_p {grid['n_p']} must be at least 3")
     if "tail_s_min" in grid and not 0 < grid["tail_s_min"] < horizon:

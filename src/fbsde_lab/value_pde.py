@@ -30,10 +30,11 @@ contiguous range of p-rows each: both act within a row, so every element
 sees the same operations and the field is the same bit for bit.  The
 p-sweeps and the edge pins stay on the calling thread.
 
-The reduced transport updates only the nodes that can change: binary data
-keep vbar exactly 1, or below 2**-60, outside a band around the cap, where
-an update rounds to no change (see ``solve_reduced_1d``), so every output
-stays bit for bit as the full-grid loop makes it.
+The reduced transport updates only short runs of live nodes, measured every
+``_WINDOW_BLOCK`` substeps by ``_active_window``: it skips the frozen tail
+left of the cap and the exactly flat plateaus that binary data leave (see
+``solve_reduced_1d``).  A skipped node is one that the update would leave
+bit for bit as it is, so every output stays as the full-grid loop makes it.
 
 ``full_field``, ``reduced_tail_field`` and ``reduced_aligned_field`` are the
 one way to build a field from a scenario's grid settings and extra slices
@@ -58,6 +59,9 @@ _CFL_SAFETY = 0.85    # fraction of the explicit transport's stable step taken
 _MAX_INTERNAL_STEPS = 2_000_000   # sub-step budget of one solve
 _WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
+_RUN_MERGE = 4096     # largest gap between two reduced-transport runs that merge:
+                      # about where a run's four ufunc calls cost as much as
+                      # the no-op updates of the gap
 _TAIL_RATIO = 1.07    # step ratio of the geometric time tail of stored slices
 _TAIL_COARSE = 1.25   # its ratio above the switch time-to-go
 _WORKERS = 2          # threads of one full-solver substep, and of the path normals
@@ -543,13 +547,26 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
 # reduced solver
 # ---------------------------------------------------------------------------
 
-def _active_window(u: np.ndarray, k: int, scratch: np.ndarray):
-    """Bounds [a, b) of the nodes that k reduced-transport substeps can
-    change (argument in ``solve_reduced_1d``); ``scratch`` is a buffer of
-    length len(u) - 2."""
-    a = 1 + int(np.argmax(np.abs(u[1:-1], out=scratch) >= _FROZEN))
-    last = len(u) - 1 - int(np.argmax(u[:0:-1] != u[-2::-1]))
-    return a, min(last + k, len(u) - 1)
+def _active_window(u: np.ndarray, k: int) -> list:
+    """Runs [lo, hi), left to right, of the nodes that the next k
+    reduced-transport substeps can change (argument in ``solve_reduced_1d``).
+
+    A node is live when it lies in [a, n - 2], a the first node with
+    u >= 2**-60 (u >= 0 here: the data are, the e-solve's output is snapped
+    to [0, 1], and the transport keeps it), and its slope u_i - u_{i-1} is
+    not 0.  A run starts at a live node and ends k nodes past its last live
+    node, clamped at the pinned node n - 1.  Runs whose gap is at most
+    ``_RUN_MERGE`` nodes merge, which is exact; every gap left holds a node,
+    so no run reads a node that another changed in the same substep.
+    """
+    a = 1 + int(np.argmax(u[1:-1] >= _FROZEN))
+    live = np.flatnonzero(u[a:-1] != u[a - 1:-2])      # offsets from a
+    if not len(live):
+        return []
+    gaps = np.flatnonzero(np.diff(live) > k + _RUN_MERGE)
+    starts = [int(live[0])] + live[gaps + 1].tolist()
+    ends = live[gaps].tolist() + [int(live[-1])]
+    return [(a + lo, min(a + hi + k, len(u) - 1)) for lo, hi in zip(starts, ends)]
 
 
 def reduced_diffusion_integral(model: ModelSpec) -> Callable[[float, float], float]:
@@ -588,15 +605,29 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
     comes from ``reduced_diffusion_integral``.  Reconstruction
     ``v(t, p, e) = vbar(t, e + w(t, p))`` is exposed by ``ValueField.eval``.
 
-    The transport u_i -= c u_i (u_i - u_{i-1}), 0 < c <= 1, runs only on
-    the nodes that can change, measured every ``_WINDOW_BLOCK`` substeps;
-    the result is bit-identical to updating every node.  Left: where |u_i|
-    and |u_{i-1}| are below 2**-60 the flux is below c |u_i| 2**-59
-    (1 + 2**-53)**2, under half an ulp of u_i (or it underflows to 0), so
-    u_i keeps its bits; a node reads only its left neighbour and u[0] is
-    pinned at 0, so every node left of the first |u| >= 2**-60 stays frozen.
-    Right: past the last u_i != u_{i-1} the slope is exactly 0, and the
-    changed nodes spread by at most one per substep.
+    The transport u_i -= c u_i (u_i - u_{i-1}), 0 < c <= 1, updates only the
+    runs of ``_active_window``, measured every ``_WINDOW_BLOCK`` substeps, and
+    the result is the full-grid loop's bit for bit.  A skipped node keeps
+    its bits:
+      - left tail: where |u_i| and |u_{i-1}| are below 2**-60 the flux is
+        below c |u_i| 2**-59 (1 + 2**-53)**2, under half an ulp of u_i (or
+        it underflows to 0); a node reads only its left neighbour and u[0]
+        is pinned at 0, so every node left of the first |u| >= 2**-60
+        stays frozen;
+      - zero slope: where u_i == u_{i-1} the flux c u_i 0 is +-0.0, and
+        u_i - (+-0.0) is u_i.  After an e-solve the right part of u sits on
+        such an exactly flat plateau, bent only near the pinned node
+        u[n-1] = 1, whose slope to u[n-2] no update reads.
+    Both rules miss one case: a -0.0 after a -0.0 becomes +0.0.  The
+    transport makes no -0.0; the e-solve, which pivots on its negative
+    sub-diagonal, leaves single ones where its tail underflows, and no such
+    pair shows on the registry and benchmark fields or in the byte-for-byte
+    tests against the full-grid loop.
+    A node changes only where its slope is nonzero, so the changing nodes
+    spread by at most one to the right per substep: k substeps change no
+    node more than k - 1 past a live one.  A run may also hold nodes that
+    cannot change; each gets the full-grid loop's update, so merging runs
+    is exact.
     """
     if grid.dim != 0:
         raise ValueError("solve_reduced_1d needs a dim-0 grid")
@@ -619,7 +650,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
     out = np.empty((len(grid.t_nodes), ne))
     out[-1] = u
 
-    # u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2]) on the active window only,
+    # u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2]) on the active runs only,
     # through views of two scratch buffers
     slope, flux = np.empty(ne - 2), np.empty(ne - 2)
     for j in range(1, len(s_store)):
@@ -629,15 +660,16 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
         c = dt * gamma / de
         for done in range(0, n_sub, _WINDOW_BLOCK):
             k = min(_WINDOW_BLOCK, n_sub - done)
-            a, b = _active_window(u, k, flux)
-            mid, left, sl, fl = u[a:b], u[a - 1:b - 1], slope[:b - a], flux[:b - a]
+            runs = [(u[lo:hi], u[lo - 1:hi - 1], slope[:hi - lo], flux[:hi - lo])
+                    for lo, hi in _active_window(u, k)]
             for _ in range(k):
-                np.subtract(mid, left, out=sl)
-                np.multiply(c, mid, out=fl)
-                fl *= sl
-                mid -= fl
+                for mid, left, sl, fl in runs:
+                    np.subtract(mid, left, out=sl)
+                    np.multiply(c, mid, out=fl)
+                    fl *= sl
+                    mid -= fl
                 # not a dead store: the pivoting e-solve below leaves u[0]
-                # slightly off 0, and a = 1 reads it
+                # slightly off 0, and a run from node 1 reads it
                 u[0], u[-1] = 0.0, 1.0
         r = d_int(s0, s1) / de**2
         if r > 0.0:

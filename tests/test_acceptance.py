@@ -99,9 +99,11 @@ NOISY = ["affine_dirac", "affine_constant", "linear_drift_neg",
 
 def test_criterion_06_terminal_sandwich_all_noisy():
     worst = {}
-    for name in NOISY:
+    # nonlinear_1d first, while c3's build of its field is still in the memo
+    for name in sorted(NOISY, key=lambda name: name != "nonlinear_1d"):
         out = X.check_sandwich(scenario_config(name))
         worst[name] = (out.verdict, round(out.stats["violation_fraction"], 5))
+    worst = {name: worst[name] for name in NOISY}
     ok = all(v[0] == "pass" for v in worst.values())
     _report(6, "relaxed terminal condition (eta=0.05)", ok, str(worst))
 

@@ -352,6 +352,16 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
      ["bad config", "grid.de_full 0.0 must be above 0"]),
     (json.dumps({"checks": ["validate"], "grid": {"n_p": 2}}),
      ["bad config", "grid.n_p 2 must be at least 3"]),
+    (json.dumps({"checks": ["validate"], "grid": {"p_half": 0}}),
+     ["bad config", "grid.p_half 0 must be above 0"]),
+    (json.dumps({"checks": ["validate"], "grid": {"p_half": -1.0}}),
+     ["bad config", "grid.p_half -1.0 must be above 0"]),
+    # the e-domain [-0.2, 0.2] of this scenario needs an e-step below 0.2
+    (json.dumps({"grid": {"de_reduced": 10.0}}),
+     ["bad config", "grid.de_reduced 10.0 leaves fewer than 4 nodes",
+      "[-0.2, 0.2]"]),
+    (json.dumps({"checks": ["validate"], "grid": {"de_full": 10.0}}),
+     ["bad config", "grid.de_full 10.0 leaves fewer than 4 nodes"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -404,6 +414,22 @@ def test_every_registry_run_is_served():
         resolved = _scenario_cfg(args)
         assert resolved is not None, entry["name"]
         assert resolved[0]["checks"] == entry["checks"]
+
+
+def test_the_coarsest_served_e_step_gives_4_nodes():
+    from fbsde_lab.experiments import scenario_model, servable_checks
+    from fbsde_lab.value_pde import Grid, e_nodes_for
+    # degenerate_characteristics: e-domain [-0.2, 0.2], 4 nodes need de < 0.2
+    for de, served in ((0.4 / 3 * 1.0001, True), (0.2, False), (0.2 * 1.0001, False)):
+        cfg = scenario_config("degenerate_characteristics",
+                              {"checks": ["validate"], "grid": {"de_reduced": de}})
+        if served:
+            servable_checks(cfg)
+            assert len(Grid(t_nodes=[0.0, 0.1],
+                            e_nodes=e_nodes_for(scenario_model(cfg)[0], de)).e_nodes) == 4
+        else:
+            with pytest.raises(ValueError, match="fewer than 4 nodes"):
+                servable_checks(cfg)
 
 
 @pytest.mark.parametrize("flags, words", [

@@ -363,8 +363,8 @@ def test_reduced_solve_is_bit_identical_to_formula(alpha):
 @settings(max_examples=25, deadline=None)
 @given(family=st.sampled_from(["affine", "drift_up", "drift_down"]),
        alpha=st.floats(0.0, 0.9), ramp=st.one_of(st.none(), st.floats(0.01, 0.3)),
-       T=st.floats(0.12, 0.3), n_t=st.integers(2, 3))
-def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n_t):
+       T=st.floats(0.12, 0.3), n_t=st.integers(2, 3), merge=st.sampled_from([0, None]))
+def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n_t, merge):
     if family == "affine":
         m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
     else:
@@ -375,8 +375,36 @@ def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n
     # every span takes several window blocks of substeps
     assert T / (n_t - 1) / (0.85 * de / 2.0) > 2 * value_pde._WINDOW_BLOCK
     tc = heaviside_tc(0.0) if ramp is None else smooth_ramp_tc(0.0, ramp)
-    assert np.array_equal(solve_reduced_1d(m, g, tc).values,
-                          _reduced_reference(m, g, tc))
+    # merge 0: every gap longer than a block's substeps splits the runs
+    merge = value_pde._RUN_MERGE if merge is None else merge
+    with mock.patch.object(value_pde, "_RUN_MERGE", merge):
+        values = solve_reduced_1d(m, g, tc).values
+    assert values.tobytes() == _reduced_reference(m, g, tc).tobytes()
+
+
+def _spy_runs(monkeypatch):
+    """Record (u before the block, k, runs) of every ``_active_window`` call."""
+    active_window, calls = value_pde._active_window, []
+
+    def spy(u, k):
+        runs = active_window(u, k)
+        calls.append((u.copy(), k, runs))
+        return runs
+
+    monkeypatch.setattr(value_pde, "_active_window", spy)
+    return calls
+
+
+def test_split_runs_match_the_full_grid_loop(monkeypatch):
+    m = affine_model(alpha=0.3, gamma=1.0, sigma=1.0, horizon_T=0.2)
+    g = Grid(t_nodes=np.linspace(0.0, 0.2, 4), e_nodes=e_nodes_for(m, 1e-3))
+    tc = heaviside_tc(0.0)
+    monkeypatch.setattr(value_pde, "_RUN_MERGE", 0)
+    calls = _spy_runs(monkeypatch)
+    assert solve_reduced_1d(m, g, tc).values.tobytes() == _reduced_reference(m, g, tc).tobytes()
+    assert max(len(runs) for *_, runs in calls) >= 2
+    for *_, runs in calls:       # ordered, with a node no run holds in between
+        assert all(hi < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
 
 
 def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monkeypatch):
@@ -385,17 +413,28 @@ def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monk
     tc = heaviside_tc(0.0)
     ref = _reduced_reference(m, g, tc)
     assert np.any((ref > 0.0) & (ref < 2.0**-60))
-    active_window, windows = value_pde._active_window, []
-
-    def spy(u, k, scratch):
-        a, b = active_window(u, k, scratch)
-        windows.append((b, bool(np.any(u[1:a] != 0.0))))
-        return a, b
-
-    monkeypatch.setattr(value_pde, "_active_window", spy)
+    calls = _spy_runs(monkeypatch)
     assert np.array_equal(solve_reduced_1d(m, g, tc).values, ref)
-    assert any(frozen_nonzero for _, frozen_nonzero in windows)
-    assert any(b == len(g.e_nodes) - 1 for b, _ in windows)
+    # a frozen nonzero prefix is left out of every run ...
+    assert any(runs and np.any(u[1:runs[0][0]] != 0.0) for u, _, runs in calls)
+    # ... and a run still reaches the pinned node's neighbour
+    assert any(runs and runs[-1][1] == len(g.e_nodes) - 1 for *_, runs in calls)
+
+
+def test_reduced_runs_stay_well_inside_the_single_window(monkeypatch):
+    # the fan and the boundary layer at the pinned node are far apart here,
+    # with a flat plateau between them; one window [a, b) spans all of it
+    m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    calls = _spy_runs(monkeypatch)
+    value_pde.reduced_tail_field(m, heaviside_tc(0.0),
+                                 {"de_reduced": 2e-5, "tail_s_min": 1e-3})
+    runs_updates = window_updates = 0
+    for u, k, runs in calls:
+        a = 1 + int(np.argmax(np.abs(u[1:-1]) >= 2.0**-60))
+        last = len(u) - 1 - int(np.argmax(u[:0:-1] != u[-2::-1]))
+        window_updates += k * (min(last + k, len(u) - 1) - a)
+        runs_updates += k * sum(hi - lo for lo, hi in runs)
+    assert runs_updates < 0.5 * window_updates
 
 
 @pytest.mark.parametrize("batch", [(), (4,)])
