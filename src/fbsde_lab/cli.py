@@ -38,10 +38,10 @@ def _output_root(args) -> Path | None:
     return root
 
 
-def _scenario_cfg(args) -> tuple | None:
+def _scenario_cfg(args, field=False) -> tuple | None:
     """(config, model, terminal condition, SimConfig) of the scenario with the
     config file and the ``--seed`` flag applied, or None after printing why
-    the scenario is unknown or the config is refused."""
+    the scenario is unknown or the config (with ``field``, its field) is refused."""
     try:
         overrides = json.loads(Path(args.config).read_text()) if args.config else {}
         if overrides is None:   # scenario_config would read null as "no overrides"
@@ -54,7 +54,7 @@ def _scenario_cfg(args) -> tuple | None:
         print(f"bad config: {exc}", file=sys.stderr)
         return None
     try:
-        servable_checks(cfg)
+        servable_checks(cfg, field=field)
         if getattr(args, "seed", None) is not None:
             cfg["sim"]["seed"] = args.seed
         model, tc = scenario_model(cfg)
@@ -98,7 +98,7 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_solve_only(args) -> int:
-    scenario = _scenario_cfg(args)
+    scenario = _scenario_cfg(args, field=True)
     out = _output_root(args)
     if scenario is None or out is None:
         return 2

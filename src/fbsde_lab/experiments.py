@@ -27,10 +27,10 @@ import numpy as np
 
 from . import fieldio
 from .burgers_ref import burgers_gap, characteristic, BurgersProfile
-from .mc_engine import (SimConfig, conditional_support, default_delta_ladder,
-                        dirac_scan, feynman_kac_grad_p, flow_squeeze_check,
-                        gaussian_control_terminal, prefactor_report,
-                        simulate_forward, terminal_sandwich_check,
+from .mc_engine import (SimConfig, SupportHistogram, conditional_support,
+                        default_delta_ladder, dirac_scan, feynman_kac_grad_p,
+                        flow_squeeze_check, gaussian_control_terminal,
+                        prefactor_report, simulate_forward, terminal_sandwich_check,
                         transmission_scan, trap_diagnostic, variance_scan)
 from .model_core import (BUMP_MEAN, affine_model, heaviside_tc, mollify,
                          validate_assumptions)
@@ -506,7 +506,11 @@ def check_variance_zero(cfg) -> CheckOutcome:
 def check_conditional_support(cfg) -> CheckOutcome:
     model, *_, paths = _main_ensemble(_ensemble_key(cfg))
     delta = 1e-2 * model.horizon_T
-    hist = conditional_support(paths(), delta)
+    ens = paths()
+    try:
+        hist = conditional_support(ens, delta)
+    except ValueError:      # an empty conditioning event: nothing is covered
+        hist = SupportHistogram(np.linspace(0.0, 1.0, 11), np.zeros(10, int), 0.0, 0)
     ok = hist.coverage == 1.0 and hist.n_conditioned >= 1000
     return CheckOutcome(
         "conditional_support", "pass" if ok else "fail",
@@ -635,11 +639,11 @@ def check_names(names) -> list:
     return list(names)
 
 
-def servable_checks(cfg, names=None) -> list:
+def servable_checks(cfg, names=None, field=False) -> list:
     """``names`` (default: the config's checks) as a list, after refusing any
     that is not a check, needs a solve (``_SOLVES``) the scenario cannot serve,
-    or needs one forward dimension (``_ONE_DIM``) the model lacks.  An e-step
-    too coarse for 4 nodes on the model's e-domain is refused as well."""
+    or needs one forward dimension (``_ONE_DIM``) the model lacks; also an
+    e-step too coarse for 4 e-nodes, and with ``field`` a field it cannot solve."""
     todo = check_names(cfg["checks"] if names is None else names)
     grid, family = cfg.get("grid", {}), cfg["model"]["family"]
     model = build_model(cfg["model"])
@@ -659,6 +663,9 @@ def servable_checks(cfg, names=None) -> list:
         k = kind.get(solve, solve)
         refused += [f"check {name!r} needs a {k} solve, but {lacks[k]}"
                     for name in todo if name in users.split() and lacks[k]]
+    k = kind["scenario"]
+    if field and lacks[k]:
+        refused.append(f"the scenario field needs a {k} solve, but {lacks[k]}")
     if model.dim_p != 1:
         refused += [f"check {name!r} needs a model with one forward dimension, "
                     f"but the model has {model.dim_p}"

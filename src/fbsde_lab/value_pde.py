@@ -15,6 +15,8 @@ the sign of f at the previous slice), implicit tridiagonal diffusion-drift
 sweeps in each p-direction (E carries no noise: no e-diffusion).  Every
 sub-step is monotone under the enforced step bound, so fields stay in [0,1],
 stay non-decreasing in e and obey the discrete comparison principle.
+The e-edges hold the data's limits 0 and 1 as Dirichlet values, written once
+when the march starts; every sub-step updates only the inner nodes.
 
 Transport and p-sweeps allocate nothing per sub-step: the transport keeps
 the plain formula's ufunc order (bit for bit) on scratch buffers made once per
@@ -28,7 +30,7 @@ On grids of at least ``_THREAD_MIN_CELLS`` cells the full solver evaluates
 the feedback and the transport of each sub-step on ``_WORKERS`` threads, one
 contiguous range of p-rows each: both act within a row, so every element
 sees the same operations and the field is the same bit for bit.  The
-p-sweeps and the edge pins stay on the calling thread.
+p-sweeps stay on the calling thread.
 
 The reduced transport updates only short runs of live nodes, measured every
 ``_WINDOW_BLOCK`` substeps by ``_active_window``: it skips the frozen tail
@@ -302,20 +304,19 @@ def _snap_unit(u: np.ndarray, context: str):
 
 def _upwind_transport(u: np.ndarray, speed: np.ndarray, dt_over_de: float,
                       diff, a_plus, a_minus):
-    """In-place explicit upwind step of u_t + speed * u_e = 0 (last axis e),
-    u -= dt_over_de * (a_plus * back + a_minus * fwd).  ``diff`` is one node
-    longer than ``u`` along e and zero at both ends (the caller's pads, never
-    written here): it takes the differences along e in between, and back and
-    fwd are its two shifted views.  ``a_plus`` and ``a_minus`` are shaped
-    like ``u``."""
-    np.subtract(u[..., 1:], u[..., :-1], out=diff[..., 1:-1])
+    """In-place explicit upwind step of u_t + speed * u_e = 0 (last axis e) on
+    the inner nodes, u[..., 1:-1] -= dt_over_de * (a_plus * back + a_minus * fwd);
+    the edges are read, never written.  ``diff`` is one node shorter than ``u``
+    along e and takes its differences, back and fwd its two shifted views;
+    ``speed``, ``a_plus`` and ``a_minus`` are shaped like ``u[..., 1:-1]``."""
+    np.subtract(u[..., 1:], u[..., :-1], out=diff)
     np.maximum(speed, 0.0, out=a_plus)
     np.minimum(speed, 0.0, out=a_minus)
     a_plus *= diff[..., :-1]
     a_minus *= diff[..., 1:]
     a_plus += a_minus
     a_plus *= dt_over_de
-    u -= a_plus
+    u[..., 1:-1] -= a_plus
 
 
 def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
@@ -325,8 +326,8 @@ def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
     the right) are scalars or arrays with the system axis first; further axes
     batch systems.  Off-diagonals stay non-positive and the diagonal dominates
     (M-matrix), which keeps the sweep monotone.  Neumann edges fold the ghost
-    node into the diagonal; otherwise the edge rows are Dirichlet identities.
-    """
+    node into the diagonal; Dirichlet ones keep the interior stencil, and the
+    caller moves the edge values to the right-hand side."""
     # scalar coefficients broadcast only on assignment: no n-sized temporaries
     shape = (n,) + np.broadcast(r, q).shape[1:]
     qp, qm = np.maximum(q, 0.0), np.minimum(q, 0.0)
@@ -338,10 +339,6 @@ def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
         r, qp, qm = (np.broadcast_to(x, shape) for x in (r, qp, qm))
         ab[1, 0] = 1.0 + r[0] + qp[0]
         ab[1, -1] = 1.0 + r[-1] - qm[-1]
-    else:
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
     return ab
 
 
@@ -500,7 +497,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
     p_coef = [(np.moveaxis(0.5 * a_diag[..., k], k, 0)[..., None],
                np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
               for k in range(grid.dim)]
-    u_swept = [list(np.moveaxis(u, k, 0)) for k in range(grid.dim)]
+    u_swept = [list(np.moveaxis(u[..., 1:-1], k, 0)) for k in range(grid.dim)]
     rows = [np.empty(x[0].shape) for x in u_swept]
 
     # feedback and transport act within a p-row: contiguous ranges of the
@@ -511,12 +508,12 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
     # a worker starts each substep a wake-up after the calling thread, so the
     # calling thread takes the last range, one and a half shares of the rows
     edges = [round(n_rows * w / (n_parts + 0.5)) for w in range(n_parts)] + [n_rows]
-    parts = [(u[lo:hi], p_bcast[lo:hi], np.zeros(u[lo:hi].shape[:-1] + (u.shape[-1] + 1,)),
-              np.empty_like(u[lo:hi]), np.empty_like(u[lo:hi]))
+    parts = [(u[lo:hi], p_bcast[lo:hi], np.empty_like(u[lo:hi, ..., 1:]),
+              np.empty_like(u[lo:hi, ..., 1:-1]), np.empty_like(u[lo:hi, ..., 1:-1]))
              for lo, hi in zip(edges[:-1], edges[1:])]
 
     def feedback_transport(dt_over_de, u_part, p_part, *scratch):
-        speed = model.feedback.value(p_part, u_part)
+        speed = model.feedback.value(p_part, u_part[..., 1:-1])
         _upwind_transport(u_part, speed, dt_over_de, *scratch)
         return speed
 
@@ -532,10 +529,8 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
                 # the speed arrays stay referenced until the next ones are made,
                 # so the allocator does not hand their pages back every substep
                 speeds = run(dt / de)
-                u[..., 0], u[..., -1] = 0.0, 1.0
                 for x, row, fac in zip(u_swept, rows, factors):
                     _thomas_sweep(x, *fac, row)
-                u[..., 0], u[..., -1] = 0.0, 1.0
             _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
             out[j] = u
 
@@ -555,7 +550,7 @@ def _active_window(u: np.ndarray, k: int) -> list:
     u >= 2**-60 (u >= 0 here: the data are, the e-solve's output is snapped
     to [0, 1], and the transport keeps it), and its slope u_i - u_{i-1} is
     not 0.  A run starts at a live node and ends k nodes past its last live
-    node, clamped at the pinned node n - 1.  Runs whose gap is at most
+    node, clamped at the edge node n - 1.  Runs whose gap is at most
     ``_RUN_MERGE`` nodes merge, which is exact; every gap left holds a node,
     so no run reads a node that another changed in the same substep.
     """
@@ -612,17 +607,16 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
       - left tail: where |u_i| and |u_{i-1}| are below 2**-60 the flux is
         below c |u_i| 2**-59 (1 + 2**-53)**2, under half an ulp of u_i (or
         it underflows to 0); a node reads only its left neighbour and u[0]
-        is pinned at 0, so every node left of the first |u| >= 2**-60
-        stays frozen;
+        is 0, so every node left of the first |u| >= 2**-60 stays frozen;
       - zero slope: where u_i == u_{i-1} the flux c u_i 0 is +-0.0, and
         u_i - (+-0.0) is u_i.  After an e-solve the right part of u sits on
-        such an exactly flat plateau, bent only near the pinned node
+        such an exactly flat plateau, bent only near the edge node
         u[n-1] = 1, whose slope to u[n-2] no update reads.
-    Both rules miss one case: a -0.0 after a -0.0 becomes +0.0.  The
-    transport makes no -0.0; the e-solve, which pivots on its negative
-    sub-diagonal, leaves single ones where its tail underflows, and no such
-    pair shows on the registry and benchmark fields or in the byte-for-byte
-    tests against the full-grid loop.
+    Both rules would turn a -0.0 after a -0.0 into +0.0, but no node holds
+    -0.0.  The data and the transport make none, and the e-solve takes the
+    n - 2 inner unknowns with u[n-1] on the right-hand side: its pivots d
+    stay >= 1 + r (1 + 2r - r**2/d > 1 + r), above the sub-diagonal r, so
+    LAPACK never swaps rows, and both sweeps add only non-negative terms.
     A node changes only where its slope is nonzero, so the changing nodes
     spread by at most one to the right per substep: k substeps change no
     node more than k - 1 past a live one.  A run may also hold nodes that
@@ -668,12 +662,10 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
                     np.multiply(c, mid, out=fl)
                     fl *= sl
                     mid -= fl
-                # not a dead store: the pivoting e-solve below leaves u[0]
-                # slightly off 0, and a run from node 1 reads it
-                u[0], u[-1] = 0.0, 1.0
         r = d_int(s0, s1) / de**2
         if r > 0.0:
-            _solve_axis(u, _tridiag(r, 0.0, ne, False))
+            u[-2] += r          # the edge value u[-1] = 1 (u[0] = 0 adds nothing)
+            _solve_axis(u[1:-1], _tridiag(r, 0.0, ne - 2, False))
         _snap_unit(u, f"reduced slice s={s1:.6g}")
         out[len(s_store) - 1 - j] = u
 

@@ -404,6 +404,39 @@ def test_cli_refuses_a_check_the_scenario_cannot_serve(tmp_path, capsys, scenari
         run_scenario(scenario_config(scenario, over))
 
 
+def test_cli_solve_only_refuses_a_field_the_scenario_cannot_solve(tmp_path, capsys):
+    # run serves the checks a config names, and validate needs no field;
+    # solve-only solves the scenario field, reduced here, whatever they are
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"checks": ["validate"], "grid": {"de_reduced": 1e-3}}))
+    out = tmp_path / "out"
+    code = main(["solve-only", "--scenario", "nonlinear_1d", "--config", str(cfgfile),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in ["bad config", "the scenario field needs a reduced solve",
+                                  "nonlinear_1d family has no gamma"]), err
+    assert not out.exists()   # refused before anything was solved
+    assert main(["run", "--scenario", "nonlinear_1d", "--config", str(cfgfile),
+                 "--out", str(out)]) == 0
+
+
+def test_an_empty_conditioning_event_fails_and_keeps_the_record(tmp_path):
+    # one path misses the event |E_T - cap| <= delta, and the run still
+    # writes its record, with the check's verdict fail
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"checks": ["conditional_support"],
+                                   "sim": {"n_paths": 1}}))
+    code = main(["run", "--scenario", "affine_constant", "--config", str(cfgfile),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    record = json.loads((tmp_path / "affine_constant" / "record.json").read_text())
+    assert record["verdicts"] == {"conditional_support": "fail"}
+    stats = record["stats"]["conditional_support"]
+    assert stats["n_conditioned"] == 0 and stats["coverage"] == 0.0
+    assert stats["counts"] == [0] * 10
+
+
 def test_every_registry_run_is_served():
     # each scenario's own check list passes the CLI's config path, which
     # refuses checks a scenario cannot serve; no check runs here

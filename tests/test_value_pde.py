@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import sys
 import threading
@@ -293,36 +294,35 @@ def test_time_node_builders():
 # ---------------------------------------------------------------------------
 
 def _transport_reference(u, speed, dt_over_de):
-    """The allocating upwind step the scratch-buffer version replaces."""
-    back = np.empty_like(u)
-    back[..., 1:] = u[..., 1:] - u[..., :-1]
-    back[..., 0] = 0.0
-    fwd = np.empty_like(u)
-    fwd[..., :-1] = u[..., 1:] - u[..., :-1]
-    fwd[..., -1] = 0.0
+    """The allocating upwind step of the inner nodes that the scratch-buffer
+    version replaces; ``speed`` is shaped like ``u[..., 1:-1]``."""
+    back = u[..., 1:-1] - u[..., :-2]
+    fwd = u[..., 2:] - u[..., 1:-1]
     a_plus = np.maximum(speed, 0.0)
     a_minus = np.minimum(speed, 0.0)
-    u -= dt_over_de * (a_plus * back + a_minus * fwd)
+    u[..., 1:-1] -= dt_over_de * (a_plus * back + a_minus * fwd)
 
 
 @pytest.mark.parametrize("p_shape", [(), (7,), (5, 6)])
 def test_upwind_transport_is_bit_identical_to_formula(p_shape):
     rng = np.random.default_rng(len(p_shape))
     u = np.sort(rng.uniform(0.0, 1.0, p_shape + (50,)), axis=-1)
-    speed = rng.uniform(-2.0, 2.0, u.shape)
+    speed = rng.uniform(-2.0, 2.0, p_shape + (48,))
     ref = u.copy()
     _transport_reference(ref, speed, 0.3)
-    diff = np.full(p_shape + (51,), np.nan)
-    diff[..., 0] = diff[..., -1] = 0.0         # the caller's zero pads
-    scratch = [diff, np.full_like(u, np.nan), np.full_like(u, np.nan)]
+    scratch = [np.full(p_shape + (49,), np.nan), np.full_like(speed, np.nan),
+               np.full_like(speed, np.nan)]
     for _ in range(2):          # stale scratch contents must not leak in
         v = u.copy()
         _upwind_transport(v, speed, 0.3, *scratch)
-        assert np.array_equal(v, ref)
+        assert v.tobytes() == ref.tobytes()
+        # the edge nodes are read, never written
+        assert v[..., [0, -1]].tobytes() == u[..., [0, -1]].tobytes()
 
 
 def _reduced_reference(model, grid, tc):
-    """The reduced march with the allocating transport and inline matrix."""
+    """The reduced march with the allocating transport and inline matrix; the
+    edges u[0] = 0 and u[-1] = 1 are data, and only the inner nodes move."""
     gamma, d_int, de = model.family_params["gamma"], reduced_diffusion_integral(model), grid.de
     dt_cfl = 0.85 * de / (2.0 * gamma)
     u = tc(grid.e_nodes).astype(float)
@@ -334,17 +334,15 @@ def _reduced_reference(model, grid, tc):
         c = (s1 - s0) / n_sub * gamma / de
         for _ in range(n_sub):
             u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2])
-            u[0], u[-1] = 0.0, 1.0
         r = d_int(s0, s1) / de**2
         if r > 0.0:
-            ab = np.zeros((3, len(u)))
+            ab = np.zeros((3, len(u) - 2))
             ab[1, :] = 1.0 + 2.0 * r
             ab[0, 1:] = -r
             ab[2, :-1] = -r
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = 0.0
-            ab[2, -2] = 0.0
-            u = solve_banded((1, 1), ab, u)
+            rhs = u[1:-1].copy()
+            rhs[-1] += r * u[-1]            # the Dirichlet value; u[0] = 0 adds nothing
+            u[1:-1] = solve_banded((1, 1), ab, rhs)
         np.clip(u, 0.0, 1.0, out=u)        # the solver's roundoff snap
         out.append(u.copy())
     return np.array(out[::-1])
@@ -358,6 +356,37 @@ def test_reduced_solve_is_bit_identical_to_formula(alpha):
     tc = heaviside_tc(0.0)
     assert np.array_equal(solve_reduced_1d(m, g, tc).values,
                           _reduced_reference(m, g, tc))
+
+
+def test_reduced_edges_are_exact_where_the_e_solve_is_stiff():
+    # r = d_int / de**2 reaches about 26 here; a solve of the whole axis with
+    # identity edge rows pivots once r > 1 and left u[0] off 0 and -0.0 nodes
+    m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    field = value_pde.reduced_tail_field(m, heaviside_tc(0.0), {"de_reduced": 1e-4})
+    s = np.sort(m.horizon_T - field.grid.t_nodes)
+    d_int = reduced_diffusion_integral(m)
+    assert max(d_int(a, b) for a, b in zip(s[:-1], s[1:])) / field.grid.de**2 > 10.0
+    v = field.values
+    assert np.all(v[:, 0] == 0.0) and np.all(v[:, -1] == 1.0)
+    assert not np.any(np.signbit(v))        # no -0.0 anywhere, u[0] included
+
+
+def _sha256(values):
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_light_full_solves_are_pinned():
+    # affine feedback has no transcendental call, so these bytes do not
+    # depend on the libm; the dim-2 grid is large enough for the threads
+    m = small_model()
+    assert _sha256(solve_mollified(m, small_grid(m), heaviside_tc(0.0)).values) == (
+        "9534c2a232c15d0b136105a40e243381dbe8aff61b7bcfb862c35ccad2c601e7")
+    m2 = affine_model(alpha=[0.4, 0.2], gamma=1.0, sigma=1.0, horizon_T=0.15)
+    g2 = Grid(t_nodes=np.linspace(0.0, 0.15, 31), e_nodes=e_nodes_for(m2, 2e-3),
+              p_nodes=(np.linspace(-1.5, 1.5, 17),) * 2)
+    assert np.prod(g2.space_shape()) >= value_pde._THREAD_MIN_CELLS
+    assert _sha256(solve_mollified(m2, g2, smooth_ramp_tc(0.0, 0.1)).values) == (
+        "dc1a425551c23834cafd6d14de417ee2fc35beeb1754b1d1984083ee2e1428d2")
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,12 +446,12 @@ def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monk
     assert np.array_equal(solve_reduced_1d(m, g, tc).values, ref)
     # a frozen nonzero prefix is left out of every run ...
     assert any(runs and np.any(u[1:runs[0][0]] != 0.0) for u, _, runs in calls)
-    # ... and a run still reaches the pinned node's neighbour
+    # ... and a run still reaches the edge node's neighbour
     assert any(runs and runs[-1][1] == len(g.e_nodes) - 1 for *_, runs in calls)
 
 
 def test_reduced_runs_stay_well_inside_the_single_window(monkeypatch):
-    # the fan and the boundary layer at the pinned node are far apart here,
+    # the fan and the boundary layer at the edge node are far apart here,
     # with a flat plateau between them; one window [a, b) spans all of it
     m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
     calls = _spy_runs(monkeypatch)
