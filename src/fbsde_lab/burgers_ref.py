@@ -14,6 +14,7 @@ here and the bound entries of ``value_pde``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -63,6 +64,34 @@ def characteristic(e0, t: float, profile: BurgersProfile):
 # the compensator w
 # ---------------------------------------------------------------------------
 
+def _growth(lam: float, s):
+    """(e^{lam s} - 1) / lam, the linear-drift family's noise growth over a
+    time-to-go s (s itself at lam = 0); ``expm1`` keeps it exact to rounding
+    where lam s is small."""
+    return np.expm1(lam * s) / lam if lam != 0.0 else s
+
+
+@cache
+def _gauss_legendre(n_panels: int):
+    """Nodes and weights of the 8-point Gauss-Legendre rule on each of
+    ``n_panels`` equal panels of [0, 1]."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(8)
+    nodes = (np.arange(n_panels)[:, None] + 0.5 * (x + 1.0)) / n_panels
+    return nodes.ravel(), np.tile(0.5 * w / n_panels, n_panels)
+
+
+def _integral(f, a, b, rate: float):
+    """Integral of ``f`` over [a, b], elementwise over arrays a and b, by the
+    8-point Gauss-Legendre rule on panels no longer than 1/rate.  For
+    integrands like e^{2 rate s}, as in the linear-drift closed forms, each
+    panel is then exact to rounding, with no cancellation at small rate."""
+    a = np.asarray(a, dtype=float)
+    h = np.asarray(b, dtype=float) - a
+    nodes, weights = _gauss_legendre(max(1, int(np.ceil(rate * np.max(np.abs(h))))))
+    return h * (f(a[..., None] + h[..., None] * nodes) @ weights)
+
+
 # closed-form evaluation per model family; every other family uses Monte Carlo
 _CLOSED_FORMS = {"affine_constant": "closed_form_affine",
                  "linear_drift": "closed_form_linear_drift"}
@@ -80,9 +109,10 @@ class WEvaluator:
 
     ``mode`` follows from ``model.family``: ``closed_form_affine`` for
     ``affine_constant``, ``closed_form_linear_drift`` for ``linear_drift``
-    and ``monte_carlo`` for every other family.  Closed forms are exact; the
-    Monte Carlo mode uses antithetic Euler quadrature over ``MC_PATHS`` paths
-    and ``MC_STEPS`` steps over the whole horizon (scaled to the time to go),
+    and ``monte_carlo`` for every other family.  Closed forms are exact to
+    rounding (the linear-drift integral by ``_integral``); the Monte Carlo
+    mode uses antithetic Euler quadrature over ``MC_PATHS`` paths and
+    ``MC_STEPS`` steps over the whole horizon (scaled to the time to go),
     with a deterministic Philox stream per evaluation point keyed by
     ``MC_SEED``.
     """
@@ -110,8 +140,10 @@ class WEvaluator:
         p0 = np.asarray(p, dtype=float)[..., 0]
         if lam == 0.0:
             return alpha * s * (p0 + 0.5 * b0 * s)
-        growth = (np.exp(lam * s) - 1.0) / lam
-        return alpha * ((p0 + b0 / lam) * growth - (b0 / lam) * s)
+        # the drift's share, int_0^s growth = (growth - s) / lam, would cancel
+        # at small lam s
+        drifted = _integral(lambda u: _growth(lam, u), 0.0, s, abs(lam))
+        return alpha * (p0 * _growth(lam, s) + b0 * drifted)
 
     def dp_w(self, t, p=None) -> np.ndarray:
         """Gradient of w in p (closed-form modes; finite differences for MC)."""
@@ -121,10 +153,7 @@ class WEvaluator:
             return np.asarray(s)[..., None] * alpha
         if self.mode == "closed_form_linear_drift":
             pr = self.model.family_params
-            lam, alpha = pr["lam"], pr["alpha"]
-            if lam == 0.0:
-                return (alpha * np.asarray(s))[..., None]
-            return (alpha * (np.exp(lam * s) - 1.0) / lam)[..., None]
+            return (pr["alpha"] * _growth(pr["lam"], s))[..., None]
         if p is None:
             raise ValueError("monte_carlo dp_w needs the evaluation point p")
         p = np.asarray(p, dtype=float)

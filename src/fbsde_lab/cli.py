@@ -29,11 +29,14 @@ from .value_pde import check_domain, check_model
 
 
 def _output_root(args) -> Path | None:
-    """The output root, or None after printing why an existing file that is
-    not a directory is refused (before anything is solved or simulated)."""
+    """The output root, or None after printing why a root that cannot be
+    created is refused (before anything is solved or simulated): its
+    nearest existing ancestor, the root itself included, must be a directory."""
     root = Path(args.out or os.environ.get("FBSDE_LAB_OUTPUT", "fbsde_lab_out"))
-    if root.exists() and not root.is_dir():
-        print(f"output root {root} exists and is not a directory", file=sys.stderr)
+    existing = next(p for p in (root, *root.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        why = "exists" if existing == root else f"cannot be created: {existing} exists"
+        print(f"output root {root} {why} and is not a directory", file=sys.stderr)
         return None
     return root
 
@@ -66,8 +69,8 @@ def _scenario_cfg(args, field=False) -> tuple | None:
 
 def cmd_run(args) -> int:
     scenario = _scenario_cfg(args)
-    out = _output_root(args)
-    if scenario is None or out is None:
+    out = _output_root(args) if scenario else None
+    if out is None:
         return 2
     cfg = scenario[0]
     record = run_scenario(cfg, output_root=out)
@@ -99,8 +102,8 @@ def cmd_plot_data(args) -> int:
 
 def cmd_solve_only(args) -> int:
     scenario = _scenario_cfg(args, field=True)
-    out = _output_root(args)
-    if scenario is None or out is None:
+    out = _output_root(args) if scenario else None
+    if out is None:
         return 2
     cfg, model, tc, _ = scenario
     field = scenario_field(cfg, model, tc)
@@ -113,8 +116,8 @@ def cmd_solve_only(args) -> int:
 
 def cmd_simulate_only(args) -> int:
     scenario = _scenario_cfg(args)
-    out = _output_root(args)
-    if scenario is None or out is None:
+    out = _output_root(args) if scenario else None
+    if out is None:
         return 2
     cfg, model, _, sim = scenario
     try:

@@ -21,21 +21,21 @@ when the march starts; every sub-step updates only the inner nodes.
 Transport and p-sweeps allocate nothing per sub-step: the transport keeps
 the plain formula's ufunc order (bit for bit) on scratch buffers made once per
 solve, and each p-direction matrix is factored once per stored span (fixed
-step) for an in-place, row-vectorised Thomas sweep.  ``_tridiag`` assembles
-every tridiagonal M-matrix; the long e-axis systems go to scipy's
-``solve_banded``.  scipy is imported inside ``_solve_axis``, so only a
-process that solves a reduced equation with noise loads it; importing the
-package, simulating paths and the full solver never do.
+step) for an in-place, row-vectorised Thomas sweep that ``_tridiag``
+assembles.  The reduced solver's long e-axis system, the same Toeplitz
+M-matrix at every node, goes to ``_cyclic_reduction``: whole-array numpy
+steps that add only non-negative terms, so its output is non-negative and
+free of -0.0 by construction.  The package needs numpy alone.
 On grids of at least ``_THREAD_MIN_CELLS`` cells the full solver evaluates
 the feedback and the transport of each sub-step on ``_WORKERS`` threads, one
 contiguous range of p-rows each: both act within a row, so every element
 sees the same operations and the field is the same bit for bit.  The
 p-sweeps stay on the calling thread.
 
-The reduced transport updates only short runs of live nodes, measured every
+The reduced transport updates only the window of live nodes, measured every
 ``_WINDOW_BLOCK`` substeps by ``_active_window``: it skips the frozen tail
-left of the cap and the exactly flat plateaus that binary data leave (see
-``solve_reduced_1d``).  A skipped node is one that the update would leave
+left of the cap and the exactly flat plateau at 1 that binary data leave
+(see ``solve_reduced_1d``).  A skipped node is one that the update would leave
 bit for bit as it is, so every output stays as the full-grid loop makes it.
 
 ``full_field``, ``reduced_tail_field`` and ``reduced_aligned_field`` are the
@@ -53,7 +53,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .burgers_ref import WEvaluator, _rows_by_p_node
+from .burgers_ref import WEvaluator, _growth, _integral, _rows_by_p_node
 from .model_core import ModelSpec, TerminalCondition
 
 _BOUND_SNAP = 1e-12   # FP-roundoff renormalization threshold, not a limiter
@@ -61,9 +61,6 @@ _CFL_SAFETY = 0.85    # fraction of the explicit transport's stable step taken
 _MAX_INTERNAL_STEPS = 2_000_000   # sub-step budget of one solve
 _WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
-_RUN_MERGE = 4096     # largest gap between two reduced-transport runs that merge:
-                      # about where a run's four ufunc calls cost as much as
-                      # the no-op updates of the gap
 _TAIL_RATIO = 1.07    # step ratio of the geometric time tail of stored slices
 _TAIL_COARSE = 1.25   # its ratio above the switch time-to-go
 _WORKERS = 2          # threads of one full-solver substep, and of the path normals
@@ -319,15 +316,15 @@ def _upwind_transport(u: np.ndarray, speed: np.ndarray, dt_over_de: float,
     u[..., 1:-1] -= a_plus
 
 
-def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
-    """Banded I - (r*D2 + q*D1) of order n (``solve_banded`` layout).
+def _tridiag(r, q, n: int) -> np.ndarray:
+    """Banded I - (r*D2 + q*D1) of order n with Neumann edges, in LAPACK's
+    banded layout (super-, main and sub-diagonal rows).
 
     r = dt*diff/dx^2 and q = dt*drift/dx (time-to-go, so drift > 0 upwinds to
     the right) are scalars or arrays with the system axis first; further axes
     batch systems.  Off-diagonals stay non-positive and the diagonal dominates
-    (M-matrix), which keeps the sweep monotone.  Neumann edges fold the ghost
-    node into the diagonal; Dirichlet ones keep the interior stencil, and the
-    caller moves the edge values to the right-hand side."""
+    (M-matrix), which keeps the sweep monotone.  The edges fold the ghost node
+    into the diagonal."""
     # scalar coefficients broadcast only on assignment: no n-sized temporaries
     shape = (n,) + np.broadcast(r, q).shape[1:]
     qp, qm = np.maximum(q, 0.0), np.minimum(q, 0.0)
@@ -335,19 +332,73 @@ def _tridiag(r, q, n: int, neumann: bool) -> np.ndarray:
     ab[1] = 1.0 + 2.0 * r + qp - qm
     ab[0, 1:] = np.broadcast_to(-(r + qp), shape)[:-1]    # ab[0, j+1] = A[j, j+1]
     ab[2, :-1] = np.broadcast_to(-(r - qm), shape)[1:]    # ab[2, j]   = A[j+1, j]
-    if neumann:
-        r, qp, qm = (np.broadcast_to(x, shape) for x in (r, qp, qm))
-        ab[1, 0] = 1.0 + r[0] + qp[0]
-        ab[1, -1] = 1.0 + r[-1] - qm[-1]
+    r, qp, qm = (np.broadcast_to(x, shape) for x in (r, qp, qm))
+    ab[1, 0] = 1.0 + r[0] + qp[0]
+    ab[1, -1] = 1.0 + r[-1] - qm[-1]
     return ab
 
 
-def _solve_axis(u: np.ndarray, ab: np.ndarray):
-    """Solve the system ``ab`` for the vector ``u`` in place; ``ab`` is
-    overwritten (the long e-axis solves make no fresh allocations to re-fault).
-    scipy is imported here, at its one use, to keep it out of start-up."""
-    from scipy.linalg import solve_banded
-    u[...] = solve_banded((1, 1), ab, u, overwrite_ab=True, overwrite_b=True)
+def _cyclic_reduction(d: np.ndarray, r: float):
+    """Solve (1 + 2r) x_i - r (x_{i-1} + x_{i+1}) = d_i, r > 0, in place along
+    the last axis of ``d`` (leading axes batch right-hand sides), with zero
+    outer neighbours x_{-1} = x_m = 0, by odd-even cyclic reduction.
+
+    Each level eliminates the rows at even positions, which leaves a system of
+    the same form on the odd ones, with coupling r' = r^2 / b.  A row's
+    diagonal is stored as b = 2r + s, s its excess over its two couplings, and
+    s' = s (4r + s) / b; the last row can lose a neighbour, so its excess is
+    s + extra, extra >= 0.  Every step, reduction and back substitution, adds
+    non-negative terms, so d >= 0 gives x >= 0 with no -0.0, and no pivoting
+    argument is needed (the plain update b' = b - 2r^2/b cancels when r is
+    large)."""
+    levels = []
+    v, s, extra = d, 1.0, 0.0
+    while v.shape[-1] > 1:
+        b = 2.0 * r + s
+        b_last, f = b + extra, r / b
+        levels.append((v, r, b, b_last))
+        kept = v[..., 1::2]
+        if v.shape[-1] % 2:     # the last row is eliminated into the new last row
+            kept[..., :-1] += f * (v[..., 0:-3:2] + v[..., 2:-1:2])
+            kept[..., -1] += f * v[..., -3] + (r / b_last) * v[..., -1]
+            extra *= f * r / b_last
+        else:                   # the last row is kept and loses its right neighbour
+            kept[..., :-1] += f * (v[..., 0:-2:2] + v[..., 2::2])
+            kept[..., -1] += f * v[..., -2]
+            extra += f * r
+        r, s, v = f * r, s * (4.0 * r + s) / b, kept
+    v /= 2.0 * r + s + extra
+    for v, r, b, b_last in reversed(levels):
+        kept, gone = v[..., 1::2], v[..., ::2]
+        gone[..., 1:kept.shape[-1]] += r * (kept[..., :-1] + kept[..., 1:])
+        gone[..., 0] += r * kept[..., 0]
+        if v.shape[-1] % 2:
+            gone[..., -1] += r * kept[..., -1]
+            gone[..., :-1] /= b
+            gone[..., -1] /= b_last
+        else:
+            gone /= b
+
+
+def _e_solve(u: np.ndarray, r: float):
+    """One implicit step of the reduced e-diffusion, r = dt*diff/de^2 > 0:
+    (1 + 2r) x_i - r (x_{i-1} + x_{i+1}) = u_i on the inner nodes, in place,
+    with the edge values u[0] = 0 and u[-1] = 1 as data.
+
+    ``_cyclic_reduction`` solves for x and, in the same calls, for the
+    deficit 1 - x, whose data are 1 - u with the left edge's deficit 1; a
+    node takes x where x <= 1/2 and 1 - (1 - x) above.  Each side is then
+    exact to rounding near its own bound: x keeps the tiny values left of
+    the cap, and a node whose deficit is below half an ulp of 1 is exactly
+    1.  So the output lies in [0, 1], holds no -0.0, and keeps the exactly
+    flat plateau at 1 that the reduced transport skips."""
+    inner = u[1:-1]
+    x, deficit = rhs = np.stack([inner, 1.0 - inner])
+    x[-1] += r              # the edge value u[-1] = 1 (u[0] = 0 adds nothing)
+    deficit[0] += r         # the edge deficit 1 - u[0] = 1
+    _cyclic_reduction(rhs, r)
+    np.subtract(1.0, deficit, out=inner)
+    np.copyto(inner, x, where=x <= 0.5)
 
 
 def _thomas_factors(ab: np.ndarray):
@@ -523,7 +574,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
             n_sub = max(1, int(np.ceil(span / dt_cfl)))
             dt = span / n_sub
             factors = [[list(f) for f in _thomas_factors(
-                           _tridiag(dt * diff / dx**2, dt * drift / dx, len(diff), True))]
+                           _tridiag(dt * diff / dx**2, dt * drift / dx, len(diff)))]
                        for diff, drift, dx in p_coef]
             for _ in range(n_sub):
                 # the speed arrays stay referenced until the next ones are made,
@@ -542,26 +593,21 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
 # reduced solver
 # ---------------------------------------------------------------------------
 
-def _active_window(u: np.ndarray, k: int) -> list:
-    """Runs [lo, hi), left to right, of the nodes that the next k
-    reduced-transport substeps can change (argument in ``solve_reduced_1d``).
+def _active_window(u: np.ndarray, k: int) -> tuple:
+    """The window [lo, hi) of the nodes that the next k reduced-transport
+    substeps can change (argument in ``solve_reduced_1d``); empty when none can.
 
     A node is live when it lies in [a, n - 2], a the first node with
-    u >= 2**-60 (u >= 0 here: the data are, the e-solve's output is snapped
-    to [0, 1], and the transport keeps it), and its slope u_i - u_{i-1} is
-    not 0.  A run starts at a live node and ends k nodes past its last live
-    node, clamped at the edge node n - 1.  Runs whose gap is at most
-    ``_RUN_MERGE`` nodes merge, which is exact; every gap left holds a node,
-    so no run reads a node that another changed in the same substep.
+    u >= 2**-60 (u >= 0 here: the data are, the e-solve's output is, and the
+    transport keeps it), and its slope u_i - u_{i-1} is not 0.  The window
+    runs from the first live node to k nodes past the last, clamped at the
+    edge node n - 1.
     """
     a = 1 + int(np.argmax(u[1:-1] >= _FROZEN))
     live = np.flatnonzero(u[a:-1] != u[a - 1:-2])      # offsets from a
     if not len(live):
-        return []
-    gaps = np.flatnonzero(np.diff(live) > k + _RUN_MERGE)
-    starts = [int(live[0])] + live[gaps + 1].tolist()
-    ends = live[gaps].tolist() + [int(live[-1])]
-    return [(a + lo, min(a + hi + k, len(u) - 1)) for lo, hi in zip(starts, ends)]
+        return a, a
+    return a + int(live[0]), min(a + int(live[-1]) + k, len(u) - 1)
 
 
 def reduced_diffusion_integral(model: ModelSpec) -> Callable[[float, float], float]:
@@ -578,17 +624,13 @@ def reduced_diffusion_integral(model: ModelSpec) -> Callable[[float, float], flo
         return lambda a, b: coef * (b**3 - a**3) / 3.0
     if model.family == "linear_drift":
         lam, alpha, sig = pr["lam"], pr["alpha"], pr["sigma"]
+        coef = 0.5 * (sig * alpha) ** 2
         if lam == 0.0:
-            coef = 0.5 * (sig * alpha) ** 2
             return lambda a, b: coef * (b**3 - a**3) / 3.0
-
-        def integral(a, b):
-            # int (e^{lam s} - 1)^2 ds in closed form
-            def anti(s):
-                return (np.exp(2 * lam * s) / (2 * lam)
-                        - 2 * np.exp(lam * s) / lam + s)
-            return 0.5 * (sig * alpha / lam) ** 2 * (anti(b) - anti(a))
-        return integral
+        # by quadrature: the antiderivative is a difference of O(1/lam^3)
+        # terms, which cancels at small lam s
+        return lambda a, b: coef * float(
+            _integral(lambda s: _growth(lam, s) ** 2, a, b, abs(lam)))
     raise ValueError("reduced solve supports the affine and linear-drift families")
 
 
@@ -601,27 +643,24 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
     ``v(t, p, e) = vbar(t, e + w(t, p))`` is exposed by ``ValueField.eval``.
 
     The transport u_i -= c u_i (u_i - u_{i-1}), 0 < c <= 1, updates only the
-    runs of ``_active_window``, measured every ``_WINDOW_BLOCK`` substeps, and
-    the result is the full-grid loop's bit for bit.  A skipped node keeps
+    window of ``_active_window``, measured every ``_WINDOW_BLOCK`` substeps,
+    and the result is the full-grid loop's bit for bit.  A skipped node keeps
     its bits:
       - left tail: where |u_i| and |u_{i-1}| are below 2**-60 the flux is
         below c |u_i| 2**-59 (1 + 2**-53)**2, under half an ulp of u_i (or
         it underflows to 0); a node reads only its left neighbour and u[0]
         is 0, so every node left of the first |u| >= 2**-60 stays frozen;
       - zero slope: where u_i == u_{i-1} the flux c u_i 0 is +-0.0, and
-        u_i - (+-0.0) is u_i.  After an e-solve the right part of u sits on
-        such an exactly flat plateau, bent only near the edge node
-        u[n-1] = 1, whose slope to u[n-2] no update reads.
+        u_i - (+-0.0) is u_i.  Binary data leave the right part of u on
+        such an exactly flat plateau at 1, and the e-solve keeps it (see
+        ``_e_solve``); the slope of the edge node u[n-1] = 1 no update reads.
     Both rules would turn a -0.0 after a -0.0 into +0.0, but no node holds
-    -0.0.  The data and the transport make none, and the e-solve takes the
-    n - 2 inner unknowns with u[n-1] on the right-hand side: its pivots d
-    stay >= 1 + r (1 + 2r - r**2/d > 1 + r), above the sub-diagonal r, so
-    LAPACK never swaps rows, and both sweeps add only non-negative terms.
+    -0.0.  The data and the transport make none, and neither does the
+    e-solve, whose cyclic reduction adds only non-negative terms.
     A node changes only where its slope is nonzero, so the changing nodes
     spread by at most one to the right per substep: k substeps change no
-    node more than k - 1 past a live one.  A run may also hold nodes that
-    cannot change; each gets the full-grid loop's update, so merging runs
-    is exact.
+    node more than k - 1 past a live one.  The window may also hold nodes
+    that cannot change; each gets the full-grid loop's update.
     """
     if grid.dim != 0:
         raise ValueError("solve_reduced_1d needs a dim-0 grid")
@@ -644,7 +683,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
     out = np.empty((len(grid.t_nodes), ne))
     out[-1] = u
 
-    # u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2]) on the active runs only,
+    # u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2]) on the active window only,
     # through views of two scratch buffers
     slope, flux = np.empty(ne - 2), np.empty(ne - 2)
     for j in range(1, len(s_store)):
@@ -654,18 +693,16 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
         c = dt * gamma / de
         for done in range(0, n_sub, _WINDOW_BLOCK):
             k = min(_WINDOW_BLOCK, n_sub - done)
-            runs = [(u[lo:hi], u[lo - 1:hi - 1], slope[:hi - lo], flux[:hi - lo])
-                    for lo, hi in _active_window(u, k)]
+            lo, hi = _active_window(u, k)
+            mid, left, sl, fl = u[lo:hi], u[lo - 1:hi - 1], slope[:hi - lo], flux[:hi - lo]
             for _ in range(k):
-                for mid, left, sl, fl in runs:
-                    np.subtract(mid, left, out=sl)
-                    np.multiply(c, mid, out=fl)
-                    fl *= sl
-                    mid -= fl
+                np.subtract(mid, left, out=sl)
+                np.multiply(c, mid, out=fl)
+                fl *= sl
+                mid -= fl
         r = d_int(s0, s1) / de**2
         if r > 0.0:
-            u[-2] += r          # the edge value u[-1] = 1 (u[0] = 0 adds nothing)
-            _solve_axis(u[1:-1], _tridiag(r, 0.0, ne - 2, False))
+            _e_solve(u, r)
         _snap_unit(u, f"reduced slice s={s1:.6g}")
         out[len(s_store) - 1 - j] = u
 

@@ -516,6 +516,28 @@ def test_cli_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, cmd):
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("cmd", ["run", "solve-only", "simulate-only"])
+def test_cli_out_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, cmd):
+    # the root does not exist and cannot be made: an ancestor is a regular file
+    afile = tmp_path / "afile"
+    afile.write_text("a file")
+    out = afile / "sub"
+    extra = ["--field", str(tmp_path / "missing.bin")] if cmd == "simulate-only" else []
+    from fbsde_lab import cli
+    for name in ("run_scenario", "scenario_field", "load_field", "simulate_forward"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran past the refusal"))
+    code = main([cmd, "--scenario", "degenerate_characteristics",
+                 "--out", str(out), *extra])
+    assert code == 2
+    assert (f"output root {out} cannot be created: {afile} exists and is not a "
+            "directory") in capsys.readouterr().err
+    # a refused config is reported alone; the root is checked only after it
+    assert main([cmd, "--scenario", "no_such", "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario 'no_such'" in err and "output root" not in err
+    assert afile.read_text() == "a file"
+
+
 def test_scenario_ensemble_is_built_once_per_run(tmp_path):
     from fbsde_lab import experiments as X
     cfg = scenario_config("affine_dirac", {"grid": {"de_reduced": 1e-4},
@@ -703,9 +725,9 @@ def test_solve_and_simulate_only_outputs_are_pinned(tmp_path):
         "6cc0ed03f97935541032e54d63728ddaa8cfc53c53d7d876688dcfd6d3a6c024")
 
 
-def test_scipy_loads_only_for_a_reduced_solve_with_noise(tmp_path):
-    # scipy is imported inside value_pde._solve_axis alone; a module-level
-    # import anywhere would bring its start-up cost back to every command
+def test_no_command_loads_scipy(tmp_path):
+    # the package needs numpy alone; scipy serves the tests as an oracle, and
+    # an import anywhere in the package would add its start-up cost to a command
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     cfgfile = tmp_path / "cfg.json"
@@ -727,4 +749,5 @@ def test_scipy_loads_only_for_a_reduced_solve_with_noise(tmp_path):
     assert not scipy_loaded()
     assert not scipy_loaded(["solve-only", *degenerate],
                             ["simulate-only", *degenerate, "--field", field])
-    assert scipy_loaded(["solve-only", "--scenario", "affine_dirac", *common])
+    # a reduced solve with noise makes the e-solve
+    assert not scipy_loaded(["solve-only", "--scenario", "affine_dirac", *common])

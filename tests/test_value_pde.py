@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from fbsde_lab.burgers_ref import psi
+from fbsde_lab.burgers_ref import WEvaluator, psi
 from fbsde_lab import value_pde
 from fbsde_lab.model_core import (BUMP_MEAN, affine_model, heaviside_tc,
                                   linear_drift_model, mollify, smooth_ramp_tc)
 from fbsde_lab.scenarios import build_model
-from fbsde_lab.value_pde import (CFLError, Grid, _thomas_factors, _thomas_sweep,
-                                 _tridiag, _upwind_transport, conservation_gap,
+from fbsde_lab.value_pde import (CFLError, Grid, _e_solve, _thomas_factors,
+                                 _thomas_sweep, _tridiag, _upwind_transport, conservation_gap,
                                  e_nodes_for, gradient_fields,
                                  gradient_band_violation, reduced_diffusion_integral,
                                  solve_mollified, solve_reduced_1d,
@@ -321,8 +321,8 @@ def test_upwind_transport_is_bit_identical_to_formula(p_shape):
 
 
 def _reduced_reference(model, grid, tc):
-    """The reduced march with the allocating transport and inline matrix; the
-    edges u[0] = 0 and u[-1] = 1 are data, and only the inner nodes move."""
+    """The reduced march with the allocating full-grid transport; the edges
+    u[0] = 0 and u[-1] = 1 are data, and only the inner nodes move."""
     gamma, d_int, de = model.family_params["gamma"], reduced_diffusion_integral(model), grid.de
     dt_cfl = 0.85 * de / (2.0 * gamma)
     u = tc(grid.e_nodes).astype(float)
@@ -336,13 +336,7 @@ def _reduced_reference(model, grid, tc):
             u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2])
         r = d_int(s0, s1) / de**2
         if r > 0.0:
-            ab = np.zeros((3, len(u) - 2))
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[0, 1:] = -r
-            ab[2, :-1] = -r
-            rhs = u[1:-1].copy()
-            rhs[-1] += r * u[-1]            # the Dirichlet value; u[0] = 0 adds nothing
-            u[1:-1] = solve_banded((1, 1), ab, rhs)
+            _e_solve(u, r)
         np.clip(u, 0.0, 1.0, out=u)        # the solver's roundoff snap
         out.append(u.copy())
     return np.array(out[::-1])
@@ -392,8 +386,8 @@ def test_light_full_solves_are_pinned():
 @settings(max_examples=25, deadline=None)
 @given(family=st.sampled_from(["affine", "drift_up", "drift_down"]),
        alpha=st.floats(0.0, 0.9), ramp=st.one_of(st.none(), st.floats(0.01, 0.3)),
-       T=st.floats(0.12, 0.3), n_t=st.integers(2, 3), merge=st.sampled_from([0, None]))
-def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n_t, merge):
+       T=st.floats(0.12, 0.3), n_t=st.integers(2, 3))
+def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n_t):
     if family == "affine":
         m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
     else:
@@ -404,36 +398,21 @@ def test_windowed_reduced_solve_matches_full_grid_loop(family, alpha, ramp, T, n
     # every span takes several window blocks of substeps
     assert T / (n_t - 1) / (0.85 * de / 2.0) > 2 * value_pde._WINDOW_BLOCK
     tc = heaviside_tc(0.0) if ramp is None else smooth_ramp_tc(0.0, ramp)
-    # merge 0: every gap longer than a block's substeps splits the runs
-    merge = value_pde._RUN_MERGE if merge is None else merge
-    with mock.patch.object(value_pde, "_RUN_MERGE", merge):
-        values = solve_reduced_1d(m, g, tc).values
+    values = solve_reduced_1d(m, g, tc).values
     assert values.tobytes() == _reduced_reference(m, g, tc).tobytes()
 
 
-def _spy_runs(monkeypatch):
-    """Record (u before the block, k, runs) of every ``_active_window`` call."""
+def _spy_windows(monkeypatch):
+    """Record (u before the block, k, window) of every ``_active_window`` call."""
     active_window, calls = value_pde._active_window, []
 
     def spy(u, k):
-        runs = active_window(u, k)
-        calls.append((u.copy(), k, runs))
-        return runs
+        window = active_window(u, k)
+        calls.append((u.copy(), k, window))
+        return window
 
     monkeypatch.setattr(value_pde, "_active_window", spy)
     return calls
-
-
-def test_split_runs_match_the_full_grid_loop(monkeypatch):
-    m = affine_model(alpha=0.3, gamma=1.0, sigma=1.0, horizon_T=0.2)
-    g = Grid(t_nodes=np.linspace(0.0, 0.2, 4), e_nodes=e_nodes_for(m, 1e-3))
-    tc = heaviside_tc(0.0)
-    monkeypatch.setattr(value_pde, "_RUN_MERGE", 0)
-    calls = _spy_runs(monkeypatch)
-    assert solve_reduced_1d(m, g, tc).values.tobytes() == _reduced_reference(m, g, tc).tobytes()
-    assert max(len(runs) for *_, runs in calls) >= 2
-    for *_, runs in calls:       # ordered, with a node no run holds in between
-        assert all(hi < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
 
 
 def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monkeypatch):
@@ -442,28 +421,27 @@ def test_windowed_reduced_solve_skips_a_nonzero_prefix_and_reaches_the_edge(monk
     tc = heaviside_tc(0.0)
     ref = _reduced_reference(m, g, tc)
     assert np.any((ref > 0.0) & (ref < 2.0**-60))
-    calls = _spy_runs(monkeypatch)
+    calls = _spy_windows(monkeypatch)
     assert np.array_equal(solve_reduced_1d(m, g, tc).values, ref)
-    # a frozen nonzero prefix is left out of every run ...
-    assert any(runs and np.any(u[1:runs[0][0]] != 0.0) for u, _, runs in calls)
-    # ... and a run still reaches the edge node's neighbour
-    assert any(runs and runs[-1][1] == len(g.e_nodes) - 1 for *_, runs in calls)
+    # a frozen nonzero prefix is left out of every window ...
+    assert any(np.any(u[1:lo] != 0.0) for u, _, (lo, _) in calls)
+    # ... and a window still reaches the edge node's neighbour
+    assert any(hi == len(g.e_nodes) - 1 for *_, (_, hi) in calls)
 
 
-def test_reduced_runs_stay_well_inside_the_single_window(monkeypatch):
-    # the fan and the boundary layer at the edge node are far apart here,
-    # with a flat plateau between them; one window [a, b) spans all of it
+def test_reduced_window_stops_short_of_the_edge_on_the_plateau(monkeypatch):
+    # the e-solve leaves the right part exactly 1 from the fan to the edge
+    # node, so the window ends k nodes past the fan, far from the edge
     m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    calls = _spy_runs(monkeypatch)
-    value_pde.reduced_tail_field(m, heaviside_tc(0.0),
-                                 {"de_reduced": 2e-5, "tail_s_min": 1e-3})
-    runs_updates = window_updates = 0
-    for u, k, runs in calls:
-        a = 1 + int(np.argmax(np.abs(u[1:-1]) >= 2.0**-60))
-        last = len(u) - 1 - int(np.argmax(u[:0:-1] != u[-2::-1]))
-        window_updates += k * (min(last + k, len(u) - 1) - a)
-        runs_updates += k * sum(hi - lo for lo, hi in runs)
-    assert runs_updates < 0.5 * window_updates
+    calls = _spy_windows(monkeypatch)
+    field = value_pde.reduced_tail_field(m, heaviside_tc(0.0),
+                                         {"de_reduced": 2e-5, "tail_s_min": 1e-3})
+    assert np.any(field.values[:-1, 1:-1] < 1.0)        # the e-solve acted
+    window_updates = edge_updates = 0
+    for u, k, (lo, hi) in calls:
+        window_updates += k * (hi - lo)
+        edge_updates += k * (len(u) - 1 - lo)
+    assert window_updates < 0.5 * edge_updates
 
 
 @pytest.mark.parametrize("batch", [(), (4,)])
@@ -472,7 +450,7 @@ def test_thomas_sweep_matches_solve_banded(batch):
     n, ne = 11, 40
     r = rng.uniform(0.0, 5.0, (n,) + batch + (1,))
     q = rng.uniform(-3.0, 3.0, (n,) + batch + (1,))
-    ab = _tridiag(r, q, n, True)
+    ab = _tridiag(r, q, n)
     # a Neumann M-matrix: non-positive off-diagonals, diagonally dominant
     assert np.all(ab[0] <= 0.0) and np.all(ab[2] <= 0.0)
     assert np.all(ab[1] >= -np.roll(ab[0], -1, axis=0) - np.roll(ab[2], 1, axis=0))
@@ -483,6 +461,82 @@ def test_thomas_sweep_matches_solve_banded(batch):
         ref[sub] = solve_banded((1, 1), ab[(slice(None),) + sub][..., 0], x[sub])
     _thomas_sweep(x, *_thomas_factors(ab), np.empty(x.shape[1:]))
     assert np.max(np.abs(x - ref)) <= 1e-14
+
+
+def _thomas_longdouble(d, r):
+    """(1 + 2r) x_i - r (x_{i-1} + x_{i+1}) = d_i by Thomas in extended precision."""
+    d, r = np.asarray(d, dtype=np.longdouble), np.longdouble(r)
+    up, x = np.empty_like(d), np.empty_like(d)
+    up_prev = x_prev = np.longdouble(0.0)
+    for i in range(len(d)):
+        piv = 1 + 2 * r - r * up_prev
+        up[i] = up_prev = r / piv
+        x[i] = x_prev = (d[i] + r * x_prev) / piv
+    for i in range(len(d) - 2, -1, -1):
+        x[i] += up[i] * x[i + 1]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.one_of(st.integers(1, 3000),
+                   st.sampled_from([2**k + j for k in range(1, 12) for j in (-1, 0)])),
+       log_r=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_e_solve_matches_extended_precision_thomas(m, log_r, seed):
+    # the reduced e-solve's system on m inner nodes: sorted data in [0, 1],
+    # with a prefix of exact zeros as left of the cap, between the edges 0 and 1
+    r = 10.0**log_r
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([[0.0], np.sort(np.maximum(rng.uniform(-0.3, 1.0, m), 0.0)), [1.0]])
+    d = u[1:-1].copy()
+    d[-1] += r                      # the edge value 1, folded in
+    ref = _thomas_longdouble(d, r)
+    ab = np.zeros((3, m))
+    ab[1], ab[0, 1:], ab[2, :-1] = 1.0 + 2.0 * r, -r, -r
+    lapack = solve_banded((1, 1), ab, d)
+    _e_solve(u, r)
+    x = u[1:-1]
+    assert float(np.max(np.abs(x - ref))) <= 1e-14
+    assert float(np.max(np.abs(lapack - ref))) <= 1e-11     # LAPACK's own error
+    assert not np.any(np.signbit(x))
+    assert np.all(x >= 0.0) and np.all(x <= 1.0)
+    assert u[0] == 0.0 and u[-1] == 1.0
+
+
+@pytest.mark.parametrize("lam", [1e-9, -1e-9])
+def test_linear_drift_closed_forms_at_small_lam_match_lam_zero(lam):
+    # the plain closed forms subtract O(1/lam) terms: at lam = 1e-7 the
+    # diffusion integral of sigma = alpha = 1 over [0, 0.2] read 93,132, not 1.33e-3
+    kw = {"alpha": 0.8, "gamma": 1.0, "sigma": 0.7, "b0": 0.3, "horizon_T": 0.2}
+    m, m0 = linear_drift_model(lam=lam, **kw), linear_drift_model(lam=0.0, **kw)
+    d, d0 = reduced_diffusion_integral(m), reduced_diffusion_integral(m0)
+    for a, b in [(0.0, 0.2), (0.1, 0.1001), (0.0, 1e-4), (0.19, 0.2)]:
+        assert d(a, b) == pytest.approx(d0(a, b), rel=1e-8, abs=0)
+    we, we0 = WEvaluator(m), WEvaluator(m0)
+    t, p = np.linspace(0.0, 0.2, 9), np.linspace(-1.0, 1.0, 9)[:, None]
+    np.testing.assert_allclose(we.evaluate(t, p), we0.evaluate(t, p), rtol=1e-8, atol=0)
+    np.testing.assert_allclose(we.dp_w(t), we0.dp_w(t), rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 40.0])
+def test_linear_drift_closed_forms_match_high_order_quadrature(lam):
+    from scipy.integrate import quad
+    kw = {"alpha": 0.8, "gamma": 1.0, "sigma": 0.7, "b0": 0.3, "horizon_T": 0.2}
+    m = linear_drift_model(lam=lam, **kw)
+    growth = lambda s: np.expm1(lam * s) / lam
+    coef = 0.5 * (0.7 * 0.8) ** 2
+    d = reduced_diffusion_integral(m)
+    # tail-slice spans: the closed form was off by 2e-4 relative over (0, 1e-4)
+    # and by 1e-6 over (1e-3, 1.07e-3)
+    for a, b in [(0.0, 0.2), (0.1, 0.1001), (0.0, 1e-4), (0.05, 0.2), (1e-3, 1.07e-3)]:
+        ref = coef * quad(lambda s: growth(s) ** 2, a, b, epsabs=0, epsrel=1e-13)[0]
+        assert d(a, b) == pytest.approx(ref, rel=1e-12, abs=0)
+    we = WEvaluator(m)
+    for t in (0.0, 0.1, 0.19):
+        s = 0.2 - t
+        drifted = quad(growth, 0.0, s, epsabs=0, epsrel=1e-13)[0]
+        expect = 0.8 * (0.5 * growth(s) + 0.3 * drifted)
+        assert float(we.evaluate(t, np.array([0.5]))) == pytest.approx(expect, rel=1e-12, abs=0)
+        assert float(we.dp_w(t)[0]) == pytest.approx(0.8 * growth(s), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
