@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import re
 import sys
 from unittest import mock
@@ -477,3 +478,87 @@ def test_batch_normals_stay_within_budget(monkeypatch, name):
     tgrid = sim_time_grid(sim, scenario_field(cfg, model, tc))
     largest = max(count for _, count, _ in euler_paths(model, sim, tgrid))
     assert largest * (len(tgrid) - 1) * model.dim_p * 8 <= 40e6
+
+
+# ---------------------------------------------------------------------------
+# the bytes of every path read
+# ---------------------------------------------------------------------------
+
+def _feed(h, x):
+    """Feed ``x`` into the hash ``h``: arrays by dtype, shape and bytes, records
+    field by field (a field's provenance left out), other values by repr."""
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            if f.name != "provenance":
+                _feed(h, getattr(x, f.name))
+    elif isinstance(x, dict):
+        for key in sorted(x):
+            h.update(repr(key).encode())
+            _feed(h, x[key])
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            _feed(h, item)
+    elif isinstance(x, np.ndarray):
+        h.update(f"{x.dtype}{x.shape}".encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    else:
+        h.update(repr(x).encode())
+
+
+def _light_full_field(alpha, tc, T=0.1):
+    model = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
+    dim = model.dim_p
+    grid = Grid(t_nodes=np.linspace(0.0, T, 11), e_nodes=e_nodes_for(model, 4e-3),
+                p_nodes=(np.linspace(-1.5, 1.5, 9),) * dim)
+    return model, solve_mollified(model, grid, tc)
+
+
+def test_path_reads_are_pinned():
+    # every function that reads a field along paths, on every kind of field
+    # (reduced with noise, one and two p-dimensions); the digests were taken
+    # before the readers were merged into one, and a change that moves
+    # numbers on purpose updates them and says so in CHANGES.md
+    model, field, cfg = _noisy_field()
+    cfg = dataclasses.replace(cfg, n_paths=300, t_snapshots=(0.03, 0.07))
+    m1, f1 = _light_full_field(0.5, heaviside_tc(0.0))
+    m2, f2 = _light_full_field([0.5, 0.3], heaviside_tc(0.0))
+    cfg2 = dataclasses.replace(cfg, p0=np.zeros(2))
+    ramp = smooth_ramp_tc(0.0, 0.15)
+    mr = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.2)
+    fr = solve_reduced_1d(mr, Grid(t_nodes=np.linspace(0.0, 0.2, 201),
+                                   e_nodes=e_nodes_for(mr, 2e-4)), ramp)
+    mr1, fr1 = _light_full_field(0.5, ramp, T=0.2)
+    cfg_fk = SimConfig(n_paths=200, n_steps=200, p0=np.zeros(1), e0=0.06, seed=13)
+    e_pts = np.linspace(-0.05, 0.15, 7)
+    p_pts = np.linspace(-0.4, 0.4, 7)
+    probes = {
+        "forward_dim0": lambda: simulate_forward(model, field, cfg),
+        "forward_dim1": lambda: simulate_forward(m1, f1, cfg),
+        "forward_dim2": lambda: simulate_forward(m2, f2, cfg2),
+        "flow": lambda: flow_squeeze_check(model, field, cfg,
+                                           [(0.06, 0.04), (0.07, 0.03)], [0.03, 0.06]),
+        "grad_p_dim0": lambda: feynman_kac_grad_p(mr, fr, gradient_fields(fr), cfg_fk),
+        "grad_p_dim1": lambda: feynman_kac_grad_p(mr1, fr1, gradient_fields(fr1), cfg_fk),
+        "transmission": lambda: transmission_scan(field, _noisy_de_v(), model,
+                                                  np.linspace(-0.05, 0.15, 101)),
+        "eval": lambda: [field.eval(0.03, p_pts[:, None], e_pts, model),
+                         f1.eval(0.05, p_pts[:, None], e_pts, m1),
+                         f2.eval(0.05, np.stack([p_pts, -p_pts], axis=1), e_pts, m2)],
+        "variance": lambda: variance_scan(model, field, cfg, [0.01, 0.02, 0.04]),
+    }
+    digests = {}
+    for name, probe in probes.items():
+        h = hashlib.sha256()
+        _feed(h, probe())
+        digests[name] = h.hexdigest()[:16]
+    assert digests == {
+        "forward_dim0": "6587f6160abbfb27",
+        "forward_dim1": "19b57d94f04222a1",
+        "forward_dim2": "ed3f740883fc5cf7",
+        "flow": "935daee0a352ca7e",
+        "grad_p_dim0": "d037603fcf0c7357",
+        "grad_p_dim1": "8e88f57c9cdad2cb",
+        "transmission": "81571a758874935b",
+        "eval": "0df0653f3bbb80c5",
+        "variance": "7eb874296223094d",
+    }
