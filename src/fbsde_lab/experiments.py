@@ -395,7 +395,7 @@ def check_dirac_atom(cfg) -> CheckOutcome:
     curve = dirac_scan(ens, ladder)
     ctrl = dirac_scan(gaussian_control_terminal(model, sim), ladder,
                       cap_lambda=model.cap_lambda)
-    deterministic = float(np.ravel(model.family_params.get("alpha", 1.0))[0]) == 0.0
+    deterministic = not np.any(model.family_params.get("alpha", 1.0))   # no noise reaches E
     if deterministic:
         ok = bool(np.all(curve.fractions >= 1.0 - 1e-12))
         stats = {"fractions": curve.fractions.tolist(), "all_trapped": ok}
@@ -530,7 +530,7 @@ def check_mass_near_start(cfg) -> CheckOutcome:
     g["de_reduced"] = h / 1000
     g["tail_s_min"] = h / 25
     field = reduced_tail_field(model, tc, g)
-    sim = scenario_sim(cfg, model, n_paths=cfg["sim"]["n_paths"] // 2)
+    sim = scenario_sim(cfg, model, n_paths=max(1, cfg["sim"]["n_paths"] // 2))
     y0 = float(field.eval(0.0, sim.p0, sim.e0, model))
     ens = simulate_forward(model, field, sim)
     eps = 0.1

@@ -3,12 +3,13 @@
 One Euler-Maruyama stepper, ``euler_paths``, draws the Brownian increments
 and advances P for every path loop: the forward simulation, the pathwise
 gradient estimator and the bridge-trap diagnostic keep only their own
-accumulators.  The forward simulation drives (P, E, Ebar, Y) by a solved
-value field: E by explicit Euler with the frozen-slice value lookup,
-Y = v(t, P_t, E_t) through the field's interpolator, Ebar = E + w(t, P);
-it records E at the snapshot times.  The compensator w and its gradient come
-from the model each function is given (``WEvaluator(model)``), and a field
-solved for another model is refused.
+accumulators.  Every loop that reads a field along its paths reads it
+through ``ValueField.reader``, the one place where fields are read: the
+forward simulation drives (P, E, Ebar, Y) by explicit Euler in E with
+Y = v(t, P_t, E_t) from the reader, Ebar = E + w(t, P), and records E at
+the snapshot times.  The compensator w and its gradient come from the model
+each function is given (``WEvaluator(model)``), and a field solved for
+another model is refused.
 Randomness comes from a counter-based generator with one substream per path
 index, so results are bit-identical for a given (seed, n_paths, n_steps)
 regardless of batching or of the thread that draws a path: ``path_normals``
@@ -26,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import _WORKERS, ValueField, _interp_space, _slice_index, check_model
+from .value_pde import _WORKERS, ValueField, check_model
 
 
 @dataclass(frozen=True)
@@ -179,21 +180,23 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
 def _simulate_core(model: ModelSpec, field: ValueField,
                    cfg: SimConfig, e_starts: np.ndarray,
                    record_times: Sequence[float], stop_time: Optional[float] = None):
-    """Per-start terminal arrays and snapshots ``{t: {start: E}}`` of E.
+    """Terminal arrays and snapshots ``{t: E}`` of E, one row per start.
 
-    All starts share the same P-path and Brownian increments per path index
-    (common-noise coupling for the flow checks).  A run cut at ``stop_time``
-    has no horizon terminal values: callers read only its snapshots.
+    The starts are the rows of one (n_starts, count) array per batch, which
+    share the P-path and Brownian increments of each path index (common-noise
+    coupling for the flow checks).  Record times outside (0, T] are refused.
+    A run cut at ``stop_time`` has no horizon terminal values: callers read
+    only its snapshots.
     """
     T = field.grid.horizon
-    we = WEvaluator(model)
-    if field.dim == 0 and we.mode == "monte_carlo":
-        raise ValueError("reduced-field simulation needs a closed-form compensator")
+    outside = [float(t) for t in record_times if not 0.0 < t <= T]
+    if outside:
+        raise ValueError(f"record times {outside} lie outside (0, T] = (0, {T}]")
     tgrid = sim_time_grid(cfg, field, extra_times=record_times)
     if stop_time is not None:
         tgrid = tgrid[tgrid <= stop_time + 1e-15]
     batches = euler_paths(model, cfg, tgrid, field)
-    slices = _slice_index(field.grid.t_nodes, tgrid[:-1])
+    read = field.reader(model, tgrid[:-1])
     n_steps_grid = len(tgrid) - 1
     n = cfg.n_paths
     n_starts = len(e_starts)
@@ -205,43 +208,29 @@ def _simulate_core(model: ModelSpec, field: ValueField,
     k_y = int(np.searchsorted(tgrid, t_y_term + 1e-15) - 1)
     k_y = max(0, min(k_y, n_steps_grid - 1))
 
-    term_E = np.empty((n_starts, n))
-    term_Y = np.empty((n_starts, n))
+    term_E = np.repeat(e_starts[:, None], n, axis=1)
+    term_Y = np.full((n_starts, n), np.nan)
     escaped = np.zeros((n_starts, n), dtype=bool)
-    snaps = {round(float(t), 12): {} for t in record_times}
+    snaps = {round(float(t), 12): [] for t in record_times}
     term_P = np.empty((n, model.dim_p))
 
     e_lo, e_hi = field.grid.e_nodes[0], field.grid.e_nodes[-1]
 
     for first, count, steps in batches:
-        E = np.broadcast_to(e_starts[:, None], (n_starts, count)).copy()
-        esc = np.zeros((n_starts, count), dtype=bool)
-        y_term = np.full((n_starts, count), np.nan)
-        for k, t, dt, P, P_next, _ in steps:
-            j = int(slices[k])
-            w_t = we.evaluate(t, P) if field.dim == 0 else None
-            for a in range(n_starts):
-                if field.dim == 0:
-                    x = E[a] + w_t
-                    esc[a] |= (x < e_lo) | (x > e_hi)
-                    Y = _interp_space(field.grid, field.values[j], None, x)
-                else:
-                    esc[a] |= (E[a] < e_lo) | (E[a] > e_hi)
-                    Y = _interp_space(field.grid, field.values[j], P, E[a])
-                if k == k_y:
-                    y_term[a] = Y
-                E[a] -= model.feedback.value(P, Y) * dt
+        cols = slice(first, first + count)
+        E, esc = term_E[:, cols], escaped[:, cols]   # stepped in place
+        for k, _, dt, P, P_next, _ in steps:
+            x, Y = read(k, P, E)
+            esc |= (x < e_lo) | (x > e_hi)
+            if k == k_y:
+                term_Y[:, cols] = Y
+            E -= model.feedback.value(P, Y) * dt
             key = round(float(tgrid[k + 1]), 12)
             if key in snaps:
-                for a in range(n_starts):
-                    snaps[key].setdefault(a, []).append(E[a].copy())
-        term_E[:, first:first + count] = E
-        term_Y[:, first:first + count] = y_term
-        escaped[:, first:first + count] = esc
-        term_P[first:first + count] = P_next   # P at the last grid time
+                snaps[key].append(E.copy())
+        term_P[cols] = P_next   # P at the last grid time
 
-    merged = {key: {a: np.concatenate(chunks) for a, chunks in by_start.items()}
-              for key, by_start in snaps.items()}
+    merged = {key: np.concatenate(chunks, axis=1) for key, chunks in snaps.items()}
     return term_E, term_Y, term_P, escaped, merged
 
 
@@ -574,18 +563,15 @@ def transmission_scan(field: ValueField, de_v: np.ndarray, model: ModelSpec,
     of the first over the central cone band, the off-cone level the median
     magnitude outside a widened band.
     """
-    if field.dim != 0:
-        raise ValueError("transmission_scan needs a reduced (dim 0) field of an "
-                         "affine-type model")
-    check_model(model, field)
-    we = WEvaluator(model)
+    field.require_reduced("transmission_scan")
+    read = field.reader(model, [0.0])
     e_grid = np.asarray(e_grid, dtype=float)
     s = model.horizon_T
     lam = model.cap_lambda
     gamma = model.family_params["gamma"]
 
-    ebar = e_grid + float(we.evaluate(0.0, np.zeros(model.dim_p)))
-    dp_v = _interp_space(field.grid, de_v[0], None, ebar) * we.dp_w(0.0)[0]
+    ebar, de_v_bar = read(0, np.zeros(model.dim_p), e_grid, (de_v,))
+    dp_v = de_v_bar * WEvaluator(model).dp_w(0.0)[0]
     a0 = float(np.atleast_1d(model.family_params["alpha"])[0])
     profiles = {"alpha_minus_gamma_dpv": a0 - gamma * dp_v,
                 "alpha_minus_dpv": a0 - dp_v}
@@ -633,8 +619,7 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
         raise ValueError("the pathwise representation is implemented for d = 1")
     tgrid = sim_time_grid(cfg, field)
     batches = euler_paths(model, cfg, tgrid, field)
-    slices = _slice_index(field.grid.t_nodes, tgrid[:-1])
-    we = WEvaluator(model)
+    read = field.reader(model, tgrid[:-1])
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
     dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)
@@ -646,15 +631,8 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
         I = np.zeros(count)          # integral accumulator
         log_decay = np.zeros(count)  # exp weight inside the integrand
         log_G = np.zeros(count)      # Girsanov weight
-        for k, t, dt, P, P_next, dW in steps:
-            j = int(slices[k])
-            if field.dim == 0:
-                x = E + we.evaluate(t, P)
-                Y = _interp_space(field.grid, field.values[j], None, x)
-                dev = _interp_space(field.grid, de_v[j], None, x)
-            else:
-                Y = _interp_space(field.grid, field.values[j], P, E)
-                dev = _interp_space(field.grid, de_v[j], P, E)
+        for k, _, dt, P, P_next, dW in steps:
+            _, Y, dev = read(k, P, E, (field.values, de_v))
             dfp = np.asarray(model.feedback.dp(P, Y))[..., 0]
             dfy = model.feedback.dy(P, Y)
             I += dev * dfp * np.exp(log_decay) * dt

@@ -267,6 +267,9 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
     if overrides.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"schema_version {overrides['schema_version']!r} is "
                          f"not supported; this version reads {SCHEMA_VERSION}")
+    if overrides.get("name", name) != name:   # it names the output directory
+        raise ValueError(f"name {overrides['name']!r} must be the scenario's "
+                         f"own, {name!r}")
     cfg = copy.deepcopy(_REGISTRY[name]())
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):

@@ -38,6 +38,10 @@ left of the cap and the exactly flat plateau at 1 that binary data leave
 (see ``solve_reduced_1d``).  A skipped node is one that the update would leave
 bit for bit as it is, so every output stays as the full-grid loop makes it.
 
+``ValueField.reader`` is the one place where fields are read along paths
+(slice lookup, ebar = e + w(t, p) on reduced fields, interpolation):
+``ValueField.eval`` and every path loop of ``mc_engine`` read through it.
+
 ``full_field``, ``reduced_tail_field`` and ``reduced_aligned_field`` are the
 one way to build a field from a scenario's grid settings and extra slices
 (``t_extra``), such as the scenario field's slice at each gap horizon.
@@ -45,6 +49,8 @@ one way to build a field from a scenario's grid settings and extra slices
 
 from __future__ import annotations
 
+import itertools
+import math
 import queue
 import threading
 from contextlib import contextmanager
@@ -215,13 +221,8 @@ def _lin_weights(nodes: np.ndarray, x):
 
 @dataclass(frozen=True)
 class ValueField:
-    """Sampled value function with nearest-lower time lookup and
-    multilinear space interpolation.
-
-    ``values`` has shape (n_t, *p_shape, n_e); for reduced fields (dim 0)
-    the values are in the ebar variable and ``eval`` composes them with the
-    compensator of the model the field was solved for.
-    """
+    """Sampled value function, read through ``reader``.  ``values`` has
+    shape (n_t, *p_shape, n_e); reduced fields (dim 0) are in ebar."""
 
     grid: Grid
     values: np.ndarray
@@ -236,50 +237,62 @@ class ValueField:
     def dim(self) -> int:
         return self.grid.dim
 
+    def require_reduced(self, what: str):
+        if self.dim != 0:
+            raise ValueError(f"{what} needs a reduced (dim 0) field")
+
     def values_at(self, t) -> np.ndarray:
         """Stored slice at the nearest-lower time node."""
         return self.values[int(_slice_index(self.grid.t_nodes, t))]
 
     def eval_bar(self, t, ebar) -> np.ndarray:
-        if self.dim != 0:
-            raise ValueError("eval_bar applies to reduced (dim 0) fields")
+        self.require_reduced("eval_bar")
         return _interp_space(self.grid, self.values_at(t), None, ebar)
 
-    def eval(self, t, p, e, model: ModelSpec) -> np.ndarray:
-        """v(t, p, e) of a field solved for ``model`` (refused otherwise);
-        reduced fields reconstruct via ebar = e + w(t, p)."""
+    def reader(self, model: ModelSpec, times) -> Callable:
+        """``read(k, p, e, arrays=(values,))`` along paths stepped at ``times``:
+        the points' e-coordinate x, then each array shaped like ``values`` read
+        at (p, x) on the slice at the nearest-lower node to ``times[k]``.  A
+        full field reads at x = e, a reduced one at x = e + w(times[k], p) by
+        the closed-form w of ``model`` (refused without one); a field solved
+        for another model is refused."""
         check_model(model, self)
-        if self.dim == 0:
-            w = WEvaluator(model).evaluate(t, p)
-            return self.eval_bar(t, np.asarray(e, dtype=float) + w)
-        return _interp_space(self.grid, self.values_at(t), p, e)
+        times = np.asarray(times, dtype=float)
+        slices = _slice_index(self.grid.t_nodes, times)
+        we = WEvaluator(model)
+        if self.dim == 0 and we.mode == "monte_carlo":
+            raise ValueError("a reduced field is read through a closed-form "
+                             f"compensator, which the {model.family} family lacks")
+        w = we.evaluate if self.dim == 0 else None
+
+        def read(k, p, e, arrays=(self.values,)):
+            x = e if w is None else e + w(float(times[k]), p)
+            return [x] + [_interp_space(self.grid, a[slices[k]], p, x) for a in arrays]
+        return read
+
+    def eval(self, t, p, e, model: ModelSpec) -> np.ndarray:
+        """v(t, p, e) of a field solved for ``model``, through its reader."""
+        return self.reader(model, [t])(0, p, np.asarray(e, dtype=float))[1]
 
 
 def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
-    """Multilinear interpolation of one stored slice at points (p, e)."""
+    """Multilinear interpolation of one stored slice at points (p, e): the
+    linear interpolant in e at each of the 2^d corners of the points' p-cells,
+    weighted by the product of the corner's p-weights."""
     ie, we_ = _lin_weights(grid.e_nodes, e)
     if grid.dim == 0:
         return (1.0 - we_) * sl.take(ie) + we_ * sl.take(ie + 1)
     p = np.asarray(p, dtype=float)
     if p.ndim == 1:
         p = p[None, :]
-    idxs, wts = [], []
-    for k, nodes in enumerate(grid.p_nodes):
-        ik, wk = _lin_weights(nodes, p[..., k])
-        idxs.append(ik); wts.append(wk)
-    if grid.dim == 1:
-        i0, w0 = idxs[0], wts[0]
-        out = ((1 - w0) * ((1 - we_) * sl[i0, ie] + we_ * sl[i0, ie + 1])
-               + w0 * ((1 - we_) * sl[i0 + 1, ie] + we_ * sl[i0 + 1, ie + 1]))
-        return out
-    i0, w0, i1, w1 = idxs[0], wts[0], idxs[1], wts[1]
-    out = np.zeros(np.broadcast(i0, i1, ie).shape)
-    for a in (0, 1):
-        for b in (0, 1):
-            wa = w0 if a else (1 - w0)
-            wb = w1 if b else (1 - w1)
-            out += wa * wb * ((1 - we_) * sl[i0 + a, i1 + b, ie]
-                              + we_ * sl[i0 + a, i1 + b, ie + 1])
+    cells = [_lin_weights(nodes, p[..., k]) for k, nodes in enumerate(grid.p_nodes)]
+    we_low, out = 1 - we_, None
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        at = tuple(i + c for (i, _), c in zip(cells, corner))
+        wts = [w if c else 1 - w for (_, w), c in zip(cells, corner)]
+        term = math.prod(wts[1:], start=wts[0]) * (we_low * sl[at + (ie,)]
+                                                   + we_ * sl[at + (ie + 1,)])
+        out = term if out is None else out + term
     return out
 
 

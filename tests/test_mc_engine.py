@@ -112,6 +112,22 @@ def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
         trap_diagnostic(model, cfg)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.2])
+def test_simulate_forward_refuses_a_snapshot_time_no_step_reaches(t):
+    model, field, cfg = _noisy_field()
+    cfg = dataclasses.replace(cfg, n_paths=3, t_snapshots=(0.05, t))
+    with pytest.raises(ValueError, match=re.escape(
+            f"record times [{t}] lie outside (0, T] = (0, 0.1]")):
+        simulate_forward(model, field, cfg)
+
+
+def test_a_snapshot_at_the_horizon_is_the_terminal_e():
+    model, field, cfg = _noisy_field()
+    ens = simulate_forward(model, field, dataclasses.replace(
+        cfg, n_paths=20, t_snapshots=(0.1,)))
+    assert np.array_equal(ens.snapshots[0.1], ens.terminal_E)
+
+
 def test_field_simulators_refuse_a_field_of_another_model():
     _, field, cfg = _noisy_field()
     model = affine_model(alpha=0.4, gamma=1.0, sigma=1.0, horizon_T=0.1)
@@ -129,6 +145,21 @@ def test_field_simulators_refuse_a_field_of_another_model():
         with pytest.raises(ValueError) as info:
             run()
         assert all(h in str(info.value) for h in hashes), info.value
+
+
+def test_a_reduced_field_is_refused_without_a_closed_form_compensator():
+    # the reader adds w(t, p) to e on a reduced field, and reads w only in
+    # closed form; no solve makes such a field, so this one is built by hand
+    model = build_model(scenario_config("nonlinear_1d")["model"])
+    grid = Grid(t_nodes=np.array([0.0, model.horizon_T]), e_nodes=e_nodes_for(model, 0.05))
+    field = ValueField(grid=grid, values=np.zeros((2,) + grid.space_shape()),
+                       provenance={"model_hash": model.model_hash()})
+    cfg = SimConfig(n_paths=3, n_steps=100, p0=np.zeros(1), e0=0.0, seed=1)
+    for run in (lambda: simulate_forward(model, field, cfg),
+                lambda: field.eval(0.0, np.zeros(1), np.array([0.0]), model)):
+        with pytest.raises(ValueError, match="closed-form compensator, which the "
+                                             "nonlinear_1d family lacks"):
+            run()
 
 
 @pytest.mark.parametrize("t_list, outside", [([0.05, 0.2], "[0.2]"),

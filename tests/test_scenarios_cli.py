@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fbsde_lab.cli import main
-from fbsde_lab.experiments import emit_plot_data, run_scenario
+from fbsde_lab.experiments import check_dirac_atom, emit_plot_data, run_scenario
 from fbsde_lab.scenarios import (build_model, config_hash, registry_list,
                                  scenario_config)
 
@@ -61,6 +61,11 @@ def test_config_schema_is_pinned():
 def test_unknown_scenario_is_refused():
     with pytest.raises(KeyError):
         scenario_config("no_such_thing")
+
+
+def test_a_config_may_repeat_the_scenario_name():
+    assert scenario_config("affine_dirac", {"name": "affine_dirac"}) == (
+        scenario_config("affine_dirac"))
 
 
 def test_run_scenario_writes_record_and_tables(tmp_path):
@@ -374,6 +379,19 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
         assert not out.exists()   # refused before any check ran
+
+
+def test_cli_refuses_a_name_other_than_the_scenarios_own(tmp_path, capsys):
+    # the name is the record's directory under the output root
+    cfgfile = tmp_path / "cfg.json"
+    for name in (str(tmp_path / "escaped"), "../escaped", 5):
+        cfgfile.write_text(json.dumps({"name": name, "checks": ["validate"]}))
+        code = main(["run", "--scenario", "degenerate_characteristics",
+                     "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"bad config: name {name!r} must be the scenario's own, "
+                "'degenerate_characteristics'") in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]   # nothing written
 
 
 @pytest.mark.parametrize("scenario, over, words", [
@@ -751,3 +769,28 @@ def test_no_command_loads_scipy(tmp_path):
                             ["simulate-only", *degenerate, "--field", field])
     # a reduced solve with noise makes the e-solve
     assert not scipy_loaded(["solve-only", "--scenario", "affine_dirac", *common])
+
+
+def test_mass_near_start_runs_on_one_path(tmp_path):
+    # the check halves the scenario's paths, but never below one
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"sim": {"n_paths": 1},
+                                   "checks": ["mass_near_start"]}))
+    code = main(["run", "--scenario", "elliptic_support", "--config", str(cfgfile),
+                 "--out", str(tmp_path)])
+    record = json.loads((tmp_path / "elliptic_support" / "record.json").read_text())
+    assert code == (0 if record["verdicts"]["mass_near_start"] == "pass" else 1)
+    assert record["stats"]["mass_near_start"]["mass"] in (0.0, 1.0)
+
+
+def test_dirac_atom_reads_noise_on_either_axis():
+    # a model is deterministic only when no component of alpha feeds noise
+    # into E, whichever axis carries it
+    keys = []
+    for alpha in ([0.0, 0.5], [0.5, 0.0]):
+        cfg = scenario_config("degenerate_characteristics", {
+            "model": {"alpha": alpha}, "grid": {"de_reduced": 2e-5},
+            "sim": {"n_paths": 400, "n_steps": 200, "seed": 7}})
+        keys.append(sorted(check_dirac_atom(cfg).stats))
+    assert keys[0] == keys[1]
+    assert "plateau" in keys[0] and "all_trapped" not in keys[0]
