@@ -286,7 +286,8 @@ def _interp_space(grid: Grid, sl: np.ndarray, p, e) -> np.ndarray:
     if p.ndim == 1:
         p = p[None, :]
     cells = [_lin_weights(nodes, p[..., k]) for k, nodes in enumerate(grid.p_nodes)]
-    we_low, out = 1 - we_, None
+    we_low = 1 - we_
+    out = None
     for corner in itertools.product((0, 1), repeat=grid.dim):
         at = tuple(i + c for (i, _), c in zip(cells, corner))
         wts = [w if c else 1 - w for (_, w), c in zip(cells, corner)]
