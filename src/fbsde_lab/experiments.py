@@ -622,8 +622,9 @@ _SOLVES = {"full": "equivalence bound_report",
            "reduced": "equivalence mirror_symmetry flow_squeeze variance transmission "
                       "transmission_sign_change characteristics mass_near_start "
                       "feynman_kac"}
-# the checks whose estimator needs a model with one forward dimension
-_ONE_DIM = "feynman_kac"
+# the checks whose estimator needs a model with one forward dimension (the
+# transmission profile reads the first axis of alpha and of dp_w only)
+_ONE_DIM = "feynman_kac transmission transmission_sign_change"
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,12 @@ def test_cli_refuses_a_name_other_than_the_scenarios_own(tmp_path, capsys):
      ["check 'burgers_gap'", "reduced solve", "nonlinear_1d family has no gamma"]),
     ("affine_smooth_ramp", {"checks": ["feynman_kac"], "model": {"alpha": [0.5, 0.3]}},
      ["check 'feynman_kac'", "one forward dimension", "the model has 2"]),
+    # noise on the second axis alone: the first-axis profile read 0, its ratio inf
+    ("affine_constant", {"checks": ["transmission"], "model": {"alpha": [0.0, 0.5]}},
+     ["check 'transmission'", "one forward dimension", "the model has 2"]),
+    ("affine_constant", {"checks": ["transmission_sign_change"],
+                         "model": {"alpha": [0.0, 0.5]}},
+     ["check 'transmission_sign_change'", "one forward dimension", "the model has 2"]),
 ])
 def test_cli_refuses_a_check_the_scenario_cannot_serve(tmp_path, capsys, scenario,
                                                       over, words):
