@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import _WORKERS, ValueField, check_model
+from .value_pde import ValueField, check_model
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
 _BATCH_PATHS = 4_096   # paths stepped together: a batch's normals stay near 32 MB at
                        # ~1,000 steps (results do not depend on it)
 _BLOCK = 64     # paths drawn into one contiguous buffer before the transposed copy
+_WORKERS = 2    # threads that draw the normals of one batch
 
 
 def path_normals(seed: int, first: int, count: int, n_steps: int,

@@ -26,17 +26,16 @@ assembles.  The reduced solver's long e-axis system, the same Toeplitz
 M-matrix at every node, goes to ``_cyclic_reduction``: whole-array numpy
 steps that add only non-negative terms, so its output is non-negative and
 free of -0.0 by construction.  The package needs numpy alone.
-On grids of at least ``_THREAD_MIN_CELLS`` cells the full solver evaluates
-the feedback and the transport of each sub-step on ``_WORKERS`` threads, one
-contiguous range of p-rows each: both act within a row, so every element
-sees the same operations and the field is the same bit for bit.  The
-p-sweeps stay on the calling thread.
 
-The reduced transport updates only the window of live nodes, measured every
-``_WINDOW_BLOCK`` substeps by ``_active_window``: it skips the frozen tail
-left of the cap and the exactly flat plateau at 1 that binary data leave
-(see ``solve_reduced_1d``).  A skipped node is one that the update would leave
-bit for bit as it is, so every output stays as the full-grid loop makes it.
+Both transports skip the nodes that a sub-step provably leaves as they
+are, measured every ``_WINDOW_BLOCK`` substeps, so every output stays as
+the full-grid loop makes it, bit for bit.  The full solver runs on the
+calling thread alone, and its feedback, transport and p-sweeps act only on
+the inner e-columns right of the leading all-zero columns, less one column
+per substep of the block (see ``solve_mollified``).  The reduced
+transport updates the window of live nodes of ``_active_window``: it skips
+the frozen tail left of the cap and the exactly flat plateau at 1 that
+binary data leave (see ``solve_reduced_1d``).
 
 ``ValueField.reader`` is the one place where fields are read along paths
 (slice lookup, ebar = e + w(t, p) on reduced fields, interpolation):
@@ -51,9 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import queue
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -65,12 +61,10 @@ from .model_core import ModelSpec, TerminalCondition
 _BOUND_SNAP = 1e-12   # FP-roundoff renormalization threshold, not a limiter
 _CFL_SAFETY = 0.85    # fraction of the explicit transport's stable step taken
 _MAX_INTERNAL_STEPS = 2_000_000   # sub-step budget of one solve
-_WINDOW_BLOCK = 64    # reduced-transport substeps between window measurements
+_WINDOW_BLOCK = 64    # transport substeps between window measurements
 _FROZEN = 2.0**-60    # |u| below which a reduced-transport node cannot move
 _TAIL_RATIO = 1.07    # step ratio of the geometric time tail of stored slices
 _TAIL_COARSE = 1.25   # its ratio above the switch time-to-go
-_WORKERS = 2          # threads of one full-solver substep, and of the path normals
-_THREAD_MIN_CELLS = 35_000   # full-solver grids below this stay on one thread
 
 
 class CFLError(RuntimeError):
@@ -442,44 +436,6 @@ def _thomas_sweep(x, low, piv, up, row: np.ndarray):
         x[i] /= piv[i]
 
 
-@contextmanager
-def _row_threads(step, parts):
-    """Yield ``run(arg)``, which applies ``step(arg, *part)`` to every part,
-    the last on the calling thread and each other on a thread of its own,
-    and returns the results; a worker's error is re-raised by ``run``.  The
-    threads are started once and wait on a queue between runs."""
-    todo = [queue.SimpleQueue() for _ in parts[:-1]]
-    done = queue.SimpleQueue()
-
-    def serve(part, jobs):
-        for arg in iter(jobs.get, None):
-            try:
-                done.put(step(arg, *part))
-            except BaseException as exc:     # handed to the calling thread
-                done.put(exc)
-
-    def run(arg):
-        for jobs in todo:
-            jobs.put(arg)
-        results = [step(arg, *parts[-1])] + [done.get() for _ in todo]
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return results
-
-    threads = [threading.Thread(target=serve, args=(part, jobs), daemon=True)
-               for part, jobs in zip(parts, todo)]
-    for thread in threads:
-        thread.start()
-    try:
-        yield run
-    finally:
-        for jobs in todo:
-            jobs.put(None)
-        for thread in threads:
-            thread.join()
-
-
 # ---------------------------------------------------------------------------
 # full solver
 # ---------------------------------------------------------------------------
@@ -520,6 +476,23 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
     Raises ``CFLError`` when the stability bound would require more than
     ``_MAX_INTERNAL_STEPS`` sub-steps, and ``SolveDivergenceError`` if values
     leave [-0.01, 1.01].
+
+    Every ``_WINDOW_BLOCK`` substeps the solve finds a, the first e-column
+    with a nonzero value on any p-row, and for the next k substeps runs the
+    feedback, the transport and the p-sweeps only on the inner columns
+    [max(1, a - k), n_e - 1); the result is the full-grid loop's bit for
+    bit.  A skipped column is +0.0 before and after each substep:
+      - transport: at a zero node with zero neighbours both differences
+        are +0.0 (0 - 0), so the flux is +-0.0 and 0 - (+-0.0) is +0.0;
+      - p-sweep: the Thomas sweep acts column by column, and on a zero
+        column every step is 0 - (+-0.0) or 0 / pivot, pivot > 0: +0.0.
+    No node holds -0.0: the data and the edge values are +0.0 or positive,
+    and both steps above make +0.0 from zeros.  Only the transport reads
+    across columns, one neighbour each way, so the nonzero columns spread
+    by at most one to the left per substep: in k substeps none left of
+    a - k turns nonzero, and the leftmost window column reads a zero left
+    neighbour.  The window may hold zero columns that stay zero; each gets
+    the full-grid loop's update.
     """
     if grid.dim not in (1, 2):
         raise ValueError("solve_mollified needs a (t, p, e) grid of p-dim 1 or 2")
@@ -557,47 +530,40 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
     out[-1] = u
 
     t_nodes = grid.t_nodes
-    # p-sweep coefficients and the rows of u along each p-axis (views); the
-    # trailing unit axis broadcasts the factors over e
+    # p-sweep coefficients; the trailing unit axis broadcasts the factors over e
     p_coef = [(np.moveaxis(0.5 * a_diag[..., k], k, 0)[..., None],
                np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
               for k in range(grid.dim)]
-    u_swept = [list(np.moveaxis(u[..., 1:-1], k, 0)) for k in range(grid.dim)]
-    rows = [np.empty(x[0].shape) for x in u_swept]
-
-    # feedback and transport act within a p-row: contiguous ranges of the
-    # first p-axis, each with its scratch, on the calling thread and workers
     p_bcast = p_stack[..., None, :]          # broadcasts against (*p_shape, ne)
-    n_rows = u.shape[0]
-    n_parts = min(_WORKERS, n_rows) if u.size >= _THREAD_MIN_CELLS else 1
-    # a worker starts each substep a wake-up after the calling thread, so the
-    # calling thread takes the last range, one and a half shares of the rows
-    edges = [round(n_rows * w / (n_parts + 0.5)) for w in range(n_parts)] + [n_rows]
-    parts = [(u[lo:hi], p_bcast[lo:hi], np.empty_like(u[lo:hi, ..., 1:]),
-              np.empty_like(u[lo:hi, ..., 1:-1]), np.empty_like(u[lo:hi, ..., 1:-1]))
-             for lo, hi in zip(edges[:-1], edges[1:])]
+    # scratch of the transport and of each p-sweep over all inner columns;
+    # a block's window takes the views [..., lo - 1:] of them
+    scratch = [np.empty_like(u[..., 1:]), np.empty_like(u[..., 1:-1]),
+               np.empty_like(u[..., 1:-1])]
+    rows = [np.empty(np.moveaxis(u[..., 1:-1], k, 0)[0].shape) for k in range(grid.dim)]
+    columns = u.reshape(-1, u.shape[-1])
 
-    def feedback_transport(dt_over_de, u_part, p_part, *scratch):
-        speed = model.feedback.value(p_part, u_part[..., 1:-1])
-        _upwind_transport(u_part, speed, dt_over_de, *scratch)
-        return speed
-
-    with _row_threads(feedback_transport, parts) as run:
-        for j in range(len(t_nodes) - 2, -1, -1):
-            span = float(t_nodes[j + 1] - t_nodes[j])
-            n_sub = max(1, int(np.ceil(span / dt_cfl)))
-            dt = span / n_sub
-            factors = [[list(f) for f in _thomas_factors(
-                           _tridiag(dt * diff / dx**2, dt * drift / dx, len(diff)))]
-                       for diff, drift, dx in p_coef]
-            for _ in range(n_sub):
-                # the speed arrays stay referenced until the next ones are made,
-                # so the allocator does not hand their pages back every substep
-                speeds = run(dt / de)
-                for x, row, fac in zip(u_swept, rows, factors):
+    for j in range(len(t_nodes) - 2, -1, -1):
+        span = float(t_nodes[j + 1] - t_nodes[j])
+        n_sub = max(1, int(np.ceil(span / dt_cfl)))
+        dt = span / n_sub
+        factors = [[list(f) for f in _thomas_factors(
+                       _tridiag(dt * diff / dx**2, dt * drift / dx, len(diff)))]
+                   for diff, drift, dx in p_coef]
+        for done in range(0, n_sub, _WINDOW_BLOCK):
+            k = min(_WINDOW_BLOCK, n_sub - done)
+            lo = max(1, int(np.argmax(columns.any(axis=0))) - k)
+            near = u[..., lo - 1:]           # the window and its two neighbours
+            inner = near[..., 1:-1]
+            buffers = [x[..., lo - 1:] for x in scratch]
+            swept = [(list(np.moveaxis(inner, ax, 0)), row[..., lo - 1:], fac)
+                     for ax, (row, fac) in enumerate(zip(rows, factors))]
+            for _ in range(k):
+                speed = model.feedback.value(p_bcast, inner)
+                _upwind_transport(near, speed, dt / de, *buffers)
+                for x, row, fac in swept:
                     _thomas_sweep(x, *fac, row)
-            _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
-            out[j] = u
+        _snap_unit(u, f"slice t={t_nodes[j]:.6g}")
+        out[j] = u
 
     return ValueField(grid=grid, values=out, provenance=_provenance(
         model, grid, tc, "upwind_semi_implicit_v1", dt_cfl))

@@ -1,9 +1,5 @@
-import dataclasses
 import hashlib
 import re
-import sys
-import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -371,14 +367,13 @@ def _sha256(values):
 
 def test_light_full_solves_are_pinned():
     # affine feedback has no transcendental call, so these bytes do not
-    # depend on the libm; the dim-2 grid is large enough for the threads
+    # depend on the libm
     m = small_model()
     assert _sha256(solve_mollified(m, small_grid(m), heaviside_tc(0.0)).values) == (
         "9534c2a232c15d0b136105a40e243381dbe8aff61b7bcfb862c35ccad2c601e7")
     m2 = affine_model(alpha=[0.4, 0.2], gamma=1.0, sigma=1.0, horizon_T=0.15)
     g2 = Grid(t_nodes=np.linspace(0.0, 0.15, 31), e_nodes=e_nodes_for(m2, 2e-3),
               p_nodes=(np.linspace(-1.5, 1.5, 17),) * 2)
-    assert np.prod(g2.space_shape()) >= value_pde._THREAD_MIN_CELLS
     assert _sha256(solve_mollified(m2, g2, smooth_ramp_tc(0.0, 0.1)).values) == (
         "dc1a425551c23834cafd6d14de417ee2fc35beeb1754b1d1984083ee2e1428d2")
 
@@ -567,14 +562,40 @@ def test_scheme_invariants_on_random_grids(family, coef, T, shift, width, n_p, n
 
 
 # ---------------------------------------------------------------------------
-# the full solver's substep on several threads
+# the full solver's window of inner columns
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=20, deadline=None)
-@given(family=st.sampled_from(["nonlinear", "affine", "dim2"]),
-       coef=st.floats(0.0, 0.9), T=st.floats(0.05, 0.15),
-       n_p=st.integers(3, 8), n_t=st.integers(2, 4), workers=st.integers(2, 4))
-def test_thread_split_changes_no_bit(family, coef, T, n_p, n_t, workers):
+def _full_reference(model, grid, tc, dt_cfl):
+    """The full march with every inner node updated on every substep, by the
+    allocating transport; the substep bound ``dt_cfl`` is the solver's."""
+    p = np.stack(np.meshgrid(*grid.p_nodes, indexing="ij"), axis=-1)
+    flat = p.reshape(-1, grid.dim)
+    sig = model.diffusion(flat)
+    a_diag = np.einsum("nii->ni", np.einsum("nij,nkj->nik", sig, sig)).reshape(p.shape)
+    b = model.drift(flat).reshape(p.shape)
+    u = np.broadcast_to(tc(grid.e_nodes), grid.space_shape()).astype(float).copy()
+    u[..., 0], u[..., -1] = 0.0, 1.0
+    out = [u.copy()]
+    for j in range(len(grid.t_nodes) - 2, -1, -1):
+        span = float(grid.t_nodes[j + 1] - grid.t_nodes[j])
+        n_sub = max(1, int(np.ceil(span / dt_cfl)))
+        dt = span / n_sub
+        factors = [_thomas_factors(_tridiag(
+            dt * np.moveaxis(0.5 * a_diag[..., k], k, 0)[..., None] / dx**2,
+            dt * np.moveaxis(b[..., k], k, 0)[..., None] / dx, len(nodes)))
+            for k, (nodes, dx) in enumerate(zip(grid.p_nodes, grid.dp))]
+        for _ in range(n_sub):
+            _transport_reference(u, model.feedback.value(p[..., None, :], u[..., 1:-1]),
+                                 dt / grid.de)
+            for k, fac in enumerate(factors):
+                x = np.moveaxis(u[..., 1:-1], k, 0)
+                _thomas_sweep(x, *fac, np.empty(x.shape[1:]))
+        value_pde._snap_unit(u, "reference")
+        out.append(u.copy())
+    return np.array(out[::-1])
+
+
+def _window_case(family, coef, T, n_p, n_t):
     if family == "nonlinear":
         m = build_model({"family": "nonlinear_1d", "f0_amplitude": 0.2 * coef,
                          "sigma": 0.75, "horizon_T": T})
@@ -582,50 +603,44 @@ def test_thread_split_changes_no_bit(family, coef, T, n_p, n_t, workers):
         alpha = [coef, 0.5 * coef] if family == "dim2" else coef
         m = affine_model(alpha=alpha, gamma=1.0, sigma=1.0, horizon_T=T)
     p = tuple(np.linspace(-1.5, 1.5, n_p) for _ in range(m.dim_p))
-    g = Grid(t_nodes=np.linspace(0.0, T, n_t + 1),
-             e_nodes=e_nodes_for(m, 1e-2 if family == "dim2" else 4e-3), p_nodes=p)
-    tc = smooth_ramp_tc(0.0, 0.1)
-    values = {}
-    # hypothesis refuses function-scoped fixtures such as monkeypatch
-    with mock.patch.object(value_pde, "_WORKERS", workers):
-        for min_cells in (0, 10**18):
-            with mock.patch.object(value_pde, "_THREAD_MIN_CELLS", min_cells):
-                values[min_cells] = solve_mollified(m, g, tc).values.tobytes()
+    return m, Grid(t_nodes=np.linspace(0.0, T, n_t + 1), e_nodes=e_nodes_for(m, 2e-3),
+                   p_nodes=p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["nonlinear", "affine", "dim2"]),
+       coef=st.floats(0.0, 0.9), ramp=st.one_of(st.none(), st.floats(0.01, 0.3)),
+       T=st.floats(0.3, 0.45), n_p=st.integers(3, 6), n_t=st.integers(1, 2))
+def test_windowed_full_solve_matches_full_grid_loop(family, coef, ramp, T, n_p, n_t):
+    m, g = _window_case(family, coef, T, n_p, n_t)
+    tc = heaviside_tc(0.0) if ramp is None else smooth_ramp_tc(0.0, ramp)
+    field = solve_mollified(m, g, tc)
+    dt_cfl = field.provenance["internal_dt"]
+    # every span takes several window blocks of substeps
+    assert T / n_t / dt_cfl > 2 * value_pde._WINDOW_BLOCK
     # bytes, not array_equal: a -0.0 in place of 0.0 would show
-    assert values[0] == values[10**18]
+    assert field.values.tobytes() == _full_reference(m, g, tc, dt_cfl).tobytes()
 
 
-def test_thread_split_under_thread_stress(monkeypatch):
-    # more workers than cores, and a thread switch every microsecond
-    m = build_model({"family": "nonlinear_1d", "sigma": 0.75, "horizon_T": 0.1})
-    g = Grid(t_nodes=np.linspace(0.0, 0.1, 4), e_nodes=e_nodes_for(m, 4e-3),
-             p_nodes=(np.linspace(-1.5, 1.5, 11),))
-    tc = smooth_ramp_tc(0.0, 0.1)
-    serial = solve_mollified(m, g, tc).values.tobytes()
-    monkeypatch.setattr(value_pde, "_WORKERS", 5)
-    monkeypatch.setattr(value_pde, "_THREAD_MIN_CELLS", 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = solve_mollified(m, g, tc).values.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
+def test_full_window_skips_zero_columns_and_no_nonzero_one(monkeypatch):
+    m, g = _window_case("nonlinear", 0.5, 0.3, 5, 2)
+    transport, starts = value_pde._upwind_transport, []
 
+    def spy(near, *args):
+        u = near.base                   # the solver's field, whose view ``near`` is
+        lo = u.shape[-1] - near.shape[-1] + 1
+        starts.append(lo)
+        # every column left of the window is +0.0, before and after the step
+        assert not np.any(u[..., :lo]) and not np.any(np.signbit(u[..., :lo]))
+        transport(near, *args)
+        assert not np.any(u[..., :lo]) and not np.any(np.signbit(u[..., :lo]))
 
-def test_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
-    m = small_model()
-    caller = threading.current_thread()
-
-    def value(p, y):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("feedback failed on a worker")
-        return m.feedback.value(p, y)
-
-    bad = dataclasses.replace(m, feedback=dataclasses.replace(m.feedback, value=value))
-    monkeypatch.setattr(value_pde, "_THREAD_MIN_CELLS", 0)
-    with pytest.raises(RuntimeError, match="feedback failed on a worker"):
-        solve_mollified(bad, small_grid(bad), heaviside_tc(0.0))
+    monkeypatch.setattr(value_pde, "_upwind_transport", spy)
+    tc = heaviside_tc(0.0)
+    field = solve_mollified(m, g, tc)
+    assert max(starts) > 1                 # some block skips a column
+    assert field.values.tobytes() == _full_reference(
+        m, g, tc, field.provenance["internal_dt"]).tobytes()
 
 
 _EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5, 1e-300, -1e-300]
