@@ -7,6 +7,7 @@ from .model_core import (
 )
 from .burgers_ref import (
     BurgersProfile, GapTable, WEvaluator, burgers_gap, characteristic, psi,
+    trap_probability,
 )
 from .value_pde import (
     CFLError, Grid, SolveDivergenceError, ValueField,
@@ -15,11 +16,10 @@ from .value_pde import (
 )
 from .mc_engine import (
     AtomCurve, FlowReport, GradPEstimate, PathEnsemble, PrefactorReport,
-    SimConfig, SupportHistogram, TransmissionProfile, TrapReport, VarianceScan,
+    SimConfig, SupportHistogram, TransmissionProfile, VarianceScan,
     conditional_support, default_delta_ladder, dirac_scan, feynman_kac_grad_p,
     flow_squeeze_check, gaussian_control_terminal, prefactor_report,
-    simulate_forward, terminal_sandwich_check, transmission_scan,
-    trap_diagnostic, variance_scan,
+    simulate_forward, terminal_sandwich_check, transmission_scan, variance_scan,
 )
 from .fieldio import dump_field, load_field, write_csv
 

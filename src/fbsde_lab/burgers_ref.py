@@ -13,6 +13,7 @@ here and the bound entries of ``value_pde``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -213,6 +214,52 @@ class WEvaluator:
         g = self.dp_w(t, p)
         g = np.broadcast_to(g, p.shape)
         return np.einsum("...ji,...j->...i", sig, g)
+
+    def bridge_clock(self) -> float:
+        """tau = int_0^T |sigma^T dp_w(t)|^2 / (T - t)^2 dt, on which clock
+        M_t = int_0^t <sigma^T dp_w, dW> / (T - s) is a Brownian motion in the
+        closed-form modes (sigma constant, dp_w free of p)."""
+        pr = self.model.family_params
+        T = self.model.horizon_T
+        if self.mode == "closed_form_affine":
+            return pr["sigma"] ** 2 * float(pr["alpha"] @ pr["alpha"]) * T
+        if self.mode == "closed_form_linear_drift":
+            lam = pr["lam"]
+            ratio = _integral(lambda s: (_growth(lam, s) / s) ** 2, 0.0, T, abs(lam))
+            return (pr["sigma"] * pr["alpha"]) ** 2 * float(ratio)
+        raise ValueError("the bridge clock needs a closed-form compensator, "
+                         f"which the {self.model.family} family lacks")
+
+
+# P(sup_[0, x] |W| < 1) for a standard Brownian motion W: by images (erfc terms,
+# fast at small x) below _STRIP_SWITCH and by eigenfunctions (fast at large x)
+# above it; at the switch both reach rounding within _STRIP_TERMS terms
+_STRIP_SWITCH = 1.0
+_STRIP_TERMS = 8
+
+
+def _strip_images(x: float) -> float:
+    z = 1.0 / math.sqrt(2.0 * x)
+    return 1.0 - 2.0 * sum((-1) ** k * math.erfc((2 * k + 1) * z)
+                           for k in range(_STRIP_TERMS))
+
+
+def _strip_modes(x: float) -> float:
+    return 4.0 / math.pi * sum((-1) ** k / (2 * k + 1)
+                               * math.exp(-(2 * k + 1) ** 2 * math.pi ** 2 * x / 8.0)
+                               for k in range(_STRIP_TERMS))
+
+
+def trap_probability(model: ModelSpec) -> float:
+    """Exact P(F) of the bridge-trap event F = {sup_{t <= T} |M_t| < ell1/16}:
+    with a = ell1/16, P(sup_[0, tau/a^2] |W| < 1) on the clock tau of
+    ``WEvaluator.bridge_clock`` (the strip series of Borodin and Salminen,
+    *Handbook of Brownian Motion*), and 1 exactly at tau = 0."""
+    a = model.ell1 / 16.0
+    x = WEvaluator(model).bridge_clock() / a**2
+    if x == 0.0:
+        return 1.0
+    return _strip_images(x) if x < _STRIP_SWITCH else _strip_modes(x)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .burgers_ref import burgers_gap, characteristic, BurgersProfile
+from .burgers_ref import (BurgersProfile, WEvaluator, burgers_gap, characteristic,
+                          trap_probability)
 from .mc_engine import (SimConfig, SupportHistogram, conditional_support,
                         default_delta_ladder, dirac_scan, feynman_kac_grad_p,
                         flow_squeeze_check, gaussian_control_terminal,
                         prefactor_report, simulate_forward, terminal_sandwich_check,
-                        transmission_scan, trap_diagnostic, variance_scan)
+                        transmission_scan, variance_scan)
 from .model_core import (BUMP_MEAN, affine_model, heaviside_tc, mollify,
                          validate_assumptions)
 from .scenarios import build_model, build_tc, config_hash
@@ -414,35 +415,18 @@ def check_dirac_atom(cfg) -> CheckOutcome:
 
 
 def check_trap(cfg) -> CheckOutcome:
-    scfg = cfg["sim"]
     horizons = [0.4, 0.2, 0.1, 0.05]
-    p_hats, rows = [], []
-    z_dev_worst = 0.0
-    for h in horizons:
-        model = build_model(cfg["model"], horizon=h)
-        sim = scenario_sim(cfg, model, n_paths=20_000,
-                           n_steps=max(200, scfg["n_steps"] // 2),
-                           seed=(scfg["seed"] + 1) % 2**64)
-        rep = trap_diagnostic(model, sim)
-        p_hats.append(rep.p_hat_F)
-        z_dev_worst = max(z_dev_worst, rep.zbar_terminal_dev)
-        rows.append((h, rep.p_hat_F, rep.std_error, rep.zbar_terminal_dev,
-                     rep.zbar_near_terminal_dev))
+    p_hats = [trap_probability(build_model(cfg["model"], horizon=h)) for h in horizons]
     increasing = all(b >= a - 1e-9 for a, b in zip(p_hats[:-1], p_hats[1:]))
-    ok = increasing and z_dev_worst <= 1e-9
-    stats = {"horizons": horizons, "p_hat_F": p_hats,
-             "zbar_terminal_dev": z_dev_worst, "increasing": increasing}
-    # event inclusion: the atom fraction dominates P(F) at the matched horizon
+    # event inclusion: the atom fraction dominates P(F) at the scenario's horizon
     model, *_, paths = _main_ensemble(_ensemble_key(cfg))
     curve = dirac_scan(paths(), default_delta_ladder(model.horizon_T))
-    j = horizons.index(model.horizon_T) if model.horizon_T in horizons else None
-    if j is not None:
-        se_comb = 3 * (curve.std_errors[-1] + rows[j][2])
-        ok = ok and curve.fractions[-1] >= p_hats[j] - se_comb
-        stats["atom_minus_pF"] = float(curve.fractions[-1] - p_hats[j])
+    p_F = trap_probability(model)
+    ok = increasing and curve.fractions[-1] >= p_F - 3 * curve.std_errors[-1]
+    stats = {"horizons": horizons, "p_hat_F": p_hats, "increasing": increasing,
+             "atom_minus_pF": float(curve.fractions[-1] - p_F)}
     return CheckOutcome("trap", "pass" if ok else "fail", stats,
-                        {"trap": (["horizon", "p_hat_F", "se",
-                                   "zbar_term_dev", "zbar_near_dev"], rows)})
+                        {"trap": (["horizon", "p_hat_F"], list(zip(horizons, p_hats)))})
 
 
 def check_sandwich(cfg) -> CheckOutcome:
@@ -625,6 +609,9 @@ _SOLVES = {"full": "equivalence bound_report",
 # the checks whose estimator needs a model with one forward dimension (the
 # transmission profile reads the first axis of alpha and of dp_w only)
 _ONE_DIM = "feynman_kac transmission transmission_sign_change"
+# the checks that need a closed-form compensator: the trap probability is a
+# strip series only where the bridge martingale is a time-changed Brownian motion
+_CLOSED_W = "trap"
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +630,8 @@ def check_names(names) -> list:
 def servable_checks(cfg, names=None, field=False) -> list:
     """``names`` (default: the config's checks) as a list, after refusing any
     that is not a check, needs a solve (``_SOLVES``) the scenario cannot serve,
-    or needs one forward dimension (``_ONE_DIM``) the model lacks; also an
+    needs one forward dimension (``_ONE_DIM``) the model lacks, or needs a
+    closed-form compensator (``_CLOSED_W``) the family lacks; also an
     e-step too coarse for 4 e-nodes, and with ``field`` a field it cannot solve."""
     todo = check_names(cfg["checks"] if names is None else names)
     grid, family = cfg.get("grid", {}), cfg["model"]["family"]
@@ -671,6 +659,10 @@ def servable_checks(cfg, names=None, field=False) -> list:
         refused += [f"check {name!r} needs a model with one forward dimension, "
                     f"but the model has {model.dim_p}"
                     for name in todo if name in _ONE_DIM.split()]
+    if WEvaluator(model).mode == "monte_carlo":
+        refused += [f"check {name!r} needs a closed-form compensator, but the "
+                    f"{family} family has none"
+                    for name in todo if name in _CLOSED_W.split()]
     if refused:
         raise ValueError("; ".join(refused))
     return todo

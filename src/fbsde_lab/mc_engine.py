@@ -1,15 +1,14 @@
 """Seeded path simulation and the statistical verification battery.
 
 One Euler-Maruyama stepper, ``euler_paths``, draws the Brownian increments
-and advances P for every path loop: the forward simulation, the pathwise
-gradient estimator and the bridge-trap diagnostic keep only their own
-accumulators.  Every loop that reads a field along its paths reads it
-through ``ValueField.reader``, the one place where fields are read: the
-forward simulation drives (P, E, Ebar, Y) by explicit Euler in E with
-Y = v(t, P_t, E_t) from the reader, Ebar = E + w(t, P), and records E at
-the snapshot times.  The compensator w and its gradient come from the model
-each function is given (``WEvaluator(model)``), and a field solved for
-another model is refused.
+and advances P for every path loop: the forward simulation and the pathwise
+gradient estimator keep only their own accumulators.  Every loop that reads
+a field along its paths reads it through ``ValueField.reader``, the one
+place where fields are read: the forward simulation drives (P, E, Ebar, Y)
+by explicit Euler in E with Y = v(t, P_t, E_t) from the reader,
+Ebar = E + w(t, P), and records E at the snapshot times.  The compensator w
+and its gradient come from the model each function is given
+(``WEvaluator(model)``), and a field solved for another model is refused.
 Randomness comes from a counter-based generator with one substream per path
 index, so results are bit-identical for a given (seed, n_paths, n_steps)
 regardless of batching or of the thread that draws a path: ``path_normals``
@@ -27,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import ValueField, check_model
+from .value_pde import ValueField
 
 
 @dataclass(frozen=True)
@@ -139,23 +138,19 @@ def path_normals(seed: int, first: int, count: int, n_steps: int,
 # the stepper and the forward simulation
 # ---------------------------------------------------------------------------
 
-def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray,
-                field: Optional[ValueField] = None):
+def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
     """Euler-Maruyama paths of P over ``tgrid``, batch by batch.
 
     Yields ``(first, count, steps)`` for each of ceil(n_paths / _BATCH_PATHS)
     batches of near-equal size; ``steps`` yields ``(k, t, dt, P, P_next, dW)``
     for each interval [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t,
     the increments dW (``path_normals`` scaled by sqrt(dt)) and
-    P_next = P + b(P) dt + sigma(P) dW.  A ``p0`` the model cannot take, or a
-    ``field`` (the one the caller reads along the paths) solved for another
-    model, is refused here, before any path is drawn.
+    P_next = P + b(P) dt + sigma(P) dW.  A ``p0`` the model cannot take is
+    refused here, before any path is drawn.
     """
     d = model.dim_p
     if cfg.p0.shape != (d,):
         raise ValueError(f"p0 has shape {cfg.p0.shape}; the model needs ({d},)")
-    if field is not None:
-        check_model(model, field)
 
     def steps(first, count):
         dW_all = path_normals(cfg.seed, first, count, len(tgrid) - 1, d)
@@ -196,7 +191,7 @@ def _simulate_core(model: ModelSpec, field: ValueField,
     tgrid = sim_time_grid(cfg, field, extra_times=record_times)
     if stop_time is not None:
         tgrid = tgrid[tgrid <= stop_time + 1e-15]
-    batches = euler_paths(model, cfg, tgrid, field)
+    batches = euler_paths(model, cfg, tgrid)
     read = field.reader(model, tgrid[:-1])
     n_steps_grid = len(tgrid) - 1
     n = cfg.n_paths
@@ -619,7 +614,7 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
     tgrid = sim_time_grid(cfg, field)
-    batches = euler_paths(model, cfg, tgrid, field)
+    batches = euler_paths(model, cfg, tgrid)
     read = field.reader(model, tgrid[:-1])
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
@@ -651,65 +646,3 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
     ess = float(np.sum(w) ** 2 / np.sum(w * w) / len(w))
     return GradPEstimate(estimate=est, std_error=se, ess_fraction=ess,
                          degenerate=ess < 0.10)
-
-
-# ---------------------------------------------------------------------------
-# bridge trap diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrapReport:
-    p_hat_F: float
-    std_error: float
-    zbar_terminal_dev: float
-    zbar_near_terminal_dev: float
-
-
-def trap_diagnostic(model: ModelSpec, cfg: SimConfig) -> TrapReport:
-    """Probability of the bridge trap event and the pinned bridge endpoints.
-
-    Simulates the normalized martingale M_t = int (T-s)^{-1} <sigma^T dp_w, dW>
-    along P-paths from (0, cfg.p0); F is the event that sup |M| stays
-    below ell1/16.  On F the explicitly integrated bridges, started at
-    ebar = cfg.e0,
-    Zbar_t = cap + (T-t) [ (ebar-cap)/T +- C' int (T-s)^{beta-1} ds + M_t ]
-    are pinned to the cap at the horizon; beta = 1/4 and
-    C' = ell1 beta / (32 T^beta).
-    """
-    T = model.horizon_T
-    tgrid = np.linspace(0.0, T, cfg.n_steps + 1)
-    batches = euler_paths(model, cfg, tgrid)
-    we = WEvaluator(model)
-    beta = 0.25
-    c_prime = model.ell1 * beta / (32.0 * T**beta)
-
-    sup_M = np.zeros(cfg.n_paths)
-    M_last = np.zeros(cfg.n_paths)
-    lam = model.cap_lambda
-    for first, count, steps in batches:
-        M = np.zeros(count)
-        sup = np.zeros(count)
-        for _, t, _, P, _, dW in steps:
-            integ = we.noise_integrand(t, P)
-            M += np.einsum("ni,ni->n", np.atleast_2d(integ), dW) / (T - t)
-            sup = np.maximum(sup, np.abs(M))
-        sup_M[first:first + count] = sup
-        M_last[first:first + count] = M
-
-    on_F = sup_M < model.ell1 / 16.0
-    p_hat = float(np.mean(on_F))
-    se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / cfg.n_paths))
-    # closed-form bridge at the horizon and just before it
-    drift_int_full = c_prime * (T**beta) / beta
-    z_term = lam + (T - T) * ((cfg.e0 - lam) / T + drift_int_full + M_last)
-    t_near = float(tgrid[-2])
-    s_near = T - t_near
-    drift_int_near = c_prime * (T**beta - s_near**beta) / beta
-    z_near = lam + s_near * ((cfg.e0 - lam) / T + drift_int_near + M_last)
-    if np.any(on_F):
-        term_dev = float(np.max(np.abs(z_term[on_F] - lam)))
-        near_dev = float(np.max(np.abs(z_near[on_F] - lam)))
-    else:
-        term_dev = near_dev = float("nan")
-    return TrapReport(p_hat_F=p_hat, std_error=se, zbar_terminal_dev=term_dev,
-                      zbar_near_terminal_dev=near_dev)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, burgers_gap,
-                                   characteristic, psi)
+                                   characteristic, psi, trap_probability,
+                                   _STRIP_SWITCH, _strip_images, _strip_modes)
 from fbsde_lab.model_core import affine_model, heaviside_tc, linear_drift_model, nonlinear_model
 from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d
 
@@ -121,6 +122,39 @@ def test_mode_family_consistency():
     m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
                         lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
     assert WEvaluator(m).mode == "monte_carlo"
+
+
+# ---------------------------------------------------------------------------
+# bridge-trap probability
+# ---------------------------------------------------------------------------
+
+def test_trap_probability_is_one_without_noise():
+    model = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    assert WEvaluator(model).bridge_clock() == 0.0
+    assert trap_probability(model) == 1.0
+
+
+@pytest.mark.parametrize("x", [_STRIP_SWITCH * 0.9, _STRIP_SWITCH, _STRIP_SWITCH * 1.1])
+def test_the_two_strip_series_agree_where_they_meet(x):
+    assert abs(_strip_images(x) - _strip_modes(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1e-5, 0.0, 3.0])
+def test_linear_drift_bridge_clock_matches_quad(lam):
+    from scipy.integrate import quad
+    m = linear_drift_model(lam=lam, alpha=1.0, gamma=1.0, sigma=0.5, horizon_T=0.2)
+    we = WEvaluator(m)
+    # |sigma^T dp_w(t)|^2 / (T - t)^2 from the evaluator's own gradient
+    integrand = lambda t: float(we.noise_integrand(t, np.zeros(1))[0]) ** 2 / (0.2 - t) ** 2
+    expect, _ = quad(integrand, 0.0, 0.2, epsabs=0.0, epsrel=1e-13)
+    assert we.bridge_clock() == pytest.approx(expect, rel=1e-12)
+
+
+def test_bridge_clock_is_refused_without_a_closed_form_compensator():
+    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
+                        lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
+    with pytest.raises(ValueError, match="nonlinear_1d family lacks"):
+        trap_probability(m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from fbsde_lab import mc_engine, value_pde
-from fbsde_lab.burgers_ref import BurgersProfile, characteristic, psi
+from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, characteristic, psi,
+                                   trap_probability, _STRIP_SWITCH, _strip_images,
+                                   _strip_modes)
 from fbsde_lab.experiments import scenario_field, scenario_model, scenario_sim
 from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
                                  euler_paths, feynman_kac_grad_p, flow_squeeze_check,
                                  gaussian_control_terminal, path_normals,
                                  prefactor_report, sim_time_grid, simulate_forward,
                                  terminal_sandwich_check, transmission_scan,
-                                 trap_diagnostic, variance_scan,
+                                 variance_scan,
                                  _BLOCK, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
 from fbsde_lab.scenarios import build_model, registry_list, scenario_config
@@ -83,8 +85,7 @@ def test_batch_size_does_not_change_results(n_paths, batch_size):
         ens = simulate_forward(model, field, cfg)
         return ([getattr(ens, name) for name in ("terminal_E", "terminal_Y",
                                                  "terminal_Ebar", "escaped")],
-                # the other stepper callers
-                repr(trap_diagnostic(model, cfg)),
+                # the other stepper caller
                 repr(feynman_kac_grad_p(model, field, de_v, cfg)))
 
     whole = run()
@@ -108,8 +109,6 @@ def test_stepper_refuses_a_start_the_model_cannot_take(dim_p, start, message):
     # the refusal comes before any path is drawn or the field is read
     with pytest.raises(ValueError, match=re.escape(message)):
         simulate_forward(model, field, cfg)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        trap_diagnostic(model, cfg)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.2])
@@ -358,8 +357,8 @@ def test_variance_scan_steps_on_uniform_nodes_and_requested_times(monkeypatch):
                                   t_extra=t_list, t_stop=float(t_list[-1]))
     cfg = SimConfig(n_paths=50, n_steps=200, p0=np.zeros(1), e0=0.05, seed=3)
     grids, stepper = [], mc_engine.euler_paths
-    monkeypatch.setattr(mc_engine, "euler_paths", lambda m, c, tgrid, f:
-                        grids.append(tgrid) or stepper(m, c, tgrid, f))
+    monkeypatch.setattr(mc_engine, "euler_paths", lambda m, c, tgrid:
+                        grids.append(tgrid) or stepper(m, c, tgrid))
     variance_scan(model, field, cfg, t_list)
     allowed = np.union1d(np.linspace(0.0, 0.1, 201), t_list)
     allowed = allowed[allowed <= t_list[-1] + 1e-15]
@@ -435,28 +434,28 @@ def test_feynman_kac_sign_of_integrand():
     assert est.estimate >= -3 * est.std_error
 
 
-def test_trap_bridge_pinned_at_cap():
-    model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    cfg = SimConfig(n_paths=2000, n_steps=200, p0=np.zeros(1),
-                    e0=0.05, seed=11)
-    rep = trap_diagnostic(model, cfg)
-    assert rep.p_hat_F > 0.5
-    assert rep.zbar_terminal_dev <= 1e-12
-    assert rep.zbar_near_terminal_dev <= 1e-3
-
-
-def _strip_probability(a, tau, terms=50):
-    """P(sup_[0, tau] |W| < a) for a standard Brownian motion W (the series
-    for Brownian motion in a strip)."""
-    k = np.arange(terms)
-    return float(4 / np.pi * np.sum((-1.0) ** k / (2 * k + 1)
-                                    * np.exp(-(2 * k + 1) ** 2 * np.pi**2 * tau / (8 * a**2))))
+def _grid_monitored_trap(model, sim):
+    """The fraction of paths on which |M| stays below ell1/16 at the times of
+    a uniform ``sim.n_steps`` grid, and its standard error: M_t =
+    int_0^t <sigma^T dp_w, dW> / (T - s), stepped on ``euler_paths``
+    increments (a trap test by path loop, watching M at grid times only)."""
+    T = model.horizon_T
+    we = WEvaluator(model)
+    on_F = []
+    for _, count, steps in euler_paths(model, sim, np.linspace(0.0, T, sim.n_steps + 1)):
+        M, sup = np.zeros(count), np.zeros(count)
+        for _, t, _, P, _, dW in steps:
+            M += np.einsum("ni,ni->n", we.noise_integrand(t, P), dW) / (T - t)
+            sup = np.maximum(sup, np.abs(M))
+        on_F.append(sup < model.ell1 / 16.0)
+    p_hat = float(np.mean(np.concatenate(on_F)))
+    return p_hat, np.sqrt(p_hat * (1 - p_hat) / sim.n_paths)
 
 
 @pytest.mark.parametrize("horizon", [0.4, 0.1])
 def test_trap_probability_matches_the_strip_series(horizon):
     # affine family: M_t = sigma |alpha| W_t, so F is a Brownian strip event
-    # over tau = sigma^2 |alpha|^2 T; the sup is monitored only at the
+    # over tau = sigma^2 |alpha|^2 T; a path loop sees the sup only at its
     # grid times, which the barrier shift of Broadie, Glasserman and Kou
     # (0.5826 sigma |alpha| sqrt(dt)) corrects for
     cfg = scenario_config("affine_dirac")
@@ -464,21 +463,18 @@ def test_trap_probability_matches_the_strip_series(horizon):
     n_steps = 500
     sim = SimConfig(n_paths=20_000, n_steps=n_steps, p0=np.zeros(1),
                     e0=0.0, seed=8)
-    rep = trap_diagnostic(model, sim)
+    p_hat, se = _grid_monitored_trap(model, sim)
     scale = model.family_params["sigma"] * float(np.linalg.norm(model.family_params["alpha"]))
     a = model.ell1 / 16 + 0.5826 * scale * np.sqrt(horizon / n_steps)
-    exact = _strip_probability(a, scale**2 * horizon)
-    assert abs(rep.p_hat_F - exact) <= 3 * rep.std_error, (rep.p_hat_F, exact)
+    x = WEvaluator(model).bridge_clock() / a**2
+    shifted = (_strip_images if x < _STRIP_SWITCH else _strip_modes)(x)
+    assert abs(p_hat - shifted) <= 3 * se, (p_hat, shifted)
 
 
 def test_trap_probability_increases_toward_horizon():
-    p_hats = []
-    for T in (0.4, 0.1):
-        model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=T)
-        cfg = SimConfig(n_paths=2000, n_steps=200, p0=np.zeros(1),
-                        e0=0.5 * T, seed=11)
-        p_hats.append(trap_diagnostic(model, cfg).p_hat_F)
-    assert p_hats[1] > p_hats[0]
+    p_F = [trap_probability(affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=T))
+           for T in (0.4, 0.1)]
+    assert p_F[1] > p_F[0]
 
 
 def test_simconfig_validation():

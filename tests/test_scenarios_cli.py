@@ -412,6 +412,9 @@ def test_cli_refuses_a_name_other_than_the_scenarios_own(tmp_path, capsys):
     ("affine_constant", {"checks": ["transmission_sign_change"],
                          "model": {"alpha": [0.0, 0.5]}},
      ["check 'transmission_sign_change'", "one forward dimension", "the model has 2"]),
+    # M is not a time-changed Brownian motion there, so no strip series applies
+    ("nonlinear_1d", {"checks": ["validate", "trap"]},
+     ["check 'trap'", "closed-form compensator", "nonlinear_1d family has none"]),
 ])
 def test_cli_refuses_a_check_the_scenario_cannot_serve(tmp_path, capsys, scenario,
                                                       over, words):
@@ -426,6 +429,18 @@ def test_cli_refuses_a_check_the_scenario_cannot_serve(tmp_path, capsys, scenari
     assert not out.exists()   # refused before any check ran
     with pytest.raises(ValueError, match=re.escape(words[0])):
         run_scenario(scenario_config(scenario, over))
+
+
+@pytest.mark.parametrize("constant", ["_ONE_DIM", "_CLOSED_W"])
+def test_readme_refusal_list_names_every_refused_check(constant):
+    # the README's refusal bullet lists the checks as "(`experiments.<constant>`:
+    # `a`, `b` and `c`)", and must keep up with the constant
+    from fbsde_lab import experiments
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bullet = re.search(rf"\(`experiments\.{constant}`:([^)]*)\)", readme)
+    assert bullet, f"README names no experiments.{constant}"
+    named = re.findall(r"`(\w+)`", bullet.group(1))
+    assert sorted(named) == sorted(getattr(experiments, constant).split())
 
 
 def test_cli_solve_only_refuses_a_field_the_scenario_cannot_solve(tmp_path, capsys):
@@ -667,14 +682,17 @@ def test_burgers_gap_stats_on_a_light_nonlinear_grid_are_pinned():
 
 def test_trap_stats_on_a_light_grid():
     # the inclusion test needs the full grid, so the verdict here is "fail";
-    # the trap probabilities come from their own fixed-size ensembles
+    # the trap probabilities are the strip series, exact to rounding
     cfg = scenario_config("affine_dirac", {"grid": {"de_reduced": 1e-4},
                                            "sim": {"n_paths": 2000}})
     out = run_scenario(cfg, checks=["trap"])
+    assert out.verdicts == {"trap": "fail"}
     assert out.stats["trap"] == {
         "horizons": [0.4, 0.2, 0.1, 0.05],
-        "p_hat_F": [0.38115, 0.6911, 0.9084, 0.98965],
-        "zbar_terminal_dev": 0.0, "increasing": True, "atom_minus_pF": -0.6909}
+        "p_hat_F": pytest.approx([0.3599613937122076, 0.6755541487128836,
+                                  0.9037863503086263, 0.9896227848953689], rel=1e-12),
+        "increasing": True,
+        "atom_minus_pF": pytest.approx(-0.6862863503086263, rel=1e-12)}
 
 
 def test_variance_zero_on_a_light_grid():
