@@ -6,8 +6,8 @@ from .model_core import (
     nonlinear_model, smooth_ramp_tc, validate_assumptions,
 )
 from .burgers_ref import (
-    BurgersProfile, GapTable, WEvaluator, burgers_gap, characteristic, psi,
-    trap_probability,
+    BurgersProfile, GapTable, WEvaluator, burgers_gap, characteristic,
+    gaussian_control_fractions, psi, trap_probability,
 )
 from .value_pde import (
     CFLError, Grid, SolveDivergenceError, ValueField,
@@ -18,7 +18,7 @@ from .mc_engine import (
     AtomCurve, FlowReport, GradPEstimate, PathEnsemble, PrefactorReport,
     SimConfig, SupportHistogram, TransmissionProfile, VarianceScan,
     conditional_support, default_delta_ladder, dirac_scan, feynman_kac_grad_p,
-    flow_squeeze_check, gaussian_control_terminal, prefactor_report,
+    flow_squeeze_check, prefactor_report,
     simulate_forward, terminal_sandwich_check, transmission_scan, variance_scan,
 )
 from .fieldio import dump_field, load_field, write_csv

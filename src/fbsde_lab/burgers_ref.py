@@ -6,7 +6,11 @@ and the sup-norm gap between a computed value field and the rescaled profile.
 The compensator depends on the forward coefficients only, so every caller
 builds it from the model it already holds (``WEvaluator(model)``): closed
 forms for ``affine_constant`` and ``linear_drift``, Monte Carlo quadrature
-on the fixed budget ``MC_PATHS`` x ``MC_STEPS`` otherwise.  ``_rows_by_p_node``
+on the fixed budget ``MC_PATHS`` x ``MC_STEPS`` otherwise.  In the closed
+forms ``WEvaluator.noise_energy`` integrates the compensator's noise
+|sigma^T dp_w|^2 over the time to go, and the two laws of that noise follow
+from it: the bridge-trap probability and the Gaussian control's atom
+fractions.  ``_rows_by_p_node``
 walks the p-rows of a full field with ``ebar = e + w(t, p)``, for the gap
 here and the bound entries of ``value_pde``.
 """
@@ -106,7 +110,7 @@ MC_STEPS = 300
 
 @dataclass(frozen=True)
 class WEvaluator:
-    """Evaluator for w(t, p), its p-gradient and the noise integrand.
+    """Evaluator for w(t, p), its p-gradient and the energy of its noise.
 
     ``mode`` follows from ``model.family``: ``closed_form_affine`` for
     ``affine_constant``, ``closed_form_linear_drift`` for ``linear_drift``
@@ -146,8 +150,8 @@ class WEvaluator:
         drifted = _integral(lambda u: _growth(lam, u), 0.0, s, abs(lam))
         return alpha * (p0 * _growth(lam, s) + b0 * drifted)
 
-    def dp_w(self, t, p=None) -> np.ndarray:
-        """Gradient of w in p (closed-form modes; finite differences for MC)."""
+    def dp_w(self, t) -> np.ndarray:
+        """Gradient of w in p, which the closed forms leave free of p."""
         s = self.model.horizon_T - np.asarray(t, dtype=float)
         if self.mode == "closed_form_affine":
             alpha = self.model.family_params["alpha"]
@@ -155,15 +159,31 @@ class WEvaluator:
         if self.mode == "closed_form_linear_drift":
             pr = self.model.family_params
             return (pr["alpha"] * _growth(pr["lam"], s))[..., None]
-        if p is None:
-            raise ValueError("monte_carlo dp_w needs the evaluation point p")
-        p = np.asarray(p, dtype=float)
-        h = 1e-4 * max(1.0, float(np.max(np.abs(p))))
-        g = np.empty(self.model.dim_p)
-        for i in range(self.model.dim_p):
-            dp = np.zeros_like(p); dp[..., i] = h
-            g[i] = (self._mc(t, p + dp)[0] - self._mc(t, p - dp)[0]) / (2 * h)
-        return g
+        raise ValueError("dp_w needs a closed-form compensator, which the "
+                         f"{self.model.family} family lacks")
+
+    def noise_energy(self, a: float, b: float, power: int = 0) -> float:
+        """int_a^b |sigma^T dp_w|^2 s^(-power) ds over the time to go s, in the
+        closed-form modes (sigma constant, dp_w free of p): the variance of
+        the compensator's noise int <sigma^T dp_w, dW> at power 0 (twice the
+        reduced diffusion's integral), and at power 2 the clock on which
+        int <sigma^T dp_w, dW> / s is a Brownian motion."""
+        pr = self.model.family_params
+        if self.mode == "closed_form_affine":
+            coef = float(pr["sigma"] ** 2 * (pr["alpha"] @ pr["alpha"]))
+        elif self.mode == "closed_form_linear_drift":
+            lam = pr["lam"]
+            coef = (pr["sigma"] * pr["alpha"]) ** 2
+            if lam != 0.0:
+                # by quadrature: the antiderivatives are differences of
+                # O(1/lam^3) terms, which cancel at small lam s
+                return coef * float(_integral(
+                    lambda s: (_growth(lam, s) / s ** (0.5 * power)) ** 2, a, b, abs(lam)))
+        else:
+            raise ValueError("the noise energy needs a closed-form compensator, "
+                             f"which the {self.model.family} family lacks")
+        k = 3 - power
+        return coef * (b**k - a**k) / k
 
     # -- Monte Carlo quadrature -------------------------------------------
 
@@ -173,6 +193,9 @@ class WEvaluator:
         s = T - float(t)
         if s <= 0:
             return 0.0, 0.0
+        if np.shape(np.atleast_1d(p)) != (model.dim_p,):
+            raise ValueError(f"the Monte Carlo compensator takes one point of shape "
+                             f"({model.dim_p},), not p of shape {np.shape(p)}")
         n_half = MC_PATHS // 2
         n_steps = max(1, int(round(MC_STEPS * s / T)))
         dt = s / n_steps
@@ -185,8 +208,8 @@ class WEvaluator:
         acc = np.zeros(n_half)
         acc_a = np.zeros(n_half)
         for _ in range(n_steps):
-            acc += model.feedback.f_at_zero(P) * dt
-            acc_a += model.feedback.f_at_zero(Pa) * dt
+            acc += model.feedback.value(P, 0.0) * dt
+            acc_a += model.feedback.value(Pa, 0.0) * dt
             dW = rng.standard_normal((n_half, d)) * np.sqrt(dt)
             sig = model.diffusion(P)
             sig_a = model.diffusion(Pa)
@@ -206,29 +229,6 @@ class WEvaluator:
         if self.mode == "closed_form_linear_drift":
             return self._linear_drift(t, p)
         return self._mc(t, p)[0]
-
-    def noise_integrand(self, t, p):
-        """sigma^T(p) dp_w(t, p), the integrand of the martingale part of Ebar."""
-        p = np.asarray(p, dtype=float)
-        sig = self.model.diffusion(p)
-        g = self.dp_w(t, p)
-        g = np.broadcast_to(g, p.shape)
-        return np.einsum("...ji,...j->...i", sig, g)
-
-    def bridge_clock(self) -> float:
-        """tau = int_0^T |sigma^T dp_w(t)|^2 / (T - t)^2 dt, on which clock
-        M_t = int_0^t <sigma^T dp_w, dW> / (T - s) is a Brownian motion in the
-        closed-form modes (sigma constant, dp_w free of p)."""
-        pr = self.model.family_params
-        T = self.model.horizon_T
-        if self.mode == "closed_form_affine":
-            return pr["sigma"] ** 2 * float(pr["alpha"] @ pr["alpha"]) * T
-        if self.mode == "closed_form_linear_drift":
-            lam = pr["lam"]
-            ratio = _integral(lambda s: (_growth(lam, s) / s) ** 2, 0.0, T, abs(lam))
-            return (pr["sigma"] * pr["alpha"]) ** 2 * float(ratio)
-        raise ValueError("the bridge clock needs a closed-form compensator, "
-                         f"which the {self.model.family} family lacks")
 
 
 # P(sup_[0, x] |W| < 1) for a standard Brownian motion W: by images (erfc terms,
@@ -251,15 +251,28 @@ def _strip_modes(x: float) -> float:
 
 
 def trap_probability(model: ModelSpec) -> float:
-    """Exact P(F) of the bridge-trap event F = {sup_{t <= T} |M_t| < ell1/16}:
-    with a = ell1/16, P(sup_[0, tau/a^2] |W| < 1) on the clock tau of
-    ``WEvaluator.bridge_clock`` (the strip series of Borodin and Salminen,
-    *Handbook of Brownian Motion*), and 1 exactly at tau = 0."""
+    """Exact P(F) of the bridge-trap event F = {sup_{t <= T} |M_t| < ell1/16},
+    M_t = int_0^t <sigma^T dp_w, dW> / (T - s): with a = ell1/16,
+    P(sup_[0, tau/a^2] |W| < 1) on the clock tau = noise_energy(0, T, 2)
+    (the strip series of Borodin and Salminen, *Handbook of Brownian
+    Motion*), and 1 exactly at tau = 0."""
     a = model.ell1 / 16.0
-    x = WEvaluator(model).bridge_clock() / a**2
+    x = WEvaluator(model).noise_energy(0.0, model.horizon_T, 2) / a**2
     if x == 0.0:
         return 1.0
     return _strip_images(x) if x < _STRIP_SWITCH else _strip_modes(x)
+
+
+def gaussian_control_fractions(model: ModelSpec, deltas) -> np.ndarray:
+    """P(|Z - cap| <= delta) for each delta, Z = cap + int_0^T <sigma^T dp_w, dW>,
+    the compensator's noise with no feedback: Z - cap is N(0, V) with
+    V = noise_energy(0, T), so erf(delta / sqrt(2 V)), and 1 exactly at V = 0.
+    Its atom curve decays linearly in delta, the contrast to a genuine atom."""
+    deltas = np.asarray(deltas, dtype=float)
+    var = WEvaluator(model).noise_energy(0.0, model.horizon_T)
+    if var == 0.0:
+        return np.ones_like(deltas)
+    return np.array([math.erf(d / math.sqrt(2.0 * var)) for d in deltas])
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,11 @@ import numpy as np
 
 from . import fieldio
 from .burgers_ref import (BurgersProfile, WEvaluator, burgers_gap, characteristic,
-                          trap_probability)
+                          gaussian_control_fractions, trap_probability)
 from .mc_engine import (SimConfig, SupportHistogram, conditional_support,
                         default_delta_ladder, dirac_scan, feynman_kac_grad_p,
-                        flow_squeeze_check, gaussian_control_terminal,
-                        prefactor_report, simulate_forward, terminal_sandwich_check,
-                        transmission_scan, variance_scan)
+                        flow_squeeze_check, prefactor_report, simulate_forward,
+                        terminal_sandwich_check, transmission_scan, variance_scan)
 from .model_core import (BUMP_MEAN, affine_model, heaviside_tc, mollify,
                          validate_assumptions)
 from .scenarios import build_model, build_tc, config_hash
@@ -387,28 +386,27 @@ def check_transmission_sign_change(cfg) -> CheckOutcome:
 
 
 def check_dirac_atom(cfg) -> CheckOutcome:
-    model, _, _, sim, paths = _main_ensemble(_ensemble_key(cfg))
+    model, *_, paths = _main_ensemble(_ensemble_key(cfg))
     ens = paths()
     if ens.escape_fraction > 1e-3:
         return CheckOutcome("dirac_atom", "fail",
                             {"escape_fraction": ens.escape_fraction})
     ladder = default_delta_ladder(model.horizon_T)
     curve = dirac_scan(ens, ladder)
-    ctrl = dirac_scan(gaussian_control_terminal(model, sim), ladder,
-                      cap_lambda=model.cap_lambda)
+    ctrl = gaussian_control_fractions(model, ladder)
+    ctrl_plateau = float(ctrl[-1] / ctrl[0])
     deterministic = not np.any(model.family_params.get("alpha", 1.0))   # no noise reaches E
     if deterministic:
         ok = bool(np.all(curve.fractions >= 1.0 - 1e-12))
         stats = {"fractions": curve.fractions.tolist(), "all_trapped": ok}
     else:
         ok = (curve.plateau_defined and curve.plateau >= 0.8
-              and ctrl.plateau_defined and ctrl.plateau <= 0.05)
-        stats = {"plateau": curve.plateau, "control_plateau": ctrl.plateau,
+              and ctrl_plateau <= 0.05)
+        stats = {"plateau": curve.plateau, "control_plateau": ctrl_plateau,
                  "fractions": curve.fractions.tolist(),
                  "three_sigma": (3 * curve.std_errors).tolist(),
                  "escape_fraction": ens.escape_fraction}
-    rows = list(zip(curve.deltas, curve.fractions, curve.std_errors,
-                    ctrl.fractions))
+    rows = list(zip(curve.deltas, curve.fractions, curve.std_errors, ctrl))
     return CheckOutcome("dirac_atom", "pass" if ok else "fail", stats,
                         {"atom_curve": (["delta", "fraction", "se",
                                          "control_fraction"], rows)})
@@ -610,8 +608,9 @@ _SOLVES = {"full": "equivalence bound_report",
 # transmission profile reads the first axis of alpha and of dp_w only)
 _ONE_DIM = "feynman_kac transmission transmission_sign_change"
 # the checks that need a closed-form compensator: the trap probability is a
-# strip series only where the bridge martingale is a time-changed Brownian motion
-_CLOSED_W = "trap"
+# strip series, and the control of the atom a Gaussian law, only where the
+# compensator's noise sigma^T dp_w does not depend on P
+_CLOSED_W = "trap dirac_atom"
 
 
 # ---------------------------------------------------------------------------

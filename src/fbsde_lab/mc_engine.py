@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
@@ -264,8 +263,9 @@ class AtomCurve:
     plateau_defined: bool
 
 
-def dirac_scan(ens_or_terminal, delta_list, cap_lambda: Optional[float] = None) -> AtomCurve:
-    """Fraction of paths with |E_T - cap| <= delta over a decreasing ladder.
+def dirac_scan(ens: PathEnsemble, delta_list) -> AtomCurve:
+    """Fraction of unescaped paths with |E_T - cap| <= delta over a
+    decreasing ladder.
 
     The curve is monotone by construction (nested events); the plateau
     statistic is fraction(min delta) / fraction(max delta).  Needs a ladder
@@ -276,15 +276,9 @@ def dirac_scan(ens_or_terminal, delta_list, cap_lambda: Optional[float] = None) 
         raise ValueError("delta_list must be strictly decreasing")
     if deltas[0] / deltas[-1] < 100.0 * (1 - 1e-9):
         raise ValueError("delta ladder must span at least two decades")
-    if isinstance(ens_or_terminal, PathEnsemble):
-        lam = (cap_lambda if cap_lambda is not None
-               else ens_or_terminal.provenance.get("cap_lambda", 0.0))
-        data = ens_or_terminal.terminal_E[ens_or_terminal.ok()]
-    else:
-        lam = 0.0 if cap_lambda is None else cap_lambda
-        data = np.asarray(ens_or_terminal, dtype=float)
+    data = ens.terminal_E[ens.ok()]
     n = len(data)
-    dist = np.abs(data - lam)
+    dist = np.abs(data - ens.provenance.get("cap_lambda", 0.0))
     fr = np.array([np.mean(dist <= d) for d in deltas])
     se = np.sqrt(np.maximum(fr * (1 - fr), 0.0) / max(n, 1))
     defined = fr[0] > 0
@@ -295,27 +289,6 @@ def dirac_scan(ens_or_terminal, delta_list, cap_lambda: Optional[float] = None) 
 
 def default_delta_ladder(horizon: float) -> np.ndarray:
     return np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4]) * horizon
-
-
-def gaussian_control_terminal(model: ModelSpec, cfg: SimConfig) -> np.ndarray:
-    """Terminal sample of cap + int (T-s)-bridge noise, with no feedback.
-
-    Matches the accumulated compensator noise of the FBSDE run; its atom
-    curve decays linearly in delta (closed-form Gaussian law), which is the
-    contrast establishing that a measured plateau is a genuine atom.
-    """
-    T = model.horizon_T
-    x, w = leggauss(64)
-    s_nodes = 0.5 * T * x + 0.5 * T
-    w_nodes = 0.5 * T * w
-    we = WEvaluator(model)
-    var = 0.0
-    for s_k, w_k in zip(s_nodes, w_nodes):
-        g = we.noise_integrand(float(s_k), cfg.p0)
-        var += w_k * float(np.sum(np.asarray(g) ** 2))
-    sig_eff = np.sqrt(max(var, 0.0))
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ 0xC0FFEE))
-    return model.cap_lambda + sig_eff * rng.standard_normal(cfg.n_paths)
 
 
 # ---------------------------------------------------------------------------

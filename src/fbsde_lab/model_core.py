@@ -42,7 +42,6 @@ class FeedbackFn:
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dy: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dp: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f_at_zero: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,6 @@ def affine_model(alpha, gamma, sigma=1.0, b=0.0, cap_lambda=0.0, horizon_T=0.4,
         value=f_val,
         dy=lambda p, y: np.broadcast_to(gamma, np.broadcast(np.asarray(p)[..., 0], y).shape).copy(),
         dp=lambda p, y: np.broadcast_to(-alpha_v, np.asarray(p, dtype=float).shape).copy(),
-        f_at_zero=lambda p: -_dot_last(np.asarray(p, dtype=float), alpha_v),
     )
     if lipschitz_L is None:
         lipschitz_L = max(1.0, gamma, 1.0 / gamma, sig, 1.0 / sig,
@@ -172,7 +170,6 @@ def linear_drift_model(lam, alpha, gamma, sigma=1.0, b0=0.0, cap_lambda=0.0,
         - alpha * np.asarray(p, dtype=float)[..., 0],
         dy=lambda p, y: np.broadcast_to(gamma, np.broadcast(np.asarray(p)[..., 0], y).shape).copy(),
         dp=lambda p, y: np.broadcast_to(-alpha, np.asarray(p, dtype=float).shape).copy(),
-        f_at_zero=lambda p: -alpha * np.asarray(p, dtype=float)[..., 0],
     )
     if lipschitz_L is None:
         # drift is unbounded; L covers the constants on the working box |p| <= 2
@@ -214,10 +211,7 @@ def nonlinear_model(f0, f0_prime, mu=1.0, ell1=0.9, ell2=1.1, drift_slope=-0.5,
         z = mu * np.asarray(p, dtype=float)[..., 0] - np.asarray(y, dtype=float)
         return (-mu * f0_prime(z))[..., None]
 
-    fb = FeedbackFn(
-        value=value, dy=dy, dp=dp,
-        f_at_zero=lambda p: -f0(mu * np.asarray(p, dtype=float)[..., 0]),
-    )
+    fb = FeedbackFn(value=value, dy=dy, dp=dp)
     if lipschitz_L is None:
         lipschitz_L = max(1.0, 1.0 / ell1, ell2, mu * ell2, sig,
                           abs(drift_slope) * 2.5)

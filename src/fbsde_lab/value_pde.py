@@ -55,7 +55,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .burgers_ref import WEvaluator, _growth, _integral, _rows_by_p_node
+from .burgers_ref import WEvaluator, _rows_by_p_node
 from .model_core import ModelSpec, TerminalCondition
 
 _BOUND_SNAP = 1e-12   # FP-roundoff renormalization threshold, not a limiter
@@ -590,36 +590,13 @@ def _active_window(u: np.ndarray, k: int) -> tuple:
     return a + int(live[0]), min(a + int(live[-1]) + k, len(u) - 1)
 
 
-def reduced_diffusion_integral(model: ModelSpec) -> Callable[[float, float], float]:
-    """Integral of the reduced diffusion coefficient over [s0, s1] (time-to-go).
-
-    The coefficient is half the squared noise integrand of the compensator:
-    affine family (sigma^T alpha)^2 s^2 / 2; linear-drift family
-    (sigma alpha (e^{lam s}-1)/lam)^2 / 2.
-    """
-    pr = model.family_params
-    if model.family == "affine_constant":
-        alpha, sig = pr["alpha"], pr["sigma"]
-        coef = 0.5 * float(sig**2 * (alpha @ alpha))
-        return lambda a, b: coef * (b**3 - a**3) / 3.0
-    if model.family == "linear_drift":
-        lam, alpha, sig = pr["lam"], pr["alpha"], pr["sigma"]
-        coef = 0.5 * (sig * alpha) ** 2
-        if lam == 0.0:
-            return lambda a, b: coef * (b**3 - a**3) / 3.0
-        # by quadrature: the antiderivative is a difference of O(1/lam^3)
-        # terms, which cancels at small lam s
-        return lambda a, b: coef * float(
-            _integral(lambda s: _growth(lam, s) ** 2, a, b, abs(lam)))
-    raise ValueError("reduced solve supports the affine and linear-drift families")
-
-
 def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> ValueField:
     """March the reduced equation for vbar(t, ebar) on a (t, ebar) grid.
 
     Requires an affine-type family (constant-coefficient or linear drift);
-    the transport speed is gamma*vbar and the time-dependent diffusion
-    comes from ``reduced_diffusion_integral``.  Reconstruction
+    the transport speed is gamma*vbar and the time-dependent diffusion is
+    half the compensator's squared noise |sigma^T dp_w|^2, so over each span
+    it integrates to half of ``WEvaluator.noise_energy``.  Reconstruction
     ``v(t, p, e) = vbar(t, e + w(t, p))`` is exposed by ``ValueField.eval``.
 
     The transport u_i -= c u_i (u_i - u_{i-1}), 0 < c <= 1, updates only the
@@ -648,7 +625,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
     gamma = model.family_params.get("gamma")
     if gamma is None:
         raise ValueError("reduced solve needs an affine-type family with gamma")
-    d_int = reduced_diffusion_integral(model)
+    noise_energy = WEvaluator(model).noise_energy
 
     e = grid.e_nodes
     de = grid.de
@@ -680,7 +657,7 @@ def solve_reduced_1d(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Val
                 np.multiply(c, mid, out=fl)
                 fl *= sl
                 mid -= fl
-        r = d_int(s0, s1) / de**2
+        r = 0.5 * noise_energy(s0, s1) / de**2
         if r > 0.0:
             _e_solve(u, r)
         _snap_unit(u, f"reduced slice s={s1:.6g}")

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, burgers_gap,
-                                   characteristic, psi, trap_probability,
-                                   _STRIP_SWITCH, _strip_images, _strip_modes)
+                                   characteristic, gaussian_control_fractions, psi,
+                                   trap_probability, _STRIP_SWITCH, _strip_images,
+                                   _strip_modes)
 from fbsde_lab.model_core import affine_model, heaviside_tc, linear_drift_model, nonlinear_model
 from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d
 
@@ -115,6 +118,18 @@ def test_w_lipschitz_in_p_degrades_linearly_in_time_to_go():
         assert np.max(ratio) <= 1.5 * (0.5 - t) + 1e-12
 
 
+def test_monte_carlo_compensator_refuses_a_batch_of_points():
+    # its Philox key hashes the one point; at the horizon w is 0 on any batch
+    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
+                        lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
+    we = WEvaluator(m)
+    with pytest.raises(ValueError, match=re.escape("not p of shape (3, 1)")):
+        we.evaluate(0.0, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=re.escape("not p of shape (1, 1)")):
+        we.evaluate(0.0, np.zeros((1, 1)))
+    assert we.evaluate(m.horizon_T, np.zeros((3, 1))) == 0.0
+
+
 def test_mode_family_consistency():
     assert WEvaluator(affine_model(alpha=1.0, gamma=1.0)).mode == "closed_form_affine"
     m = linear_drift_model(lam=-1.0, alpha=1.0, gamma=1.0)
@@ -130,8 +145,10 @@ def test_mode_family_consistency():
 
 def test_trap_probability_is_one_without_noise():
     model = affine_model(alpha=0.0, gamma=1.0, sigma=1.0, horizon_T=0.1)
-    assert WEvaluator(model).bridge_clock() == 0.0
+    assert WEvaluator(model).noise_energy(0.0, 0.1, 2) == 0.0
     assert trap_probability(model) == 1.0
+    # so is the Gaussian control's fraction at every delta: V = 0
+    assert gaussian_control_fractions(model, [1e-3, 1e-4, 1e-5]).tolist() == [1.0] * 3
 
 
 @pytest.mark.parametrize("x", [_STRIP_SWITCH * 0.9, _STRIP_SWITCH, _STRIP_SWITCH * 1.1])
@@ -144,10 +161,37 @@ def test_linear_drift_bridge_clock_matches_quad(lam):
     from scipy.integrate import quad
     m = linear_drift_model(lam=lam, alpha=1.0, gamma=1.0, sigma=0.5, horizon_T=0.2)
     we = WEvaluator(m)
-    # |sigma^T dp_w(t)|^2 / (T - t)^2 from the evaluator's own gradient
-    integrand = lambda t: float(we.noise_integrand(t, np.zeros(1))[0]) ** 2 / (0.2 - t) ** 2
+    # the clock tau = int_0^T |sigma^T dp_w(t)|^2 / (T - t)^2 dt, over the
+    # time t, from the evaluator's own gradient
+    integrand = lambda t: (0.5 * float(we.dp_w(t)[0])) ** 2 / (0.2 - t) ** 2
     expect, _ = quad(integrand, 0.0, 0.2, epsabs=0.0, epsrel=1e-13)
-    assert we.bridge_clock() == pytest.approx(expect, rel=1e-12)
+    assert we.noise_energy(0.0, 0.2, 2) == pytest.approx(expect, rel=1e-12)
+
+
+# |sigma^T dp_w|^2 at time to go s, written out per family
+_NOISE_MODELS = {
+    "affine_dim1": (affine_model(alpha=0.8, gamma=1.0, sigma=0.7, horizon_T=0.2),
+                    lambda s: (0.7 * 0.8 * s) ** 2),
+    "affine_dim2": (affine_model(alpha=[0.3, -0.5], gamma=1.0, sigma=0.7, horizon_T=0.2),
+                    lambda s: 0.7**2 * (0.3**2 + 0.5**2) * s**2),
+    **{f"linear_drift_{lam}": (
+        linear_drift_model(lam=lam, alpha=0.8, gamma=1.0, sigma=0.7, horizon_T=0.2),
+        lambda s, lam=lam: (0.7 * 0.8 * (np.expm1(lam * s) / lam if lam else s)) ** 2)
+       for lam in (-1.0, 1e-5, 0.0, 3.0, 40.0)},
+}
+
+
+@pytest.mark.parametrize("power", [0, 2])
+@pytest.mark.parametrize("name", list(_NOISE_MODELS))
+def test_noise_energy_matches_quad(name, power):
+    from scipy.integrate import quad
+    m, energy = _NOISE_MODELS[name]
+    we = WEvaluator(m)
+    # the tail spans of a reduced field's slices, where a closed form of
+    # differences of O(1/lam) terms was off by 2e-4 and 1e-6 relative
+    for a, b in [(0.0, 0.2), (0.1, 0.1001), (0.0, 1e-4), (1e-3, 1.07e-3), (0.05, 0.2)]:
+        expect, _ = quad(lambda s: energy(s) / s**power, a, b, epsabs=0.0, epsrel=1e-13)
+        assert we.noise_energy(a, b, power) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_bridge_clock_is_refused_without_a_closed_form_compensator():
@@ -155,6 +199,20 @@ def test_bridge_clock_is_refused_without_a_closed_form_compensator():
                         lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
     with pytest.raises(ValueError, match="nonlinear_1d family lacks"):
         trap_probability(m)
+    with pytest.raises(ValueError, match="nonlinear_1d family lacks"):
+        gaussian_control_fractions(m, [1e-2, 1e-4])
+    with pytest.raises(ValueError, match="nonlinear_1d family lacks"):
+        WEvaluator(m).dp_w(0.0)
+
+
+def test_gaussian_control_is_the_normal_law():
+    from scipy.stats import norm
+    m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    deltas = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4]) * 0.1
+    sd = 0.1 * np.sqrt(0.1**3 / 3.0)   # sigma alpha sqrt(T^3 / 3)
+    expect = norm.cdf(deltas / sd) - norm.cdf(-deltas / sd)
+    np.testing.assert_allclose(gaussian_control_fractions(m, deltas), expect,
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

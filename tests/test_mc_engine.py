@@ -11,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from fbsde_lab import mc_engine, value_pde
-from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, characteristic, psi,
-                                   trap_probability, _STRIP_SWITCH, _strip_images,
-                                   _strip_modes)
+from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, characteristic,
+                                   gaussian_control_fractions, psi, trap_probability,
+                                   _STRIP_SWITCH, _strip_images, _strip_modes)
 from fbsde_lab.experiments import scenario_field, scenario_model, scenario_sim
-from fbsde_lab.mc_engine import (SimConfig, conditional_support, dirac_scan,
-                                 euler_paths, feynman_kac_grad_p, flow_squeeze_check,
-                                 gaussian_control_terminal, path_normals,
+from fbsde_lab.mc_engine import (PathEnsemble, SimConfig, conditional_support,
+                                 dirac_scan, euler_paths, feynman_kac_grad_p,
+                                 flow_squeeze_check, path_normals,
                                  prefactor_report, sim_time_grid, simulate_forward,
                                  terminal_sandwich_check, transmission_scan,
                                  variance_scan,
@@ -240,27 +240,48 @@ def test_dirac_scan_curve_monotone_and_plateau():
     assert curve.plateau >= 0.8
 
 
+def _terminal_ensemble(terminal_E, cap_lambda=0.0):
+    """A path ensemble that ends at ``terminal_E``, no path escaped."""
+    E = np.asarray(terminal_E, dtype=float)
+    return PathEnsemble(terminal_E=E, terminal_Y=np.full_like(E, np.nan),
+                        terminal_Ebar=E, snapshots={},
+                        escaped=np.zeros(E.shape, dtype=bool),
+                        provenance={"cap_lambda": cap_lambda})
+
+
 def test_dirac_scan_ladder_validation():
     with pytest.raises(ValueError):
-        dirac_scan(np.zeros(10), [1e-3, 1e-2])
+        dirac_scan(_terminal_ensemble(np.zeros(10)), [1e-3, 1e-2])
     with pytest.raises(ValueError):
-        dirac_scan(np.zeros(10), [1e-2, 5e-3, 2e-3])
+        dirac_scan(_terminal_ensemble(np.zeros(10)), [1e-2, 5e-3, 2e-3])
+
+
+def _sampled_gaussian_control(model, cfg):
+    """cap + N(0, V) drawn from Philox(seed ^ 0xC0FFEE), V from a 64-node
+    Gauss-Legendre rule over |sigma^T dp_w(t)|^2 on [0, T]: the control by
+    sampling, an oracle for its exact law."""
+    T = model.horizon_T
+    x, w = np.polynomial.legendre.leggauss(64)
+    we = WEvaluator(model)
+    sig = model.family_params["sigma"]
+    var = sum(0.5 * T * w_k * float(np.sum((sig * we.dp_w(0.5 * T * (x_k + 1.0))) ** 2))
+              for x_k, w_k in zip(x, w))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ 0xC0FFEE))
+    return model.cap_lambda + np.sqrt(var) * rng.standard_normal(cfg.n_paths)
 
 
 def test_gaussian_control_matches_closed_form_cdf():
-    model, field, cfg = noisy_setup(n_paths=40000, alpha=0.1)
-    term = gaussian_control_terminal(model, cfg)
-    sig = 0.1 * np.sqrt(0.1**3 / 3.0)   # sigma*alpha * sqrt(h^3/3)
+    model = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
+    cfg = SimConfig(n_paths=40000, n_steps=400, p0=np.zeros(1), e0=0.05, seed=11)
     deltas = np.array([1e-2, 1e-3, 1e-4]) * 0.1
-    curve = dirac_scan(term, deltas, cap_lambda=0.0)
-    for d, fr, se in zip(curve.deltas, curve.fractions, curve.std_errors):
-        expect = 2 * norm.cdf(d / sig) - 1
-        assert abs(fr - expect) <= 3 * se + 2e-3
-    assert curve.plateau <= 0.05
+    exact = gaussian_control_fractions(model, deltas)
+    curve = dirac_scan(_terminal_ensemble(_sampled_gaussian_control(model, cfg)), deltas)
+    assert np.all(np.abs(curve.fractions - exact) <= 3 * curve.std_errors)
+    assert exact[-1] / exact[0] <= 0.05
 
 
 def test_zero_hits_flags_plateau_undefined():
-    curve = dirac_scan(np.full(100, 5.0), [1e-1, 1e-2, 1e-3])
+    curve = dirac_scan(_terminal_ensemble(np.full(100, 5.0)), [1e-1, 1e-2, 1e-3])
     assert not curve.plateau_defined
 
 
@@ -440,12 +461,12 @@ def _grid_monitored_trap(model, sim):
     int_0^t <sigma^T dp_w, dW> / (T - s), stepped on ``euler_paths``
     increments (a trap test by path loop, watching M at grid times only)."""
     T = model.horizon_T
-    we = WEvaluator(model)
+    sig, we = model.family_params["sigma"], WEvaluator(model)
     on_F = []
     for _, count, steps in euler_paths(model, sim, np.linspace(0.0, T, sim.n_steps + 1)):
         M, sup = np.zeros(count), np.zeros(count)
         for _, t, _, P, _, dW in steps:
-            M += np.einsum("ni,ni->n", we.noise_integrand(t, P), dW) / (T - t)
+            M += dW @ (sig * we.dp_w(t)) / (T - t)   # <sigma^T dp_w, dW>
             sup = np.maximum(sup, np.abs(M))
         on_F.append(sup < model.ell1 / 16.0)
     p_hat = float(np.mean(np.concatenate(on_F)))
@@ -466,7 +487,7 @@ def test_trap_probability_matches_the_strip_series(horizon):
     p_hat, se = _grid_monitored_trap(model, sim)
     scale = model.family_params["sigma"] * float(np.linalg.norm(model.family_params["alpha"]))
     a = model.ell1 / 16 + 0.5826 * scale * np.sqrt(horizon / n_steps)
-    x = WEvaluator(model).bridge_clock() / a**2
+    x = WEvaluator(model).noise_energy(0.0, horizon, 2) / a**2
     shifted = (_strip_images if x < _STRIP_SWITCH else _strip_modes)(x)
     assert abs(p_hat - shifted) <= 3 * se, (p_hat, shifted)
 

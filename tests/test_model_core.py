@@ -45,7 +45,6 @@ def test_decreasing_feedback_fails_monotonicity():
         value=lambda p, y: np.asarray(p)[..., 0] - np.asarray(y),
         dy=lambda p, y: np.broadcast_to(-1.0, np.broadcast(np.asarray(p)[..., 0], y).shape),
         dp=lambda p, y: np.ones_like(np.asarray(p, dtype=float)),
-        f_at_zero=lambda p: np.asarray(p)[..., 0],
     )
     m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p, diffusion=lambda p: np.ones(p.shape + (1,)),
                   feedback=fb, lipschitz_L=2.0, ell1=0.5, ell2=1.0,
@@ -59,7 +58,6 @@ def test_nonfinite_coefficient_reports_offending_point():
         value=lambda p, y: np.where(np.asarray(p)[..., 0] > 1.5, np.nan, np.asarray(y)),
         dy=lambda p, y: np.ones(np.broadcast(np.asarray(p)[..., 0], y).shape),
         dp=lambda p, y: np.zeros_like(np.asarray(p, dtype=float)),
-        f_at_zero=lambda p: 0.0 * np.asarray(p)[..., 0],
     )
     m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p,
                   diffusion=lambda p: np.ones(p.shape + (1,)),
@@ -193,7 +191,7 @@ def test_effective_ell_identity_on_grid():
     ell = effective_ell(m, p, v)
     assert np.all((ell >= 0.9 - 1e-12) & (ell <= 1.1 + 1e-12))
     lhs = v * ell
-    rhs = m.feedback.value(p, v) - m.feedback.f_at_zero(p)
+    rhs = m.feedback.value(p, v) - m.feedback.value(p, 0.0)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 

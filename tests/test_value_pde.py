@@ -14,8 +14,7 @@ from fbsde_lab.scenarios import build_model
 from fbsde_lab.value_pde import (CFLError, Grid, _e_solve, _thomas_factors,
                                  _thomas_sweep, _tridiag, _upwind_transport, conservation_gap,
                                  e_nodes_for, gradient_fields,
-                                 gradient_band_violation, reduced_diffusion_integral,
-                                 solve_mollified, solve_reduced_1d,
+                                 gradient_band_violation, solve_mollified, solve_reduced_1d,
                                  time_nodes_with_tail)
 
 
@@ -319,7 +318,7 @@ def test_upwind_transport_is_bit_identical_to_formula(p_shape):
 def _reduced_reference(model, grid, tc):
     """The reduced march with the allocating full-grid transport; the edges
     u[0] = 0 and u[-1] = 1 are data, and only the inner nodes move."""
-    gamma, d_int, de = model.family_params["gamma"], reduced_diffusion_integral(model), grid.de
+    gamma, noise_energy, de = model.family_params["gamma"], WEvaluator(model).noise_energy, grid.de
     dt_cfl = 0.85 * de / (2.0 * gamma)
     u = tc(grid.e_nodes).astype(float)
     u[0], u[-1] = 0.0, 1.0
@@ -330,7 +329,7 @@ def _reduced_reference(model, grid, tc):
         c = (s1 - s0) / n_sub * gamma / de
         for _ in range(n_sub):
             u[1:-1] -= c * u[1:-1] * (u[1:-1] - u[:-2])
-        r = d_int(s0, s1) / de**2
+        r = 0.5 * noise_energy(s0, s1) / de**2   # the reduced diffusion's integral
         if r > 0.0:
             _e_solve(u, r)
         np.clip(u, 0.0, 1.0, out=u)        # the solver's roundoff snap
@@ -349,13 +348,13 @@ def test_reduced_solve_is_bit_identical_to_formula(alpha):
 
 
 def test_reduced_edges_are_exact_where_the_e_solve_is_stiff():
-    # r = d_int / de**2 reaches about 26 here; a solve of the whole axis with
+    # r = (noise energy / 2) / de**2 reaches about 26 here; a solve of the whole axis with
     # identity edge rows pivots once r > 1 and left u[0] off 0 and -0.0 nodes
     m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
     field = value_pde.reduced_tail_field(m, heaviside_tc(0.0), {"de_reduced": 1e-4})
     s = np.sort(m.horizon_T - field.grid.t_nodes)
-    d_int = reduced_diffusion_integral(m)
-    assert max(d_int(a, b) for a, b in zip(s[:-1], s[1:])) / field.grid.de**2 > 10.0
+    energy = WEvaluator(m).noise_energy
+    assert max(0.5 * energy(a, b) for a, b in zip(s[:-1], s[1:])) / field.grid.de**2 > 10.0
     v = field.values
     assert np.all(v[:, 0] == 0.0) and np.all(v[:, -1] == 1.0)
     assert not np.any(np.signbit(v))        # no -0.0 anywhere, u[0] included
@@ -503,10 +502,11 @@ def test_linear_drift_closed_forms_at_small_lam_match_lam_zero(lam):
     # diffusion integral of sigma = alpha = 1 over [0, 0.2] read 93,132, not 1.33e-3
     kw = {"alpha": 0.8, "gamma": 1.0, "sigma": 0.7, "b0": 0.3, "horizon_T": 0.2}
     m, m0 = linear_drift_model(lam=lam, **kw), linear_drift_model(lam=0.0, **kw)
-    d, d0 = reduced_diffusion_integral(m), reduced_diffusion_integral(m0)
-    for a, b in [(0.0, 0.2), (0.1, 0.1001), (0.0, 1e-4), (0.19, 0.2)]:
-        assert d(a, b) == pytest.approx(d0(a, b), rel=1e-8, abs=0)
     we, we0 = WEvaluator(m), WEvaluator(m0)
+    for a, b in [(0.0, 0.2), (0.1, 0.1001), (0.0, 1e-4), (0.19, 0.2)]:
+        for power in (0, 2):
+            assert we.noise_energy(a, b, power) == pytest.approx(
+                we0.noise_energy(a, b, power), rel=1e-8, abs=0)
     t, p = np.linspace(0.0, 0.2, 9), np.linspace(-1.0, 1.0, 9)[:, None]
     np.testing.assert_allclose(we.evaluate(t, p), we0.evaluate(t, p), rtol=1e-8, atol=0)
     np.testing.assert_allclose(we.dp_w(t), we0.dp_w(t), rtol=1e-8, atol=0)
@@ -518,14 +518,7 @@ def test_linear_drift_closed_forms_match_high_order_quadrature(lam):
     kw = {"alpha": 0.8, "gamma": 1.0, "sigma": 0.7, "b0": 0.3, "horizon_T": 0.2}
     m = linear_drift_model(lam=lam, **kw)
     growth = lambda s: np.expm1(lam * s) / lam
-    coef = 0.5 * (0.7 * 0.8) ** 2
-    d = reduced_diffusion_integral(m)
-    # tail-slice spans: the closed form was off by 2e-4 relative over (0, 1e-4)
-    # and by 1e-6 over (1e-3, 1.07e-3)
-    for a, b in [(0.0, 0.2), (0.1, 0.1001), (0.0, 1e-4), (0.05, 0.2), (1e-3, 1.07e-3)]:
-        ref = coef * quad(lambda s: growth(s) ** 2, a, b, epsabs=0, epsrel=1e-13)[0]
-        assert d(a, b) == pytest.approx(ref, rel=1e-12, abs=0)
-    we = WEvaluator(m)
+    we = WEvaluator(m)   # the noise energy is held to quad in test_burgers_ref
     for t in (0.0, 0.1, 0.19):
         s = 0.2 - t
         drifted = quad(growth, 0.0, s, epsabs=0, epsrel=1e-13)[0]
