@@ -8,7 +8,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.stats import norm
 
 from fbsde_lab import mc_engine, value_pde
 from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, characteristic,
@@ -240,13 +239,14 @@ def test_dirac_scan_curve_monotone_and_plateau():
     assert curve.plateau >= 0.8
 
 
-def _terminal_ensemble(terminal_E, cap_lambda=0.0):
-    """A path ensemble that ends at ``terminal_E``, no path escaped."""
+def _terminal_ensemble(terminal_E):
+    """A path ensemble that ends at ``terminal_E`` with the cap at 0, no
+    path escaped."""
     E = np.asarray(terminal_E, dtype=float)
     return PathEnsemble(terminal_E=E, terminal_Y=np.full_like(E, np.nan),
                         terminal_Ebar=E, snapshots={},
                         escaped=np.zeros(E.shape, dtype=bool),
-                        provenance={"cap_lambda": cap_lambda})
+                        provenance={"cap_lambda": 0.0})
 
 
 def test_dirac_scan_ladder_validation():

@@ -348,8 +348,9 @@ def test_reduced_solve_is_bit_identical_to_formula(alpha):
 
 
 def test_reduced_edges_are_exact_where_the_e_solve_is_stiff():
-    # r = (noise energy / 2) / de**2 reaches about 26 here; a solve of the whole axis with
-    # identity edge rows pivots once r > 1 and left u[0] off 0 and -0.0 nodes
+    # r = (noise energy / 2) / de**2 reaches about 26 here; a solve of the whole
+    # axis with identity edge rows pivots once r > 1 and left u[0] off 0 and
+    # -0.0 nodes
     m = affine_model(alpha=0.1, gamma=1.0, sigma=1.0, horizon_T=0.1)
     field = value_pde.reduced_tail_field(m, heaviside_tc(0.0), {"de_reduced": 1e-4})
     s = np.sort(m.horizon_T - field.grid.t_nodes)
