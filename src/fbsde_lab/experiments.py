@@ -36,7 +36,7 @@ from .model_core import (BUMP_MEAN, affine_model, heaviside_tc, mollify,
                          validate_assumptions)
 from .scenarios import build_model, build_tc, config_hash
 from .value_pde import (conservation_gap, far_field_violation, full_field,
-                        gradient_fields, gradient_band_violation, off_cone_decay,
+                        gradient_band_violation, off_cone_decay,
                         reduced_aligned_field, reduced_tail_field)
 
 
@@ -145,7 +145,7 @@ def cone_start(model, frac: float) -> float:
 
 def check_validate(cfg) -> CheckOutcome:
     model = build_model(cfg["model"])
-    rep = validate_assumptions(model, ((-2.0, 2.0), (0.0, 1.0)), 400)
+    rep = validate_assumptions(model)
     stats = {c.name: c.worst_margin for c in rep.checks}
     stats["elliptic"] = rep.elliptic
     return CheckOutcome("validate", "pass" if rep.all_passed else "fail", stats)
@@ -163,7 +163,7 @@ def check_gradient_band(cfg) -> CheckOutcome:
     half = 2.0 * model.lipschitz_L * model.horizon_T
     vf = full_field(model, tc, {"de_full": 2.0 * half / _BAND_N_E, "n_t": _BAND_N_T,
                                 "p_half": 2.5, "n_p": _BAND_N_P})
-    entry = gradient_band_violation(vf, gradient_fields(vf), model)
+    entry = gradient_band_violation(vf, model)
     return CheckOutcome("gradient_band", "pass" if entry.passed else "fail",
                         {"worst_violation": entry.worst})
 
@@ -178,14 +178,12 @@ def check_comparison_mollified(cfg) -> CheckOutcome:
     order_slack = 1e-6
     worst_order = -np.inf
     gaps, uppers = [], []
-    t_probe = 0.5 * model.horizon_T
     pad = 1.0 / min(_MOLLIFIER_NS)
     for n in _MOLLIFIER_NS:
         up = full_field(model, mollify(tc, n, "upper"), gcfg, pad=pad)
         lo = full_field(model, mollify(tc, n, "lower"), gcfg, pad=pad)
         worst_order = max(worst_order, float(np.max(lo.values - up.values)))
-        gaps.append(conservation_gap(up, lo, m=0.5 * model.horizon_T,
-                                     t=t_probe, p=[0.0]))
+        gaps.append(conservation_gap(up, lo))
         uppers.append(up)
     mono_n = all(np.all(a.values >= b.values - order_slack)
                  for a, b in zip(uppers[:-1], uppers[1:]))
@@ -351,7 +349,7 @@ def _transmission_profile(model, field):
     """Transmission profiles at t = 0, p = 0 across the horizon's cone."""
     gamma, h = model.family_params["gamma"], model.horizon_T
     e_grid = model.cap_lambda + gamma * h * np.linspace(-1.0, 2.5, 701)
-    return transmission_scan(field, gradient_fields(field), model, e_grid)
+    return transmission_scan(field, model, e_grid)
 
 
 def check_transmission(cfg) -> CheckOutcome:
@@ -431,8 +429,7 @@ def check_sandwich(cfg) -> CheckOutcome:
     _, tc, field, _, paths = _main_ensemble(_ensemble_key(cfg))
     ens = paths()
     smear = field.provenance.get("smoothing_width", field.grid.de)
-    frac = terminal_sandwich_check(ens, tc, eta=0.05,
-                                   min_cap_distance=10 * smear)
+    frac = terminal_sandwich_check(ens, tc, min_cap_distance=10 * smear)
     ok = frac <= 0.01 and ens.escape_fraction <= 1e-3
     return CheckOutcome("sandwich", "pass" if ok else "fail",
                         {"violation_fraction": frac,
@@ -534,7 +531,7 @@ def check_feynman_kac(cfg) -> CheckOutcome:
     field = reduced_aligned_field(model, tc, 1e-4, cfg["sim"]["n_steps"])
     e0 = model.cap_lambda + 0.3 * model.horizon_T
     sim = scenario_sim(cfg, model, e0=e0)
-    est = feynman_kac_grad_p(model, field, gradient_fields(field), sim)
+    est = feynman_kac_grad_p(model, field, sim)
     h_fd = 1e-3
     diff = np.asarray(field.eval(0.0, sim.p0 + h_fd, np.array([e0]), model)
                       - field.eval(0.0, sim.p0 - h_fd, np.array([e0]), model))
@@ -553,7 +550,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     model, tc = scenario_model(cfg)
     vf = full_field(model, tc, cfg["grid"])
     far = far_field_violation(vf, model)
-    band = gradient_band_violation(vf, gradient_fields(vf), model)
+    band = gradient_band_violation(vf, model)
 
     tc_up = mollify(heaviside_tc(model.cap_lambda), 8, "upper")
     m_cal = affine_model(alpha=1.0, gamma=1.0, sigma=1.0,
@@ -561,7 +558,7 @@ def check_bound_report(cfg) -> CheckOutcome:
     vf_up = full_field(m_cal, tc_up, {"de_full": 2e-3, "p_half": 3.0,
                                       "n_p": 61, "n_t": 100},
                        pad=0.25, t_extra=[0.2, 0.3])
-    decay = off_cone_decay(vf_up, gradient_fields(vf_up), m_cal)
+    decay = off_cone_decay(vf_up, m_cal)
 
     ok = far.passed and band.passed
     verdict = "pass" if ok and decay.passed else ("flagged" if ok else "fail")

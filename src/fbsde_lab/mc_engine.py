@@ -25,7 +25,7 @@ import numpy as np
 
 from .model_core import ModelSpec, TerminalCondition, phi_sides_arrays
 from .burgers_ref import WEvaluator
-from .value_pde import ValueField
+from .value_pde import ValueField, gradient_fields
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,8 @@ def simulate_forward(model: ModelSpec, field: ValueField,
 
     Escaped paths (those leaving the field's e-domain) are flagged and meant
     to be excluded from statistics; accepted runs require the escape
-    fraction below 0.1%.
+    fraction below 0.1%.  The ensemble's provenance is the field's, with
+    the model's cap, which the path statistics read.
     """
     T = field.grid.horizon
     tE, tY, tP, esc, snaps = _simulate_core(
@@ -247,7 +248,7 @@ def simulate_forward(model: ModelSpec, field: ValueField,
     return PathEnsemble(
         terminal_E=tE[0], terminal_Y=tY[0], terminal_Ebar=ebar_T,
         snapshots=snapshots, escaped=esc[0],
-        provenance=dict(field.provenance))
+        provenance={**field.provenance, "cap_lambda": model.cap_lambda})
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def dirac_scan(ens: PathEnsemble, delta_list) -> AtomCurve:
         raise ValueError("delta ladder must span at least two decades")
     data = ens.terminal_E[ens.ok()]
     n = len(data)
-    dist = np.abs(data - ens.provenance.get("cap_lambda", 0.0))
+    dist = np.abs(data - ens.provenance["cap_lambda"])
     fr = np.array([np.mean(dist <= d) for d in deltas])
     se = np.sqrt(np.maximum(fr * (1 - fr), 0.0) / max(n, 1))
     defined = fr[0] > 0
@@ -306,7 +307,7 @@ class SupportHistogram:
 def conditional_support(ens: PathEnsemble, delta: float) -> SupportHistogram:
     """Histogram of Y_T over ten equal bins of [0,1] on the conditioning event
     |E_T - cap| <= delta."""
-    lam = ens.provenance.get("cap_lambda", 0.0)
+    lam = ens.provenance["cap_lambda"]
     ok = ens.ok()
     mask = ok & (np.abs(ens.terminal_E - lam) <= delta)
     if not np.any(mask):
@@ -318,9 +319,13 @@ def conditional_support(ens: PathEnsemble, delta: float) -> SupportHistogram:
                             n_conditioned=int(mask.sum()))
 
 
+_SANDWICH_ETA = 0.05   # the slack of the relaxed terminal condition (c6)
+
+
 def terminal_sandwich_check(ens: PathEnsemble, tc: TerminalCondition,
-                            eta: float, min_cap_distance: float = 0.0) -> float:
-    """Fraction of paths with Y_T outside [phi_-(E_T) - eta, phi_+(E_T) + eta].
+                            min_cap_distance: float = 0.0) -> float:
+    """Fraction of paths with Y_T outside [phi_-(E_T) - eta, phi_+(E_T) + eta],
+    eta = ``_SANDWICH_ETA``.
 
     ``min_cap_distance`` restricts the census to paths ending at least that
     far from the cap (used to separate the genuine squeeze from the
@@ -328,13 +333,13 @@ def terminal_sandwich_check(ens: PathEnsemble, tc: TerminalCondition,
     """
     ok = ens.ok()
     if min_cap_distance > 0:
-        lam = ens.provenance.get("cap_lambda", tc.threshold)
+        lam = ens.provenance["cap_lambda"]
         ok = ok & (np.abs(ens.terminal_E - lam) >= min_cap_distance)
     if not np.any(ok):
         return 0.0
     lo, hi = phi_sides_arrays(tc, ens.terminal_E[ok])
     y = ens.terminal_Y[ok]
-    viol = (y < lo - eta) | (y > hi + eta)
+    viol = (y < lo - _SANDWICH_ETA) | (y > hi + _SANDWICH_ETA)
     return float(np.mean(viol))
 
 
@@ -522,13 +527,13 @@ def _brackets(e, vals):
     return out
 
 
-def transmission_scan(field: ValueField, de_v: np.ndarray, model: ModelSpec,
+def transmission_scan(field: ValueField, model: ModelSpec,
                       e_grid) -> TransmissionProfile:
     """Profile of the noise-transmission coefficient along e at (t, p) = (0, 0).
 
-    Reads a reduced (dim 0) field, hence an affine-type model, and its e-gradient
-    ``de_v``; reports both normalizations alpha - gamma*dp_v and alpha - dp_v
-    with dp_v = de_v(ebar) dp_w.  The in-cone level is the maximum magnitude
+    Reads a reduced (dim 0) field, hence an affine-type model, and its
+    e-gradient de_v; reports both normalizations alpha - gamma*dp_v and
+    alpha - dp_v with dp_v = de_v(ebar) dp_w.  The in-cone level is the maximum magnitude
     of the first over the central cone band, the off-cone level the median
     magnitude outside a widened band.
     """
@@ -539,8 +544,8 @@ def transmission_scan(field: ValueField, de_v: np.ndarray, model: ModelSpec,
     lam = model.cap_lambda
     gamma = model.family_params["gamma"]
 
-    ebar, de_v_bar = read(0, np.zeros(model.dim_p), e_grid, (de_v,))
-    dp_v = de_v_bar * WEvaluator(model).dp_w(0.0)[0]
+    ebar, de_v = read(0, np.zeros(model.dim_p), e_grid, (gradient_fields(field),))
+    dp_v = de_v * WEvaluator(model).dp_w(0.0)[0]
     a0 = float(np.atleast_1d(model.family_params["alpha"])[0])
     profiles = {"alpha_minus_gamma_dpv": a0 - gamma * dp_v,
                 "alpha_minus_dpv": a0 - dp_v}
@@ -574,7 +579,7 @@ class GradPEstimate:
     degenerate: bool
 
 
-def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
+def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
                        cfg: SimConfig) -> GradPEstimate:
     """Importance-weighted pathwise estimator of dv/dp at the start point.
 
@@ -589,6 +594,7 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField, de_v: np.ndarray,
     tgrid = sim_time_grid(cfg, field)
     batches = euler_paths(model, cfg, tgrid)
     read = field.reader(model, tgrid[:-1])
+    de_v = gradient_fields(field)
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
     dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)

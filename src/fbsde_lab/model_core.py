@@ -382,27 +382,24 @@ def _require_finite(name, arr, points):
             f"{np.asarray(points).reshape(len(np.asarray(arr).reshape(-1)), -1)[idx]}")
 
 
-def validate_assumptions(model: ModelSpec, sample_box,
-                         n_samples: int = 400) -> ValidationReport:
-    """Sampling-based check of the structural assumptions on a declared box.
+# validate_assumptions draws _N_SAMPLES sample pairs from the box
+# ((p_lo, p_hi), (y_lo, y_hi)), with the p-bounds on every coordinate
+_SAMPLE_BOX = ((-2.0, 2.0), (0.0, 1.0))
+_N_SAMPLES = 400
 
-    ``sample_box`` is ``((p_lo, p_hi), (y_lo, y_hi))`` with scalar or
-    per-coordinate p-bounds.  Checks growth/Lipschitz bounds on b, sigma and
-    f, the two-sided monotonicity of f in y, the Holder continuity of
-    df/dy, boundedness, and uniform ellipticity of sigma sigma^T (reported
-    as a flag).  Margins are the worst sampled slack: negative means the
-    assumption failed at some sample pair; a check passes down to -1e-9.
-    The samples come from the Philox stream of key 0.
+
+def validate_assumptions(model: ModelSpec) -> ValidationReport:
+    """Sampling-based check of the structural assumptions on ``_SAMPLE_BOX``.
+
+    Checks growth/Lipschitz bounds on b, sigma and f, the two-sided
+    monotonicity of f in y, the Holder continuity of df/dy, boundedness,
+    and uniform ellipticity of sigma sigma^T (reported as a flag).  Margins
+    are the worst sampled slack: negative means the assumption failed at
+    some sample pair; a check passes down to -1e-9.  The samples come from
+    the Philox stream of key 0.
     """
-    (p_lo, p_hi), (y_lo, y_hi) = sample_box
-    n = int(n_samples)
-    if n < 100:
-        raise ValueError("n_samples must be >= 100")
-    d = model.dim_p
-    p_lo = np.broadcast_to(np.atleast_1d(np.asarray(p_lo, dtype=float)), (d,))
-    p_hi = np.broadcast_to(np.atleast_1d(np.asarray(p_hi, dtype=float)), (d,))
-    if np.any(p_hi <= p_lo) or y_hi <= y_lo:
-        raise ValueError("sample_box must be nonempty")
+    (p_lo, p_hi), (y_lo, y_hi) = _SAMPLE_BOX
+    n, d = _N_SAMPLES, model.dim_p
     rng = np.random.Generator(np.random.Philox(key=0))
     P = p_lo + (p_hi - p_lo) * rng.random((n, d))
     P2 = p_lo + (p_hi - p_lo) * rng.random((n, d))

@@ -731,26 +731,24 @@ def gradient_fields(field: ValueField) -> np.ndarray:
     return np.gradient(field.values, field.grid.de, axis=-1)
 
 
-def conservation_gap(field_upper: ValueField, field_lower: ValueField,
-                     m: float, t: float, p=None) -> float:
-    """Trapezoidal integral of (upper - lower) over [cap - m, cap + m]."""
+def conservation_gap(field_upper: ValueField, field_lower: ValueField) -> float:
+    """Trapezoidal integral of (upper - lower) over [cap - T/2, cap + T/2]
+    at t = T/2, on the p-row nearest p = 0 of a full field."""
     gu, gl = field_upper.grid, field_lower.grid
     if gu.space_shape() != gl.space_shape() or len(gu.t_nodes) != len(gl.t_nodes):
         raise ValueError("fields must share a common grid")
-    lam = field_upper.provenance.get("cap_lambda", 0.0)
+    lam = field_upper.provenance["cap_lambda"]
+    half = 0.5 * gu.horizon
     e = gu.e_nodes
-    if lam - m < e[0] or lam + m > e[-1]:
+    if lam - half < e[0] or lam + half > e[-1]:
         raise ValueError("integration window exceeds the e-domain")
-    su = field_upper.values_at(t)
-    slv = field_lower.values_at(t)
-    if gu.dim >= 1:
-        if p is None:
-            raise ValueError("p node required for full fields")
-        for k, nodes in enumerate(gu.p_nodes):
-            i = int(np.argmin(np.abs(nodes - np.atleast_1d(p)[k])))
-            su = su[i]
-            slv = slv[i]
-    mask = (e >= lam - m - 1e-12) & (e <= lam + m + 1e-12)
+    su = field_upper.values_at(half)
+    slv = field_lower.values_at(half)
+    for nodes in gu.p_nodes:
+        i = int(np.argmin(np.abs(nodes)))
+        su = su[i]
+        slv = slv[i]
+    mask = (e >= lam - half - 1e-12) & (e <= lam + half + 1e-12)
     return float(np.trapezoid(su[mask] - slv[mask], e[mask]))
 
 
@@ -770,10 +768,10 @@ class BoundEntry:
     detail: str = ""
 
 
-def gradient_band_violation(field: ValueField, de_v: np.ndarray,
-                            model: ModelSpec) -> BoundEntry:
+def gradient_band_violation(field: ValueField, model: ModelSpec) -> BoundEntry:
     """Worst violation of 0 <= de_v <= 1/(ell1 (T-t)) + tol over the field."""
     g = field.grid
+    de_v = gradient_fields(field)
     T = g.horizon
     dt_min = float(np.min(np.diff(g.t_nodes)))
     worst = -np.inf
@@ -810,7 +808,7 @@ def far_field_violation(field: ValueField, model: ModelSpec) -> BoundEntry:
                       f"v >= 0.9 beyond {_FAR_FACTOR}*L*(T-t)")
 
 
-def off_cone_decay(field: ValueField, de_v: np.ndarray, model: ModelSpec) -> BoundEntry:
+def off_cone_decay(field: ValueField, model: ModelSpec) -> BoundEntry:
     """Ratio of the off-cone gradient levels at the two times-to-go
     ``_DECAY_HORIZONS`` against the square law.
 
@@ -819,6 +817,7 @@ def off_cone_decay(field: ValueField, de_v: np.ndarray, model: ModelSpec) -> Bou
     around the target (h1/h2)^2.
     """
     g = field.grid
+    de_v = gradient_fields(field)
     levels = []
     for h in _DECAY_HORIZONS:
         j = int(_slice_index(g.t_nodes, g.horizon - h))

@@ -9,8 +9,6 @@ from fbsde_lab.model_core import (
     phi_sides_arrays, smooth_ramp_tc, validate_assumptions,
 )
 
-BOX = ((-2.0, 2.0), (0.0, 1.0))
-
 
 def f0_sine(z):
     return z + 0.1 * np.sin(z)
@@ -22,7 +20,7 @@ def f0_sine_prime(z):
 
 def test_affine_model_passes_all_assumptions():
     m = affine_model(alpha=1.0, gamma=1.0, sigma=1.0)
-    rep = validate_assumptions(m, BOX, 400)
+    rep = validate_assumptions(m)
     assert rep.all_passed
     assert rep.elliptic
 
@@ -30,7 +28,7 @@ def test_affine_model_passes_all_assumptions():
 def test_nonlinear_dy_band_matches_analytic_extrema():
     # f0'(z) = 1 + 0.1 cos z has extrema exactly 0.9 and 1.1
     m = nonlinear_model(f0_sine, f0_sine_prime, ell1=0.9, ell2=1.1)
-    rep = validate_assumptions(m, BOX, 2000)
+    rep = validate_assumptions(m)
     assert {c.name: c.passed for c in rep.checks}["A3_dy_band"]
     # dense sampling confirms the analytic extrema are attained (nearly)
     z = np.linspace(-10, 10, 20001)
@@ -49,7 +47,7 @@ def test_decreasing_feedback_fails_monotonicity():
     m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p, diffusion=lambda p: np.ones(p.shape + (1,)),
                   feedback=fb, lipschitz_L=2.0, ell1=0.5, ell2=1.0,
                   holder_alpha=1.0, cap_lambda=0.0, horizon_T=1.0)
-    rep = validate_assumptions(m, BOX, 400)
+    rep = validate_assumptions(m)
     assert not {c.name: c.passed for c in rep.checks}["A2_monotonicity"]
 
 
@@ -64,15 +62,7 @@ def test_nonfinite_coefficient_reports_offending_point():
                   feedback=fb, lipschitz_L=2.0, ell1=0.5, ell2=1.0,
                   holder_alpha=1.0, cap_lambda=0.0, horizon_T=1.0)
     with pytest.raises(AssumptionError):
-        validate_assumptions(m, BOX, 400)
-
-
-def test_sample_box_preconditions():
-    m = affine_model(alpha=1.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        validate_assumptions(m, BOX, 50)
-    with pytest.raises(ValueError):
-        validate_assumptions(m, ((2.0, -2.0), (0.0, 1.0)), 400)
+        validate_assumptions(m)
 
 
 def test_model_constants_validated():

@@ -11,9 +11,9 @@ from fbsde_lab import value_pde
 from fbsde_lab.model_core import (BUMP_MEAN, affine_model, heaviside_tc,
                                   linear_drift_model, mollify, smooth_ramp_tc)
 from fbsde_lab.scenarios import build_model
-from fbsde_lab.value_pde import (CFLError, Grid, _e_solve, _thomas_factors,
-                                 _thomas_sweep, _tridiag, _upwind_transport, conservation_gap,
-                                 e_nodes_for, gradient_fields,
+from fbsde_lab.value_pde import (CFLError, Grid, ValueField, _e_solve, _thomas_factors,
+                                 _thomas_sweep, _tridiag, _upwind_transport,
+                                 conservation_gap, e_nodes_for, gradient_fields,
                                  gradient_band_violation, solve_mollified, solve_reduced_1d,
                                  time_nodes_with_tail)
 
@@ -180,7 +180,7 @@ def test_reduced_requires_dim0_and_affine():
 def test_gradient_band_holds_on_small_solve():
     m = small_model()
     vf = solve_mollified(m, small_grid(m), heaviside_tc(0.0))
-    entry = gradient_band_violation(vf, gradient_fields(vf), m)
+    entry = gradient_band_violation(vf, m)
     assert entry.passed
 
 
@@ -212,11 +212,19 @@ def test_conservation_gap_basics():
     g = small_grid(m, pad=0.3)
     up = solve_mollified(m, g, mollify(tc, 8, "upper"))
     lo = solve_mollified(m, g, mollify(tc, 8, "lower"))
-    assert conservation_gap(up, up, m=0.2, t=0.1, p=[0.0]) == 0.0
-    gap = conservation_gap(up, lo, m=0.2, t=0.1, p=[0.0])
-    assert gap > 0
-    with pytest.raises(ValueError):
-        conservation_gap(up, lo, m=10.0, t=0.1, p=[0.0])
+    assert conservation_gap(up, up) == 0.0
+    assert conservation_gap(up, lo) > 0
+
+
+def test_conservation_gap_refuses_a_window_past_the_e_domain():
+    # no solve makes an e-axis narrower than cap +- T/2, so this field is
+    # built by hand: its e-axis reaches T/4 either side of the cap
+    T = 0.2
+    grid = Grid(t_nodes=np.linspace(0.0, T, 3), e_nodes=np.linspace(-0.05, 0.05, 11))
+    field = ValueField(grid=grid, values=np.zeros((3, 11)),
+                       provenance={"cap_lambda": 0.0})
+    with pytest.raises(ValueError, match="integration window exceeds the e-domain"):
+        conservation_gap(field, field)
 
 
 def test_terminal_window_gap_matches_quadrature():
