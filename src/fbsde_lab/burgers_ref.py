@@ -210,11 +210,10 @@ class WEvaluator:
         for _ in range(n_steps):
             acc += model.feedback.value(P, 0.0) * dt
             acc_a += model.feedback.value(Pa, 0.0) * dt
-            dW = rng.standard_normal((n_half, d)) * np.sqrt(dt)
-            sig = model.diffusion(P)
-            sig_a = model.diffusion(Pa)
-            P = P + model.drift(P) * dt + np.einsum("nij,nj->ni", sig, dW)
-            Pa = Pa + model.drift(Pa) * dt - np.einsum("nij,nj->ni", sig_a, dW)
+            noise = np.einsum("ij,nj->ni", model.sigma,
+                              rng.standard_normal((n_half, d)) * np.sqrt(dt))
+            P = P + model.drift(P) * dt + noise
+            Pa = Pa + model.drift(Pa) * dt - noise
         pair = -0.5 * (acc + acc_a)
         est = float(np.mean(pair))
         se = float(np.std(pair, ddof=1) / np.sqrt(n_half))

@@ -8,14 +8,16 @@ Subcommands:
   simulate-only  simulate paths under a previously dumped field
 
 Config files are JSON (schema_version 1) with the same structure as the
-registry entries; flags override fields.  The output root defaults to the
-``FBSDE_LAB_OUTPUT`` environment variable, then ``./fbsde_lab_out``.
+registry entries, and finite numbers only; flags override fields.  The output
+root defaults to the ``FBSDE_LAB_OUTPUT`` environment variable, then
+``./fbsde_lab_out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,12 +43,22 @@ def _output_root(args) -> Path | None:
     return root
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float, refusing the NaN and infinities that Python's
+    json reads from ``NaN``, ``Infinity``, ``-Infinity`` and ``1e999``."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def _scenario_cfg(args, field=False) -> tuple | None:
     """(config, model, terminal condition, SimConfig) of the scenario with the
     config file and the ``--seed`` flag applied, or None after printing why
     the scenario is unknown or the config (with ``field``, its field) is refused."""
     try:
-        overrides = json.loads(Path(args.config).read_text()) if args.config else {}
+        overrides = json.loads(Path(args.config).read_text(), parse_float=_finite,
+                               parse_constant=_finite) if args.config else {}
         if overrides is None:   # scenario_config would read null as "no overrides"
             raise ValueError("a config must be a JSON object, not null")
         cfg = scenario_config(args.scenario, overrides)

@@ -428,7 +428,7 @@ def check_trap(cfg) -> CheckOutcome:
 def check_sandwich(cfg) -> CheckOutcome:
     _, tc, field, _, paths = _main_ensemble(_ensemble_key(cfg))
     ens = paths()
-    smear = field.provenance.get("smoothing_width", field.grid.de)
+    smear = field.provenance["smoothing_width"]
     frac = terminal_sandwich_check(ens, tc, min_cap_distance=10 * smear)
     ok = frac <= 0.01 and ens.escape_fraction <= 1e-3
     return CheckOutcome("sandwich", "pass" if ok else "fail",
@@ -525,7 +525,7 @@ def check_feynman_kac(cfg) -> CheckOutcome:
 
     Both routes read the same solved equation (as the identity itself does);
     the comparison value is a central p-difference of the reconstructed
-    value, the estimator an importance-weighted path integral of de_v.
+    value, the estimator a path integral of de_v.
     """
     model, tc = scenario_model(cfg)
     field = reduced_aligned_field(model, tc, 1e-4, cfg["sim"]["n_steps"])
@@ -536,11 +536,10 @@ def check_feynman_kac(cfg) -> CheckOutcome:
     diff = np.asarray(field.eval(0.0, sim.p0 + h_fd, np.array([e0]), model)
                       - field.eval(0.0, sim.p0 - h_fd, np.array([e0]), model))
     pde_val = float(diff.reshape(-1)[0]) / (2 * h_fd)
-    ok = (not est.degenerate) and abs(est.estimate - pde_val) <= 3 * est.std_error
-    verdict = "flagged" if est.degenerate else ("pass" if ok else "fail")
-    return CheckOutcome("feynman_kac", verdict,
+    ok = abs(est.estimate - pde_val) <= 3 * est.std_error
+    return CheckOutcome("feynman_kac", "pass" if ok else "fail",
                         {"estimate": est.estimate, "std_error": est.std_error,
-                         "pde_value": pde_val, "ess_fraction": est.ess_fraction})
+                         "pde_value": pde_val})
 
 
 def check_bound_report(cfg) -> CheckOutcome:

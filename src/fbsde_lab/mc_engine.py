@@ -144,7 +144,7 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
     batches of near-equal size; ``steps`` yields ``(k, t, dt, P, P_next, dW)``
     for each interval [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t,
     the increments dW (``path_normals`` scaled by sqrt(dt)) and
-    P_next = P + b(P) dt + sigma(P) dW.  A ``p0`` the model cannot take is
+    P_next = P + b(P) dt + sigma dW.  A ``p0`` the model cannot take is
     refused here, before any path is drawn.
     """
     d = model.dim_p
@@ -158,8 +158,7 @@ def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
             t = float(tgrid[k])
             dt = float(tgrid[k + 1]) - t
             dW = dW_all[k] * np.sqrt(dt)
-            P_next = P + model.drift(P) * dt + np.einsum(
-                "nij,nj->ni", model.diffusion(P), dW)
+            P_next = P + model.drift(P) * dt + np.einsum("ij,nj->ni", model.sigma, dW)
             yield k, t, dt, P, P_next, dW
             P = P_next
 
@@ -575,19 +574,17 @@ def _fd_scalar(fn, p, h):
 class GradPEstimate:
     estimate: float
     std_error: float
-    ess_fraction: float
-    degenerate: bool
 
 
 def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
                        cfg: SimConfig) -> GradPEstimate:
-    """Importance-weighted pathwise estimator of dv/dp at the start point.
+    """Pathwise estimator of dv/dp at the start point.
 
     d = 1 with a smooth terminal condition: accumulates
-    -de_v * dp_f * exp(int [-dy_f * de_v + dp_b]) along simulated paths
-    under the measure tilted by the diffusion-derivative weight; with
-    constant sigma the weight is identically 1.  Flags weight degeneracy
-    when the effective sample size drops below 10%.
+    -de_v * dp_f * exp(int [-dy_f * de_v + dp_b]) along simulated paths.  With
+    sigma depending on p the paths would carry a Girsanov weight in the
+    derivative of sigma; every model here has a constant sigma, so the plain
+    path mean is the estimator.
     """
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
@@ -597,31 +594,20 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     de_v = gradient_fields(field)
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
     dpb = lambda p: _fd_scalar(lambda q: model.drift(q)[..., 0], p, h_fd)
-    dps = lambda p: _fd_scalar(lambda q: np.asarray(model.diffusion(q))[..., 0, 0], p, h_fd)
 
-    total_wx = []
-    total_w = []
+    totals = []
     for _, count, steps in batches:
         E = np.full(count, cfg.e0)
         I = np.zeros(count)          # integral accumulator
         log_decay = np.zeros(count)  # exp weight inside the integrand
-        log_G = np.zeros(count)      # Girsanov weight
-        for k, _, dt, P, P_next, dW in steps:
+        for k, _, dt, P, P_next, _ in steps:
             _, Y, dev = read(k, P, E, (field.values, de_v))
             dfp = np.asarray(model.feedback.dp(P, Y))[..., 0]
             dfy = model.feedback.dy(P, Y)
             I += dev * dfp * np.exp(log_decay) * dt
             log_decay += (-dfy * dev + dpb(P[:, 0])) * dt
-            theta = dps(P[:, 0])
-            log_G += theta * dW[:, 0] - 0.5 * theta**2 * dt
             E = E - model.feedback.value(P_next, Y) * dt
-        G = np.exp(log_G)
-        total_w.append(G)
-        total_wx.append(G * (-I))
-    w = np.concatenate(total_w)
-    wx = np.concatenate(total_wx)
-    est = float(np.mean(wx))
-    se = float(np.std(wx, ddof=1) / np.sqrt(len(wx)))
-    ess = float(np.sum(w) ** 2 / np.sum(w * w) / len(w))
-    return GradPEstimate(estimate=est, std_error=se, ess_fraction=ess,
-                         degenerate=ess < 0.10)
+        totals.append(-I)
+    x = np.concatenate(totals)
+    return GradPEstimate(estimate=float(np.mean(x)),
+                         std_error=float(np.std(x, ddof=1) / np.sqrt(len(x))))

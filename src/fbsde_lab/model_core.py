@@ -2,13 +2,15 @@
 
 The forward-backward system under study is
 
-    dP_t = b(P_t) dt + sigma(P_t) dW_t
+    dP_t = b(P_t) dt + sigma dW_t
     dE_t = -f(P_t, Y_t) dt
     dY_t = <Z_t, dW_t>,        Y_T = phi(E_T),
 
 with f strictly increasing in y (rate between ``ell1`` and ``ell2``) and a
 monotone [0,1]-valued terminal condition phi, typically the indicator of
-``[cap_lambda, +inf)``.  Everything in this module is immutable and free of
+``[cap_lambda, +inf)``.  The paper's forward noise sigma(P_t) may depend on
+the state; every family built here has a constant sigma, held as one
+(dim_p, dim_p) matrix.  Everything in this module is immutable and free of
 numerical state; the solvers and the Monte Carlo engine consume these objects.
 """
 
@@ -51,12 +53,13 @@ class ModelSpec:
     ``family`` is one of ``affine_constant``, ``linear_drift``,
     ``nonlinear_1d`` or ``custom``; ``family_params`` holds the named
     constants of that family (used by closed forms and by the reduced
-    solver).
+    solver).  ``drift`` is vectorized over the last axis of p; ``sigma`` is
+    the constant (dim_p, dim_p) diffusion matrix.
     """
 
     dim_p: int
     drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    sigma: np.ndarray
     feedback: FeedbackFn
     lipschitz_L: float
     ell1: float
@@ -131,7 +134,6 @@ def affine_model(alpha, gamma, sigma=1.0, b=0.0, cap_lambda=0.0, horizon_T=0.4,
         alpha_v = np.full(dim_p, float(alpha_v[0]))
     b_v = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), (dim_p,)).copy()
     sig = float(sigma)
-    sig_eye = sig * np.eye(dim_p)
     gamma = float(gamma)
 
     def f_val(p, y):
@@ -149,7 +151,7 @@ def affine_model(alpha, gamma, sigma=1.0, b=0.0, cap_lambda=0.0, horizon_T=0.4,
     return ModelSpec(
         dim_p=dim_p,
         drift=lambda p: _filled(np.shape(p), b_v),
-        diffusion=lambda p: _filled(np.shape(p) + (dim_p,), sig_eye),
+        sigma=sig * np.eye(dim_p),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
         ell1=gamma, ell2=gamma, holder_alpha=1.0,
@@ -178,7 +180,7 @@ def linear_drift_model(lam, alpha, gamma, sigma=1.0, b0=0.0, cap_lambda=0.0,
     return ModelSpec(
         dim_p=1,
         drift=lambda p: b0 + lam * np.asarray(p, dtype=float),
-        diffusion=lambda p: _filled(np.shape(p) + (1,), sig),
+        sigma=np.full((1, 1), sig),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
         ell1=gamma, ell2=gamma, holder_alpha=1.0,
@@ -218,7 +220,7 @@ def nonlinear_model(f0, f0_prime, mu=1.0, ell1=0.9, ell2=1.1, drift_slope=-0.5,
     return ModelSpec(
         dim_p=1,
         drift=lambda p: drift_slope * np.asarray(p, dtype=float),
-        diffusion=lambda p: _filled(np.shape(p) + (1,), sig),
+        sigma=np.full((1, 1), sig),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
         ell1=float(ell1), ell2=float(ell2), holder_alpha=float(holder_alpha),
@@ -409,19 +411,19 @@ def validate_assumptions(model: ModelSpec) -> ValidationReport:
     tol = 1e-9
 
     b1, b2 = model.drift(P), model.drift(P2)
-    s1, s2 = model.diffusion(P), model.diffusion(P2)
     _require_finite("b", b1, P)
-    _require_finite("sigma", s1, P)
-    norm = lambda a: np.linalg.norm(a.reshape(n, -1), axis=1)
+    if not np.all(np.isfinite(model.sigma)):
+        raise AssumptionError(f"sigma is not finite: {model.sigma.tolist()}")
+    norm = lambda a: np.linalg.norm(a.reshape(len(a), -1), axis=1)
+    s_norm = norm(model.sigma[None])       # the norm of every sample's sigma
     checks = []
 
     growth = np.minimum(
         L * (1.0 + norm(P)) - norm(b1),
-        L * (1.0 + norm(P)) - norm(s1))
+        L * (1.0 + norm(P)) - s_norm)
     dp_pair = norm(P - P2)
-    lip_b = L * dp_pair - norm(b1 - b2)
-    lip_s = L * dp_pair - norm(s1 - s2)
-    m_a1 = float(np.min(np.concatenate([growth, lip_b, lip_s])))
+    lip_b = L * dp_pair - norm(b1 - b2)    # a constant sigma is Lipschitz
+    m_a1 = float(np.min(np.concatenate([growth, lip_b])))
     checks.append(CheckResult("A1_drift_diffusion", m_a1 >= -tol, m_a1))
 
     f11 = model.feedback.value(P, Y)
@@ -451,13 +453,11 @@ def validate_assumptions(model: ModelSpec) -> ValidationReport:
     m_hol = float(np.min(hol))
     checks.append(CheckResult("A3_dy_holder", m_hol >= -tol, m_hol))
 
-    bounded = np.minimum(L - norm(b1), L - norm(s1))
+    bounded = np.minimum(L - norm(b1), L - s_norm)
     m_a4 = float(np.min(bounded))
     checks.append(CheckResult("A4_boundedness", m_a4 >= -tol, m_a4))
 
-    a_mat = np.einsum("nij,nkj->nik", s1, s1)
-    eigs = np.linalg.eigvalsh(a_mat)
-    m_ell = float(np.min(eigs[:, 0] - 1.0 / L))
+    m_ell = float(np.linalg.eigvalsh(model.sigma @ model.sigma.T)[0] - 1.0 / L)
     elliptic = m_ell >= -tol
 
     return ValidationReport(checks=tuple(checks), elliptic=elliptic)

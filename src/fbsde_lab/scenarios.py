@@ -35,8 +35,8 @@ def build_model(mcfg: dict, horizon: float | None = None) -> ModelSpec:
         raise ValueError(f"unknown family {family!r}; custom coefficients are "
                          "loadable only through registered scenarios")
     known = set(inspect.signature(_FAMILIES[family]).parameters)
-    if family == "nonlinear_1d":   # f0 names the profile; its amplitude sets ell1, ell2
-        known = known - {"f0_prime", "ell1", "ell2"} | {"f0_amplitude"}
+    if family == "nonlinear_1d":   # the sine profile: its amplitude sets ell1, ell2
+        known = known - {"f0", "f0_prime", "ell1", "ell2"} | {"f0_amplitude"}
     if set(m) - known:
         raise ValueError(f"unknown {family} model key(s) {sorted(set(m) - known)}; "
                          f"known keys: {sorted(known)}")
@@ -44,9 +44,6 @@ def build_model(mcfg: dict, horizon: float | None = None) -> ModelSpec:
         m["horizon_T"] = horizon
     if family != "nonlinear_1d":
         return _FAMILIES[family](**m)
-    kind = m.pop("f0", "sine_perturbed")
-    if kind != "sine_perturbed":
-        raise ValueError(f"unknown nonlinear profile {kind!r}")
     amp = m.pop("f0_amplitude", 0.1)
     f0 = lambda z: z + amp * np.sin(z)
     f0p = lambda z: 1.0 + amp * np.cos(z)
@@ -187,7 +184,7 @@ def nonlinear_1d():
         "nonlinear_1d",
         "nonlinear feedback f(p,y) = -(f0(mu p - y)) with f0 = z + 0.1 sin z; "
         "profile convergence with the state-dependent effective slope",
-        {"family": "nonlinear_1d", "f0": "sine_perturbed", "f0_amplitude": 0.1,
+        {"family": "nonlinear_1d", "f0_amplitude": 0.1,
          "mu": 1.0, "sigma": 0.75, "drift_slope": -0.5, "cap_lambda": 0.0,
          "horizon_T": 0.42},
         ["validate", "gradient_band", "burgers_gap", "sandwich"],

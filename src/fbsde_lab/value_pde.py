@@ -512,16 +512,10 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
 
     _check_budget(grid.horizon, dt_cfl)
 
-    # diffusion/drift coefficients per p-axis (diagonal part of sigma sigma^T)
-    sig = model.diffusion(p_flat)                      # (n, d, d)
-    a_full = np.einsum("nij,nkj->nik", sig, sig)
-    if grid.dim == 2:
-        off = a_full.copy()
-        off[:, np.arange(2), np.arange(2)] = 0.0
-        if np.max(np.abs(off)) > 1e-12:
-            raise NotImplementedError(
-                "dim-2 solves support diagonal sigma sigma^T only")
-    a_diag = np.einsum("nii->ni", a_full).reshape(p_stack.shape[:-1] + (grid.dim,))
+    # diffusion per p-axis (the diagonal of the constant sigma sigma^T) and drift
+    a = model.sigma @ model.sigma.T
+    if np.max(np.abs(a - np.diag(np.diag(a)))) > 1e-12:
+        raise NotImplementedError("dim-2 solves support diagonal sigma sigma^T only")
     b_val = model.drift(p_flat).reshape(p_stack.shape[:-1] + (grid.dim,))
 
     u = np.broadcast_to(tc(grid.e_nodes), grid.space_shape()).astype(float).copy()
@@ -531,8 +525,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
 
     t_nodes = grid.t_nodes
     # p-sweep coefficients; the trailing unit axis broadcasts the factors over e
-    p_coef = [(np.moveaxis(0.5 * a_diag[..., k], k, 0)[..., None],
-               np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
+    p_coef = [(0.5 * a[k, k], np.moveaxis(b_val[..., k], k, 0)[..., None], grid.dp[k])
               for k in range(grid.dim)]
     p_bcast = p_stack[..., None, :]          # broadcasts against (*p_shape, ne)
     # scratch of the transport and of each p-sweep over all inner columns;
@@ -547,7 +540,7 @@ def solve_mollified(model: ModelSpec, grid: Grid, tc: TerminalCondition) -> Valu
         n_sub = max(1, int(np.ceil(span / dt_cfl)))
         dt = span / n_sub
         factors = [[list(f) for f in _thomas_factors(
-                       _tridiag(dt * diff / dx**2, dt * drift / dx, len(diff)))]
+                       _tridiag(dt * diff / dx**2, dt * drift / dx, len(drift)))]
                    for diff, drift, dx in p_coef]
         for done in range(0, n_sub, _WINDOW_BLOCK):
             k = min(_WINDOW_BLOCK, n_sub - done)

@@ -427,7 +427,7 @@ def test_transmission_scan_refuses_a_full_field():
         transmission_scan(field, model, np.linspace(-0.05, 0.15, 11))
 
 
-def test_feynman_kac_constant_sigma_weight_is_one():
+def test_feynman_kac_matches_the_p_difference_of_the_solved_field():
     model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.2)
     tc = smooth_ramp_tc(0.0, 0.15)
     grid = Grid(t_nodes=np.linspace(0.0, 0.2, 201),
@@ -436,8 +436,6 @@ def test_feynman_kac_constant_sigma_weight_is_one():
     cfg = SimConfig(n_paths=4000, n_steps=200, p0=np.zeros(1),
                     e0=0.06, seed=11)
     est = feynman_kac_grad_p(model, field, cfg)
-    assert est.ess_fraction == pytest.approx(1.0)
-    assert not est.degenerate
     h = 1e-3
     pde = float(np.asarray(
         field.eval(0.0, np.array([h]), np.array([0.06]), model)
@@ -609,8 +607,8 @@ def test_path_reads_are_pinned():
         "forward_dim1": "19b57d94f04222a1",
         "forward_dim2": "ed3f740883fc5cf7",
         "flow": "935daee0a352ca7e",
-        "grad_p_dim0": "d037603fcf0c7357",
-        "grad_p_dim1": "8e88f57c9cdad2cb",
+        "grad_p_dim0": "6ee5431303287cda",
+        "grad_p_dim1": "55b3cee1befa81a3",
         "transmission": "81571a758874935b",
         "eval": "0df0653f3bbb80c5",
         "variance": "7eb874296223094d",

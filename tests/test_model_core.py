@@ -44,7 +44,7 @@ def test_decreasing_feedback_fails_monotonicity():
         dy=lambda p, y: np.broadcast_to(-1.0, np.broadcast(np.asarray(p)[..., 0], y).shape),
         dp=lambda p, y: np.ones_like(np.asarray(p, dtype=float)),
     )
-    m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p, diffusion=lambda p: np.ones(p.shape + (1,)),
+    m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p, sigma=np.ones((1, 1)),
                   feedback=fb, lipschitz_L=2.0, ell1=0.5, ell2=1.0,
                   holder_alpha=1.0, cap_lambda=0.0, horizon_T=1.0)
     rep = validate_assumptions(m)
@@ -57,8 +57,7 @@ def test_nonfinite_coefficient_reports_offending_point():
         dy=lambda p, y: np.ones(np.broadcast(np.asarray(p)[..., 0], y).shape),
         dp=lambda p, y: np.zeros_like(np.asarray(p, dtype=float)),
     )
-    m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p,
-                  diffusion=lambda p: np.ones(p.shape + (1,)),
+    m = ModelSpec(dim_p=1, drift=lambda p: 0.0 * p, sigma=np.ones((1, 1)),
                   feedback=fb, lipschitz_L=2.0, ell1=0.5, ell2=1.0,
                   holder_alpha=1.0, cap_lambda=0.0, horizon_T=1.0)
     with pytest.raises(AssumptionError):
@@ -198,7 +197,7 @@ def test_affine_coefficients_match_their_reference_forms(lead, dim):
     pairs = [
         (_dot_last(p, alpha), np.tensordot(p, alpha, axes=([-1], [0]))),
         (m.drift(p), np.broadcast_to(m.family_params["b"], p.shape).copy()),
-        (m.diffusion(p), np.broadcast_to(0.7 * np.eye(dim), p.shape + (dim,)).copy()),
+        (m.sigma, 0.7 * np.eye(dim)),
     ]
     for fast, ref in pairs:
         assert fast.shape == ref.shape and fast.dtype == ref.dtype

@@ -368,6 +368,15 @@ def test_simulate_only_refuses_field_without_shape_line(tmp_path, capsys):
       "[-0.2, 0.2]"]),
     (json.dumps({"checks": ["validate"], "grid": {"de_full": 10.0}}),
      ["bad config", "grid.de_full 10.0 leaves fewer than 4 nodes"]),
+    # Python's json reads NaN, Infinity, -Infinity and an overflowing literal
+    # as non-finite floats; a config holds finite numbers only
+    ('{"model": {"sigma": Infinity}}', ["bad config", "Infinity is not a finite number"]),
+    ('{"model": {"sigma": NaN}}', ["bad config", "NaN is not a finite number"]),
+    ('{"model": {"sigma": -Infinity}}', ["bad config", "-Infinity is not a finite number"]),
+    ('{"model": {"horizon_T": Infinity}}', ["bad config", "Infinity is not a finite number"]),
+    ('{"model": {"horizon_T": 1e999}}', ["bad config", "1e999 is not a finite number"]),
+    (json.dumps({"model": {"gama": 1.0}}),
+     ["bad config", "unknown affine_constant model key(s) ['gama']", "'gamma'"]),
 ])
 def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
     cfgfile = tmp_path / "cfg.json"
@@ -380,6 +389,21 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, text, words):
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
         assert not out.exists()   # refused before any check ran
+
+
+def test_cli_refuses_the_retired_nonlinear_profile_key(tmp_path, capsys):
+    # nonlinear_1d has one profile, the sine, so no key names it
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"checks": ["validate"],
+                                   "model": {"f0": "sine_perturbed"}}))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "nonlinear_1d", "--config", str(cfgfile),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in ["bad config", "unknown nonlinear_1d model key(s) ['f0']",
+                                  "'f0_amplitude'"]), err
+    assert not out.exists()   # refused before any check ran
 
 
 def test_cli_refuses_a_name_other_than_the_scenarios_own(tmp_path, capsys):

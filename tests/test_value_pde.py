@@ -572,7 +572,7 @@ def _full_reference(model, grid, tc, dt_cfl):
     allocating transport; the substep bound ``dt_cfl`` is the solver's."""
     p = np.stack(np.meshgrid(*grid.p_nodes, indexing="ij"), axis=-1)
     flat = p.reshape(-1, grid.dim)
-    sig = model.diffusion(flat)
+    sig = np.broadcast_to(model.sigma, (len(flat),) + model.sigma.shape)
     a_diag = np.einsum("nii->ni", np.einsum("nij,nkj->nik", sig, sig)).reshape(p.shape)
     b = model.drift(flat).reshape(p.shape)
     u = np.broadcast_to(tc(grid.e_nodes), grid.space_shape()).astype(float).copy()
