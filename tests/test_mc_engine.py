@@ -607,8 +607,8 @@ def test_path_reads_are_pinned():
         "forward_dim1": "19b57d94f04222a1",
         "forward_dim2": "ed3f740883fc5cf7",
         "flow": "935daee0a352ca7e",
-        "grad_p_dim0": "6ee5431303287cda",
-        "grad_p_dim1": "55b3cee1befa81a3",
+        "grad_p_dim0": "e413a287e8156ef7",
+        "grad_p_dim1": "ec2d30cf78fee4fc",
         "transmission": "81571a758874935b",
         "eval": "0df0653f3bbb80c5",
         "variance": "7eb874296223094d",
