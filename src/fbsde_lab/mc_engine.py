@@ -9,15 +9,18 @@ by explicit Euler in E with Y = v(t, P_t, E_t) from the reader,
 Ebar = E + w(t, P), and records E at the snapshot times.  The compensator w
 and its gradient come from the model each function is given
 (``WEvaluator(model)``), and a field solved for another model is refused.
-Randomness comes from a counter-based generator with one substream per path
-index, so results are bit-identical for a given (seed, n_paths, n_steps)
-regardless of batching or of the thread that draws a path: ``path_normals``
-fills a batch on ``_WORKERS`` threads and returns it step-major.
+Randomness comes from a counter-based generator with one substream per
+Euler step, whose first n_paths * d normals are the step's increments in
+path order, so a path's draws do not depend on n_paths, and results are
+bit-identical for a given (seed, n_paths, n_steps) however far ahead the
+stepper draws: one worker thread draws the next ``_AHEAD`` steps while the
+caller steps the current ones.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,39 +100,19 @@ def sim_time_grid(cfg: SimConfig, field: ValueField,
     return grid[keep]
 
 
-_BATCH_PATHS = 4_096   # paths stepped together: a batch's normals stay near 32 MB at
-                       # ~1,000 steps (results do not depend on it)
-_BLOCK = 64     # paths drawn into one contiguous buffer before the transposed copy
-_WORKERS = 2    # threads that draw the normals of one batch
+_AHEAD = 8   # Euler steps drawn by one call, a call ahead of the stepping
+             # (results do not depend on it)
 
 
 def path_normals(seed: int, first: int, count: int, n_steps: int,
                  d: int) -> np.ndarray:
-    """Standard normals (n_steps, count, d) of paths first, ..., first+count-1;
-    path k reads Philox(key=seed) from counter [0, 0, 0, k].  Contiguous
-    ranges of paths are drawn on ``_WORKERS`` threads (the generator releases
-    the GIL), fewer than ``_WORKERS * _BLOCK`` paths on the calling thread."""
+    """Standard normals (n_steps, count, d) of steps first, ..., first+n_steps-1
+    for paths 0, ..., count-1: step k reads Philox(key=seed) from counter
+    [0, 0, 0, k], and path i takes entries i*d, ..., (i+1)*d - 1 of it."""
     out = np.empty((n_steps, count, d))
-
-    def fill(lo, hi):   # paths first+lo, ..., first+hi-1, one generator per thread
-        bits = np.random.Philox(key=seed)
-        g = np.random.Generator(bits)
-        state = bits.state   # fresh: empty buffer, no stored half-word
-        block = np.empty((_BLOCK, n_steps, d))   # out= needs a contiguous target
-        for b in range(lo, hi, _BLOCK):
-            m = min(_BLOCK, hi - b)
-            for i in range(m):
-                state["state"]["counter"][3] = first + b + i
-                bits.state = state   # also resets buffer_pos, has_uint32, uinteger
-                g.standard_normal((n_steps, d), out=block[i])
-            out[:, b:b + m] = block[:m].transpose(1, 0, 2)
-
-    if count < _WORKERS * _BLOCK:
-        fill(0, count)
-    else:
-        edges = [count * w // _WORKERS for w in range(_WORKERS + 1)]
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            list(pool.map(fill, edges[:-1], edges[1:]))   # re-raises a worker's error
+    for j in range(n_steps):
+        bits = np.random.Philox(key=seed, counter=[0, 0, 0, first + j])
+        np.random.Generator(bits).standard_normal((count, d), out=out[j])
     return out
 
 
@@ -138,37 +121,43 @@ def path_normals(seed: int, first: int, count: int, n_steps: int,
 # ---------------------------------------------------------------------------
 
 def euler_paths(model: ModelSpec, cfg: SimConfig, tgrid: np.ndarray):
-    """Euler-Maruyama paths of P over ``tgrid``, batch by batch.
+    """Euler-Maruyama paths of P over ``tgrid``, all paths as one array.
 
-    Yields ``(first, count, steps)`` for each of ceil(n_paths / _BATCH_PATHS)
-    batches of near-equal size; ``steps`` yields ``(k, t, dt, P, P_next, dW)``
-    for each interval [tgrid[k], tgrid[k + 1]]: the (count, d) state P at t,
-    the increments dW (``path_normals`` scaled by sqrt(dt)) and
-    P_next = P + b(P) dt + sigma dW.  A ``p0`` the model cannot take is
-    refused here, before any path is drawn.
+    Yields ``(k, t, dt, P, P_next, dW)`` for each interval
+    [tgrid[k], tgrid[k + 1]]: the (n_paths, d) state P at t, the increments
+    dW (``path_normals`` scaled by sqrt(dt)) and
+    P_next = P + b(P) dt + sigma dW.  One worker thread draws the normals of
+    the next ``_AHEAD`` steps while the current ones are stepped; it is joined
+    when the generator ends or is closed, so a caller that may stop early
+    closes it.  A ``p0`` the model cannot take is refused here, before any
+    path is drawn.
     """
     d = model.dim_p
     if cfg.p0.shape != (d,):
         raise ValueError(f"p0 has shape {cfg.p0.shape}; the model needs ({d},)")
+    n_steps = len(tgrid) - 1
 
-    def steps(first, count):
-        dW_all = path_normals(cfg.seed, first, count, len(tgrid) - 1, d)
-        P = np.broadcast_to(cfg.p0, (count, d)).copy()
-        for k in range(len(tgrid) - 1):
-            t = float(tgrid[k])
-            dt = float(tgrid[k + 1]) - t
-            dW = dW_all[k] * np.sqrt(dt)
-            P_next = P + model.drift(P) * dt + np.einsum("ij,nj->ni", model.sigma, dW)
-            yield k, t, dt, P, P_next, dW
-            P = P_next
+    def draw(first):   # through the module global, which a profiler may wrap
+        return path_normals(cfg.seed, first, cfg.n_paths,
+                            min(_AHEAD, n_steps - first), d)
 
-    def batches():
-        n_batches = -(-cfg.n_paths // _BATCH_PATHS)
-        edges = [cfg.n_paths * b // n_batches for b in range(n_batches + 1)]
-        for first, end in zip(edges[:-1], edges[1:]):
-            yield first, end - first, steps(first, end - first)
+    def steps():
+        P = np.broadcast_to(cfg.p0, (cfg.n_paths, d)).copy()
+        with ThreadPoolExecutor(1) as pool:
+            ahead = pool.submit(draw, 0)
+            for first in range(0, n_steps, _AHEAD):
+                normals = ahead.result()   # re-raises the worker's error
+                if first + _AHEAD < n_steps:
+                    ahead = pool.submit(draw, first + _AHEAD)
+                for k, z in enumerate(normals, start=first):
+                    t = float(tgrid[k])
+                    dt = float(tgrid[k + 1]) - t
+                    dW = z * np.sqrt(dt)
+                    P_next = P + model.drift(P) * dt + np.einsum("ij,nj->ni", model.sigma, dW)
+                    yield k, t, dt, P, P_next, dW
+                    P = P_next
 
-    return batches()
+    return steps()
 
 
 def _simulate_core(model: ModelSpec, field: ValueField,
@@ -176,8 +165,8 @@ def _simulate_core(model: ModelSpec, field: ValueField,
                    record_times: Sequence[float], stop_time: Optional[float] = None):
     """Terminal arrays and snapshots ``{t: E}`` of E, one row per start.
 
-    The starts are the rows of one (n_starts, count) array per batch, which
-    share the P-path and Brownian increments of each path index (common-noise
+    The starts are the rows of one (n_starts, n_paths) array, which share
+    the P-path and Brownian increments of each path index (common-noise
     coupling for the flow checks).  Record times outside (0, T] are refused.
     A run cut at ``stop_time`` has no horizon terminal values: callers read
     only its snapshots.
@@ -189,11 +178,9 @@ def _simulate_core(model: ModelSpec, field: ValueField,
     tgrid = sim_time_grid(cfg, field, extra_times=record_times)
     if stop_time is not None:
         tgrid = tgrid[tgrid <= stop_time + 1e-15]
-    batches = euler_paths(model, cfg, tgrid)
+    steps = euler_paths(model, cfg, tgrid)
     read = field.reader(model, tgrid[:-1])
     n_steps_grid = len(tgrid) - 1
-    n = cfg.n_paths
-    n_starts = len(e_starts)
     # terminal Y is read at the last moment the path time matches a stored
     # slice; past it the slice freezes while E keeps contracting, which would
     # scramble the martingale limit the value is standing in for
@@ -202,30 +189,24 @@ def _simulate_core(model: ModelSpec, field: ValueField,
     k_y = int(np.searchsorted(tgrid, t_y_term + 1e-15) - 1)
     k_y = max(0, min(k_y, n_steps_grid - 1))
 
-    term_E = np.repeat(e_starts[:, None], n, axis=1)
-    term_Y = np.full((n_starts, n), np.nan)
-    escaped = np.zeros((n_starts, n), dtype=bool)
-    snaps = {round(float(t), 12): [] for t in record_times}
-    term_P = np.empty((n, model.dim_p))
+    E = np.repeat(e_starts[:, None], cfg.n_paths, axis=1)   # stepped in place
+    escaped = np.zeros(E.shape, dtype=bool)
+    keys = {round(float(t), 12) for t in record_times}
+    snaps = {}
 
     e_lo, e_hi = field.grid.e_nodes[0], field.grid.e_nodes[-1]
 
-    for first, count, steps in batches:
-        cols = slice(first, first + count)
-        E, esc = term_E[:, cols], escaped[:, cols]   # stepped in place
+    with closing(steps):
         for k, _, dt, P, P_next, _ in steps:
             x, Y = read(k, P, E)
-            esc |= (x < e_lo) | (x > e_hi)
+            escaped |= (x < e_lo) | (x > e_hi)
             if k == k_y:
-                term_Y[:, cols] = Y
+                term_Y = Y
             E -= model.feedback.value(P, Y) * dt
             key = round(float(tgrid[k + 1]), 12)
-            if key in snaps:
-                snaps[key].append(E.copy())
-        term_P[cols] = P_next   # P at the last grid time
-
-    merged = {key: np.concatenate(chunks, axis=1) for key, chunks in snaps.items()}
-    return term_E, term_Y, term_P, escaped, merged
+            if key in keys:
+                snaps[key] = E.copy()
+    return E, term_Y, P_next, escaped, snaps   # P_next: P at the last grid time
 
 
 def simulate_forward(model: ModelSpec, field: ValueField,
@@ -591,7 +572,7 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
     if model.dim_p != 1:
         raise ValueError("the pathwise representation is implemented for d = 1")
     tgrid = sim_time_grid(cfg, field)
-    batches = euler_paths(model, cfg, tgrid)
+    steps = euler_paths(model, cfg, tgrid)
     read = field.reader(model, tgrid)   # both ends of every step, T included
     de_v = gradient_fields(field)
     h_fd = 1e-5 * max(1.0, float(np.max(np.abs(cfg.p0))))
@@ -602,11 +583,10 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
         dfp = np.asarray(model.feedback.dp(P, Y))[..., 0]
         return Y, dev * dfp, -model.feedback.dy(P, Y) * dev + dpb(P[:, 0])
 
-    totals = []
-    for _, count, steps in batches:
-        E = np.full(count, cfg.e0)
-        I = np.zeros(count)          # integral accumulator
-        log_decay = np.zeros(count)  # exp weight inside the integrand
+    E = np.full(cfg.n_paths, cfg.e0)
+    I = np.zeros(cfg.n_paths)          # integral accumulator
+    log_decay = np.zeros(cfg.n_paths)  # exp weight inside the integrand
+    with closing(steps):
         for k, _, dt, P, P_next, _ in steps:
             if k == 0:
                 Y, g, h = integrands(0, P, E)
@@ -617,7 +597,6 @@ def feynman_kac_grad_p(model: ModelSpec, field: ValueField,
             decay_next = np.exp(log_decay)
             I += 0.5 * (g * decay + g_next * decay_next) * dt
             g, h, decay = g_next, h_next, decay_next
-        totals.append(-I)
-    x = np.concatenate(totals)
+    x = -I
     return GradPEstimate(estimate=float(np.mean(x)),
                          std_error=float(np.std(x, ddof=1) / np.sqrt(len(x))))

@@ -206,11 +206,13 @@ def _clamp(x, lo, hi):
 def _lin_weights(nodes: np.ndarray, x):
     """Lower node index and weight of the points ``x``, clamped to the axis.
     The position is non-negative after the clamp, so its floor is the
-    truncation; ``fmin`` sends NaN to the last cell, whose weight stays NaN."""
+    truncation and the weight needs no lower bound; ``fmin`` sends NaN to the
+    last cell, whose weight stays NaN.  The upper bound stays: rounding can
+    put the axis end a few ulps past the last cell."""
     x = _clamp(np.asarray(x, dtype=float), nodes[0], nodes[-1])
     pos = (x - nodes[0]) / (nodes[1] - nodes[0])
     low = np.fmin(np.floor(pos), len(nodes) - 2)
-    return low.astype(np.intp), _clamp(pos - low, 0.0, 1.0)
+    return low.astype(np.intp), np.minimum(1.0, pos - low)
 
 
 @dataclass(frozen=True)

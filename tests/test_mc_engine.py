@@ -3,6 +3,7 @@ import functools
 import hashlib
 import re
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,7 @@ from fbsde_lab.mc_engine import (PathEnsemble, SimConfig, conditional_support,
                                  feynman_kac_grad_p, flow_squeeze_check, path_normals,
                                  prefactor_report, sim_time_grid, simulate_forward,
                                  terminal_sandwich_check, transmission_scan,
-                                 variance_scan,
-                                 _BLOCK, _jackknife_var_se)
+                                 variance_scan, _jackknife_var_se)
 from fbsde_lab.model_core import affine_model, heaviside_tc, smooth_ramp_tc
 from fbsde_lab.scenarios import build_model, registry_list, scenario_config
 from fbsde_lab.value_pde import (Grid, ValueField, e_nodes_for, reduced_aligned_field,
@@ -64,12 +64,10 @@ def _noisy_field():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # one path: se is nan
 @settings(max_examples=8, deadline=None)
-@given(n_paths=st.integers(1, 40), batch_size=st.integers(1, 60))
-@example(n_paths=700, batch_size=128)   # several full batches and a tail
-@example(n_paths=9, batch_size=1)       # one path per batch
-@example(n_paths=30, batch_size=7)      # a size that does not divide n_paths
-@example(n_paths=5, batch_size=64)      # one batch larger than n_paths
-def test_batch_size_does_not_change_results(n_paths, batch_size):
+@given(n_paths=st.integers(1, 40), ahead=st.sampled_from([1, 3, 8]))
+@example(n_paths=700, ahead=1)   # one step per draw
+@example(n_paths=30, ahead=3)    # a depth that does not divide the step count
+def test_lookahead_depth_does_not_change_results(n_paths, ahead):
     model, field, cfg = _noisy_field()
     cfg = dataclasses.replace(cfg, n_paths=n_paths)
 
@@ -82,7 +80,7 @@ def test_batch_size_does_not_change_results(n_paths, batch_size):
 
     whole = run()
     # hypothesis refuses function-scoped fixtures such as monkeypatch
-    with mock.patch.object(mc_engine, "_BATCH_PATHS", batch_size):
+    with mock.patch.object(mc_engine, "_AHEAD", ahead):
         split = run()
     for a, b in zip(whole[0], split[0]):
         assert np.array_equal(a, b)
@@ -160,31 +158,70 @@ def test_flow_squeeze_refuses_times_outside_the_run(t_list, outside):
         flow_squeeze_check(model, field, cfg, [(0.05, 0.03)], t_list)
 
 
+def _step_normals(seed, k, count, d):
+    """The normals of Euler step k, from a fresh generator at its counter."""
+    bits = np.random.Philox(key=seed, counter=[0, 0, 0, k])
+    return np.random.Generator(bits).standard_normal((count, d))
+
+
 @pytest.mark.parametrize("first", [0, 16_384])
 @pytest.mark.parametrize("d", [1, 2])
-def test_path_normals_match_one_generator_per_path(first, d):
-    # 2 * _BLOCK + 3 paths span both worker threads and several blocks each
-    for count in (5, 2 * _BLOCK + 3):
-        ref = np.stack([
-            np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, first + i]))
-            .standard_normal((30, d)) for i in range(count)], axis=1)
-        assert np.array_equal(path_normals(11, first, count, 30, d), ref)
+def test_path_normals_match_one_substream_per_step(first, d):
+    for count in (5, 301):
+        ref = np.stack([_step_normals(11, first + j, count, d) for j in range(30)])
+        got = path_normals(11, first, count, 30, d)
+        assert np.array_equal(got, ref)
+        # a path's draws do not depend on how many paths are drawn with it
+        assert np.array_equal(path_normals(11, first, 3 * count, 30, d)[:, :count], got)
 
 
-def test_path_normals_under_thread_stress(monkeypatch):
-    # more workers than cores, and a thread switch every microsecond
-    monkeypatch.setattr(mc_engine, "_WORKERS", 5)
-    count = 5 * _BLOCK + 7
+def test_stepper_draws_under_thread_stress():
+    # the look-ahead worker draws while the caller steps, and a thread
+    # switch every microsecond interleaves the two as finely as it can
+    model = affine_model(alpha=0.5, gamma=1.0, sigma=1.0, horizon_T=0.1, dim_p=2)
+    tgrid = np.linspace(0.0, 0.1, 31)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = path_normals(11, 3, count, 30, 2)
+        dW = {m: [step[5] for step in euler_paths(model, SimConfig(
+                  n_paths=m, n_steps=100, p0=np.zeros(2), e0=0.0, seed=11), tgrid)]
+              for m in (7, 21)}
     finally:
         sys.setswitchinterval(interval)
-    ref = np.stack([
-        np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, 3 + i]))
-        .standard_normal((30, 2)) for i in range(count)], axis=1)
-    assert np.array_equal(got, ref)
+    for k, (few, many) in enumerate(zip(dW[7], dW[21])):
+        assert np.array_equal(few, _step_normals(11, k, 7, 2) * np.sqrt(tgrid[k + 1] - tgrid[k]))
+        assert np.array_equal(many[:7], few)
+
+
+@pytest.mark.parametrize("stop", ["close", "raise"])
+def test_no_lookahead_worker_outlives_its_loop(monkeypatch, stop):
+    model, field, cfg = _noisy_field()
+    cfg = dataclasses.replace(cfg, n_paths=50)
+    start = threading.active_count()
+    if stop == "close":
+        steps = euler_paths(model, cfg, sim_time_grid(cfg, field))
+        for _ in range(3):
+            next(steps)
+        assert threading.active_count() == start + 1   # the worker draws ahead
+        steps.close()
+    else:
+        alive, reader = [], ValueField.reader
+
+        def failing_reader(self, *args):
+            read = reader(self, *args)
+
+            def fails_at_step_20(k, *rest):
+                if k == 20:
+                    alive.append(threading.active_count())
+                    raise RuntimeError("the consumer fails mid-run")
+                return read(k, *rest)
+            return fails_at_step_20
+        monkeypatch.setattr(ValueField, "reader", failing_reader)
+        # the raised error keeps the simulation's frames alive in its traceback
+        with pytest.raises(RuntimeError, match="mid-run"):
+            simulate_forward(model, field, cfg)
+        assert alive == [start + 1]
+    assert threading.active_count() == start
 
 
 def test_degenerate_paths_hit_cap_within_tolerance():
@@ -465,14 +502,11 @@ def _grid_monitored_trap(model, sim):
     increments (a trap test by path loop, watching M at grid times only)."""
     T = model.horizon_T
     sig, we = model.family_params["sigma"], WEvaluator(model)
-    on_F = []
-    for _, count, steps in euler_paths(model, sim, np.linspace(0.0, T, sim.n_steps + 1)):
-        M, sup = np.zeros(count), np.zeros(count)
-        for _, t, _, P, _, dW in steps:
-            M += dW @ (sig * we.dp_w(t)) / (T - t)   # <sigma^T dp_w, dW>
-            sup = np.maximum(sup, np.abs(M))
-        on_F.append(sup < model.ell1 / 16.0)
-    p_hat = float(np.mean(np.concatenate(on_F)))
+    M, sup = np.zeros(sim.n_paths), np.zeros(sim.n_paths)
+    for _, t, _, P, _, dW in euler_paths(model, sim, np.linspace(0.0, T, sim.n_steps + 1)):
+        M += dW @ (sig * we.dp_w(t)) / (T - t)   # <sigma^T dp_w, dW>
+        sup = np.maximum(sup, np.abs(M))
+    p_hat = float(np.mean(sup < model.ell1 / 16.0))
     return p_hat, np.sqrt(p_hat * (1 - p_hat) / sim.n_paths)
 
 
@@ -518,7 +552,8 @@ def test_simconfig_validation():
 def test_batch_normals_stay_within_budget(monkeypatch, name):
     # every scenario's checks include the path-reading sandwich; the field is
     # the scenario's own grid with unsolved (zero) values, which is all the
-    # time grid reads, and the batches are listed but never stepped
+    # time grid reads, and one step is taken: the normals of the steps being
+    # stepped and of those drawn ahead are what the stepper holds at once
     def unsolved(model, grid, tc):
         return ValueField(grid=grid, values=np.zeros((len(grid.t_nodes),) + grid.space_shape()))
     monkeypatch.setattr(value_pde, "solve_reduced_1d", unsolved)
@@ -527,8 +562,17 @@ def test_batch_normals_stay_within_budget(monkeypatch, name):
     model, tc = scenario_model(cfg)
     sim = scenario_sim(cfg, model)
     tgrid = sim_time_grid(sim, scenario_field(cfg, model, tc))
-    largest = max(count for _, count, _ in euler_paths(model, sim, tgrid))
-    assert largest * (len(tgrid) - 1) * model.dim_p * 8 <= 40e6
+    draws, draw = [], mc_engine.path_normals
+
+    def recorded(*args):
+        out = draw(*args)
+        draws.append(out.nbytes)
+        return out
+    monkeypatch.setattr(mc_engine, "path_normals", recorded)
+    steps = euler_paths(model, sim, tgrid)
+    next(steps)
+    steps.close()
+    assert len(draws) == 2 and sum(draws) <= 40e6
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +647,13 @@ def test_path_reads_are_pinned():
         _feed(h, probe())
         digests[name] = h.hexdigest()[:16]
     assert digests == {
-        "forward_dim0": "6587f6160abbfb27",
-        "forward_dim1": "19b57d94f04222a1",
-        "forward_dim2": "ed3f740883fc5cf7",
-        "flow": "935daee0a352ca7e",
-        "grad_p_dim0": "e413a287e8156ef7",
-        "grad_p_dim1": "ec2d30cf78fee4fc",
+        "forward_dim0": "6759412f093a1954",
+        "forward_dim1": "5d9c1703ceb7fd7f",
+        "forward_dim2": "4210adcc5e62964d",
+        "flow": "13122e08b8553b82",
+        "grad_p_dim0": "c093bd491ca66066",
+        "grad_p_dim1": "9fcb4f9d170823b1",
         "transmission": "81571a758874935b",
         "eval": "0df0653f3bbb80c5",
-        "variance": "7eb874296223094d",
+        "variance": "b8a587bfcb03aba4",
     }

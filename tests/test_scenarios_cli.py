@@ -490,10 +490,11 @@ def test_cli_solve_only_refuses_a_field_the_scenario_cannot_solve(tmp_path, caps
 
 def test_an_empty_conditioning_event_fails_and_keeps_the_record(tmp_path):
     # one path misses the event |E_T - cap| <= delta, and the run still
-    # writes its record, with the check's verdict fail
+    # writes its record, with the check's verdict fail; a path lands in the
+    # event with probability about 0.63, and path 0 of seed 1 misses it
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"checks": ["conditional_support"],
-                                   "sim": {"n_paths": 1}}))
+                                   "sim": {"n_paths": 1, "seed": 1}}))
     code = main(["run", "--scenario", "affine_constant", "--config", str(cfgfile),
                  "--out", str(tmp_path)])
     assert code == 1
@@ -720,7 +721,7 @@ def test_trap_stats_on_a_light_grid():
         "p_hat_F": pytest.approx([0.3599613937122076, 0.6755541487128836,
                                   0.9037863503086263, 0.9896227848953689], rel=1e-12),
         "increasing": True,
-        "atom_minus_pF": pytest.approx(-0.6862863503086263, rel=1e-12)}
+        "atom_minus_pF": pytest.approx(-0.6927863503086263, rel=1e-12)}
 
 
 def test_variance_zero_on_a_light_grid():

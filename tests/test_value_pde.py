@@ -698,6 +698,28 @@ def test_lin_weights_match_truncation_bit_for_bit(nodes):
     assert w[~nan].tobytes() == ref_w[~nan].tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-2.0, 2.0), step=st.floats(1e-6, 0.5), n=st.integers(2, 3000),
+       linspace=st.booleans(), picks=st.lists(st.integers(0, 2999), max_size=20),
+       inside=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_lin_weights_need_no_lower_bound_on_the_weight(lo, step, n, linspace, picks, inside):
+    # the position is non-negative, so pos - low is too: the old weight
+    # clamp(pos - low, 0, 1) and min(1, pos - low) agree bit for bit; the
+    # upper bound stays, since the axis end can round past n - 1
+    nodes = np.linspace(lo, lo + step * (n - 1), n) if linspace else lo + step * np.arange(n)
+    x = np.concatenate([
+        _EDGE_FLOATS, nodes[[i % n for i in picks]], nodes[[0, -1]],   # nodes, axis ends
+        np.nextafter(nodes[[0, 0, -1, -1]], [-np.inf, np.inf] * 2),
+        nodes[0] + np.asarray(inside) * (nodes[-1] - nodes[0]),
+    ])
+    xc = value_pde._clamp(x, nodes[0], nodes[-1])
+    pos = (xc - nodes[0]) / (nodes[1] - nodes[0])
+    low = np.fmin(np.floor(pos), n - 2)
+    idx, w = value_pde._lin_weights(nodes, x)
+    assert np.array_equal(idx, low.astype(np.intp))
+    assert w.tobytes() == value_pde._clamp(pos - low, 0.0, 1.0).tobytes()
+
+
 def test_lin_weights_only_change_the_sign_of_a_zero_weight():
     # -0.0 at an axis starting at +0.0: truncation keeps the weight -0.0, the
     # floor form gives +0.0; equal values, and the blend (1 - w) a + w b only
