@@ -603,9 +603,9 @@ _SOLVES = {"full": "equivalence bound_report",
 # the checks whose estimator needs a model with one forward dimension (the
 # transmission profile reads the first axis of alpha and of dp_w only)
 _ONE_DIM = "feynman_kac transmission transmission_sign_change"
-# the checks that need a closed-form compensator: the trap probability is a
-# strip series, and the control of the atom a Gaussian law, only where the
-# compensator's noise sigma^T dp_w does not depend on P
+# the checks that need a closed-form compensator, one affine in p: the trap
+# probability is a strip series, and the control of the atom a Gaussian law,
+# only where the compensator's noise sigma^T dp_w does not depend on P
 _CLOSED_W = "trap dirac_atom"
 
 
@@ -654,7 +654,7 @@ def servable_checks(cfg, names=None, field=False) -> list:
         refused += [f"check {name!r} needs a model with one forward dimension, "
                     f"but the model has {model.dim_p}"
                     for name in todo if name in _ONE_DIM.split()]
-    if WEvaluator(model).mode == "monte_carlo":
+    if not WEvaluator(model).affine_in_p:
         refused += [f"check {name!r} needs a closed-form compensator, but the "
                     f"{family} family has none"
                     for name in todo if name in _CLOSED_W.split()]

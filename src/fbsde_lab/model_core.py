@@ -191,27 +191,29 @@ def linear_drift_model(lam, alpha, gamma, sigma=1.0, b0=0.0, cap_lambda=0.0,
     )
 
 
-def nonlinear_model(f0, f0_prime, mu=1.0, ell1=0.9, ell2=1.1, drift_slope=-0.5,
-                    sigma=1.0, cap_lambda=0.0, horizon_T=0.45,
-                    lipschitz_L=None, holder_alpha=1.0) -> ModelSpec:
-    """One-dimensional nonlinear family f(p, y) = -f0(mu*p - y).
-
-    ``f0`` must be increasing with f0' in [ell1, ell2]; the derivative is
-    supplied explicitly (no symbolic differentiation).
+def nonlinear_model(f0_amplitude=0.1, mu=1.0, drift_slope=-0.5, sigma=1.0,
+                    cap_lambda=0.0, horizon_T=0.45, lipschitz_L=None,
+                    holder_alpha=1.0) -> ModelSpec:
+    """One-dimensional nonlinear family f(p, y) = -f0(mu*p - y) with the sine
+    profile f0(z) = z + a sin z of amplitude a = ``f0_amplitude``, so that
+    f0' = 1 + a cos z spans [ell1, ell2] = [1 - a, 1 + a].
     """
-    mu = float(mu); sig = float(sigma); drift_slope = float(drift_slope)
+    amp = float(f0_amplitude); mu = float(mu); sig = float(sigma)
+    drift_slope = float(drift_slope)
+    ell1, ell2 = 1.0 - amp, 1.0 + amp
+
+    def arg(p, y):
+        return mu * np.asarray(p, dtype=float)[..., 0] - np.asarray(y, dtype=float)
 
     def value(p, y):
-        z = mu * np.asarray(p, dtype=float)[..., 0] - np.asarray(y, dtype=float)
-        return -f0(z)
+        z = arg(p, y)
+        return -(z + amp * np.sin(z))
 
     def dy(p, y):
-        z = mu * np.asarray(p, dtype=float)[..., 0] - np.asarray(y, dtype=float)
-        return f0_prime(z)
+        return 1.0 + amp * np.cos(arg(p, y))
 
     def dp(p, y):
-        z = mu * np.asarray(p, dtype=float)[..., 0] - np.asarray(y, dtype=float)
-        return (-mu * f0_prime(z))[..., None]
+        return (-mu * dy(p, y))[..., None]
 
     fb = FeedbackFn(value=value, dy=dy, dp=dp)
     if lipschitz_L is None:
@@ -223,7 +225,7 @@ def nonlinear_model(f0, f0_prime, mu=1.0, ell1=0.9, ell2=1.1, drift_slope=-0.5,
         sigma=np.full((1, 1), sig),
         feedback=fb,
         lipschitz_L=float(lipschitz_L),
-        ell1=float(ell1), ell2=float(ell2), holder_alpha=float(holder_alpha),
+        ell1=ell1, ell2=ell2, holder_alpha=float(holder_alpha),
         cap_lambda=float(cap_lambda), horizon_T=float(horizon_T),
         family="nonlinear_1d",
         family_params={"mu": mu, "sigma": sig, "drift_slope": drift_slope},

@@ -13,8 +13,6 @@ import hashlib
 import inspect
 import json
 
-import numpy as np
-
 from .model_core import (ModelSpec, TerminalCondition, affine_model,
                          heaviside_tc, linear_drift_model, nonlinear_model,
                          smooth_ramp_tc)
@@ -35,19 +33,12 @@ def build_model(mcfg: dict, horizon: float | None = None) -> ModelSpec:
         raise ValueError(f"unknown family {family!r}; custom coefficients are "
                          "loadable only through registered scenarios")
     known = set(inspect.signature(_FAMILIES[family]).parameters)
-    if family == "nonlinear_1d":   # the sine profile: its amplitude sets ell1, ell2
-        known = known - {"f0", "f0_prime", "ell1", "ell2"} | {"f0_amplitude"}
     if set(m) - known:
         raise ValueError(f"unknown {family} model key(s) {sorted(set(m) - known)}; "
                          f"known keys: {sorted(known)}")
     if horizon is not None:
         m["horizon_T"] = horizon
-    if family != "nonlinear_1d":
-        return _FAMILIES[family](**m)
-    amp = m.pop("f0_amplitude", 0.1)
-    f0 = lambda z: z + amp * np.sin(z)
-    f0p = lambda z: 1.0 + amp * np.cos(z)
-    return nonlinear_model(f0, f0p, ell1=1.0 - amp, ell2=1.0 + amp, **m)
+    return _FAMILIES[family](**m)
 
 
 def build_tc(tcfg: dict, cap_lambda: float) -> TerminalCondition:

@@ -256,7 +256,7 @@ class ValueField:
         times = np.asarray(times, dtype=float)
         slices = _slice_index(self.grid.t_nodes, times)
         we = WEvaluator(model)
-        if self.dim == 0 and we.mode == "monte_carlo":
+        if self.dim == 0 and not we.affine_in_p:
             raise ValueError("a reduced field is read through a closed-form "
                              f"compensator, which the {model.family} family lacks")
         w = we.evaluate if self.dim == 0 else None

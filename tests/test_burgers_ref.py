@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,9 @@ from fbsde_lab.burgers_ref import (BurgersProfile, WEvaluator, burgers_gap,
                                    characteristic, gaussian_control_fractions, psi,
                                    trap_probability, _STRIP_SWITCH, _strip_images,
                                    _strip_modes)
-from fbsde_lab.model_core import affine_model, heaviside_tc, linear_drift_model, nonlinear_model
+from fbsde_lab.model_core import (ModelSpec, affine_model, heaviside_tc, linear_drift_model,
+                                  nonlinear_model)
+from fbsde_lab.scenarios import build_model, scenario_config
 from fbsde_lab.value_pde import Grid, e_nodes_for, solve_reduced_1d
 
 
@@ -69,12 +69,18 @@ def test_affine_closed_form_value():
     assert we.evaluate(0.5, np.array([1.0])) == pytest.approx(0.0)
 
 
-def test_affine_closed_form_vs_mc_quadrature():
-    m = affine_model(alpha=2.0, gamma=1.0, sigma=1.0, horizon_T=0.5,
-                     lipschitz_L=2.0)
-    cf = WEvaluator(m)
-    val, se = WEvaluator(m)._mc(0.1, np.array([0.7]))
-    assert abs(val - float(cf.evaluate(0.1, np.array([0.7])))) <= 3 * se + 1e-12
+def test_affine_closed_form_matches_quad_on_random_points():
+    # w = int_0^s <alpha, p + b u> du: the mean of P_u is p + b u
+    from scipy.integrate import quad
+    alpha, b = np.array([1.0, -0.4]), np.array([0.3, 0.7])
+    we = WEvaluator(affine_model(alpha=alpha, gamma=1.0, sigma=1.0, b=b, horizon_T=0.4))
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for _ in range(20):
+        t = rng.uniform(0, 0.4)
+        p = rng.uniform(-2, 2, size=2)
+        expect, _ = quad(lambda u: float(alpha @ (p + b * u)), 0.0, 0.4 - t,
+                         epsabs=1e-15, epsrel=1e-13)
+        assert float(we.evaluate(t, p)) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
 def test_linear_drift_gradient_matches_growth_formula():
@@ -87,22 +93,6 @@ def test_linear_drift_gradient_matches_growth_formula():
     expect = (np.exp(-1.0 * 0.2) - 1.0) / (-1.0)
     assert fd == pytest.approx(expect, abs=1e-3)
     assert float(we.dp_w(t)[0]) == pytest.approx(expect, rel=1e-12)
-
-
-def test_mc_agrees_with_closed_form_on_random_points():
-    m = affine_model(alpha=1.0, gamma=1.0, sigma=1.0, horizon_T=0.4)
-    cf = WEvaluator(m)
-    mc = WEvaluator(m)
-    rng = np.random.Generator(np.random.Philox(key=3))
-    hits3, n = 0, 40
-    for _ in range(n):
-        t = rng.uniform(0, 0.35)
-        p = rng.uniform(-2, 2, size=1)
-        val, se = mc._mc(t, p)
-        err = abs(val - float(cf.evaluate(t, p)))
-        assert err <= 4 * se + 1e-4
-        hits3 += err <= 3 * se + 1e-4
-    assert hits3 >= 0.9 * n
 
 
 def test_w_lipschitz_in_p_degrades_linearly_in_time_to_go():
@@ -118,25 +108,65 @@ def test_w_lipschitz_in_p_degrades_linearly_in_time_to_go():
         assert np.max(ratio) <= 1.5 * (0.5 - t) + 1e-12
 
 
-def test_monte_carlo_compensator_refuses_a_batch_of_points():
-    # its Philox key hashes the one point; at the horizon w is 0 on any batch
-    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
-                        lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
-    we = WEvaluator(m)
-    with pytest.raises(ValueError, match=re.escape("not p of shape (3, 1)")):
-        we.evaluate(0.0, np.zeros((3, 1)))
-    with pytest.raises(ValueError, match=re.escape("not p of shape (1, 1)")):
-        we.evaluate(0.0, np.zeros((1, 1)))
-    assert we.evaluate(m.horizon_T, np.zeros((3, 1))) == 0.0
-
-
 def test_mode_family_consistency():
-    assert WEvaluator(affine_model(alpha=1.0, gamma=1.0)).mode == "closed_form_affine"
-    m = linear_drift_model(lam=-1.0, alpha=1.0, gamma=1.0)
-    assert WEvaluator(m).mode == "closed_form_linear_drift"
-    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
-                        lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
-    assert WEvaluator(m).mode == "monte_carlo"
+    we = WEvaluator(affine_model(alpha=1.0, gamma=1.0))
+    assert (we.mode, we.affine_in_p) == ("closed_form_affine", True)
+    we = WEvaluator(linear_drift_model(lam=-1.0, alpha=1.0, gamma=1.0))
+    assert (we.mode, we.affine_in_p) == ("closed_form_linear_drift", True)
+    we = WEvaluator(nonlinear_model())
+    assert (we.mode, we.affine_in_p) == ("gaussian_quadrature", False)
+
+
+def test_compensator_refuses_a_family_without_a_known_forward_law():
+    # a hand-built model: w would need the law of its forward process
+    base = nonlinear_model()
+    m = ModelSpec(dim_p=1, drift=base.drift, sigma=base.sigma, feedback=base.feedback,
+                  lipschitz_L=base.lipschitz_L, ell1=base.ell1, ell2=base.ell2,
+                  holder_alpha=1.0, cap_lambda=0.0, horizon_T=base.horizon_T)
+    with pytest.raises(ValueError, match="the custom family is none of"):
+        WEvaluator(m)
+
+
+def _sine_compensator(m, t, p):
+    """w = int_0^s [mu m(u) + a sin(mu m(u)) e^{-mu^2 v(u)/2}] du, from
+    E sin(mu P) = sin(mu m) e^{-mu^2 v/2} for P ~ N(m, v); a = ell2 - 1."""
+    from scipy.integrate import quad
+    pr = m.family_params
+    theta, sig, mu, a = pr["drift_slope"], pr["sigma"], pr["mu"], m.ell2 - 1.0
+
+    def integrand(u):
+        mean = p * np.exp(theta * u)
+        var = sig**2 * np.expm1(2.0 * theta * u) / (2.0 * theta)
+        return mu * mean + a * np.sin(mu * mean) * np.exp(-0.5 * mu**2 * var)
+    return quad(integrand, 0.0, m.horizon_T - t, epsabs=1e-16, epsrel=2e-14)[0]
+
+
+@pytest.mark.parametrize("over", [{}, {"sigma": 2.0, "horizon_T": 1.0}])
+def test_nonlinear_compensator_matches_the_sine_closed_form(over):
+    # the registry model, and a noisier, longer one that --config can reach
+    m = build_model({**scenario_config("nonlinear_1d")["model"], **over})
+    we = WEvaluator(m)
+    for t in np.linspace(0.0, m.horizon_T, 9):
+        for p in np.linspace(-2.0, 2.0, 9):
+            assert abs(float(we.evaluate(t, np.array([p]))) - _sine_compensator(m, t, p)) <= 1e-13
+    # +0.0 at the horizon, which the simulator adds to every terminal E
+    assert not np.signbit(we.evaluate(m.horizon_T, np.array([[-1.0], [1.0]]))).any()
+
+
+@pytest.mark.parametrize("m", [affine_model(alpha=[0.8, -0.3], gamma=1.0, b=[0.2, 0.1]),
+                               linear_drift_model(lam=-1.0, alpha=1.0, gamma=1.0, b0=0.3),
+                               nonlinear_model(sigma=0.75, horizon_T=0.42)],
+                         ids=lambda m: m.family)
+def test_evaluate_is_vectorized_over_t_and_p(m):
+    we = WEvaluator(m)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    t = rng.uniform(0.0, m.horizon_T, size=12)
+    p = rng.uniform(-2.0, 2.0, size=(12, m.dim_p))
+    each = [float(we.evaluate(ti, pi)) for ti, pi in zip(t, p)]
+    np.testing.assert_allclose(we.evaluate(t, p), each, rtol=0, atol=1e-15)
+    # one time for a batch of points, as the simulator reads it
+    each = [float(we.evaluate(t[0], pi)) for pi in p]
+    np.testing.assert_allclose(we.evaluate(t[0], p), each, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +225,7 @@ def test_noise_energy_matches_quad(name, power):
 
 
 def test_bridge_clock_is_refused_without_a_closed_form_compensator():
-    m = nonlinear_model(lambda z: z + 0.1 * np.sin(z),
-                        lambda z: 1.0 + 0.1 * np.cos(z), ell1=0.9, ell2=1.1)
+    m = nonlinear_model()
     with pytest.raises(ValueError, match="nonlinear_1d family lacks"):
         trap_probability(m)
     with pytest.raises(ValueError, match="nonlinear_1d family lacks"):

@@ -27,7 +27,7 @@ def test_affine_model_passes_all_assumptions():
 
 def test_nonlinear_dy_band_matches_analytic_extrema():
     # f0'(z) = 1 + 0.1 cos z has extrema exactly 0.9 and 1.1
-    m = nonlinear_model(f0_sine, f0_sine_prime, ell1=0.9, ell2=1.1)
+    m = nonlinear_model()
     rep = validate_assumptions(m)
     assert {c.name: c.passed for c in rep.checks}["A3_dy_band"]
     # dense sampling confirms the analytic extrema are attained (nearly)
@@ -160,20 +160,20 @@ def test_effective_ell_affine_is_gamma():
 
 def test_effective_ell_nonlinear_closed_form():
     # integral of f0'(p - lam*v) over lam equals [f0(0) - f0(-v)] / v at p=0
-    m = nonlinear_model(f0_sine, f0_sine_prime, ell1=0.9, ell2=1.1)
+    m = nonlinear_model()
     v = 0.5
     expect = (f0_sine(0.0) - f0_sine(-v)) / v
     assert effective_ell(m, [0.0], v) == pytest.approx(expect, abs=1e-8)
 
 
 def test_effective_ell_zero_value_limit():
-    m = nonlinear_model(f0_sine, f0_sine_prime, ell1=0.9, ell2=1.1)
+    m = nonlinear_model()
     assert effective_ell(m, [0.7], 0.0) == pytest.approx(f0_sine_prime(0.7), abs=1e-12)
 
 
 def test_effective_ell_identity_on_grid():
     # v * ell = f(p, v) - f(p, 0) to 1e-8 over a (p, v) grid
-    m = nonlinear_model(f0_sine, f0_sine_prime, ell1=0.9, ell2=1.1)
+    m = nonlinear_model()
     rng = np.random.Generator(np.random.Philox(key=5))
     p = rng.uniform(-2, 2, size=(1000, 1))
     v = rng.uniform(0.0, 1.0, size=1000)
