@@ -103,6 +103,7 @@ _MODES = {"affine_constant": "closed_form_affine",
           "linear_drift": "closed_form_linear_drift",
           "nonlinear_1d": "gaussian_quadrature"}
 
+
 @cache
 def _gauss_hermite():
     """Nodes and weights of the 16-point probabilists' Gauss-Hermite rule,
@@ -132,9 +133,8 @@ class WEvaluator:
 
     def __post_init__(self):
         if self.model.family not in _MODES:
-            raise ValueError(f"the compensator needs a known forward law, and the "
-                             f"{self.model.family} family is none of "
-                             f"{', '.join(_MODES)}")
+            raise ValueError("the compensator needs a known forward law, and the "
+                             f"{self.model.family} family is none of {', '.join(_MODES)}")
 
     @property
     def mode(self) -> str:

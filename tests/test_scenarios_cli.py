@@ -59,6 +59,14 @@ def test_config_schema_is_pinned():
     }
 
 
+def test_nonlinear_hashes_are_pinned():
+    # every nonlinear_1d field file carries the model hash, and every record
+    # the config hash; neither moves when the model is built another way
+    cfg = scenario_config("nonlinear_1d")
+    assert (build_model(cfg["model"]).model_hash(), config_hash(cfg)) == (
+        "b762bbbf3b9c7436", "360d1c79051c3bde")
+
+
 def test_unknown_scenario_is_refused():
     with pytest.raises(KeyError):
         scenario_config("no_such_thing")
