@@ -69,6 +69,26 @@ def test_affine_closed_form_value():
     assert we.evaluate(0.5, np.array([1.0])) == pytest.approx(0.0)
 
 
+def _mc_compensator(m, t, p, rng, n=20000):
+    """Monte Carlo estimate and standard error of w(t, p) = -int_0^s E f(P_u, 0) du
+    for constant drift and sigma: s times the mean of -f(P_U, 0) with U uniform
+    on [0, s] and P_U = p + b U + sigma sqrt(U) Z drawn exactly."""
+    s = m.horizon_T - t
+    u = rng.uniform(0.0, s, size=(n, 1))
+    z = rng.standard_normal((n, m.dim_p))
+    pu = p + m.drift(np.broadcast_to(p, (n, m.dim_p))) * u + np.sqrt(u) * (z @ m.sigma.T)
+    x = -s * m.feedback.value(pu, 0.0)
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))
+
+
+def test_affine_closed_form_vs_mc_quadrature():
+    m = affine_model(alpha=2.0, gamma=1.0, sigma=1.0, horizon_T=0.5,
+                     lipschitz_L=2.0)
+    cf = WEvaluator(m)
+    val, se = _mc_compensator(m, 0.1, np.array([0.7]), np.random.Generator(np.random.Philox(key=1)))
+    assert abs(val - float(cf.evaluate(0.1, np.array([0.7])))) <= 3 * se + 1e-12
+
+
 def test_affine_closed_form_matches_quad_on_random_points():
     # w = int_0^s <alpha, p + b u> du: the mean of P_u is p + b u
     from scipy.integrate import quad
@@ -93,6 +113,21 @@ def test_linear_drift_gradient_matches_growth_formula():
     expect = (np.exp(-1.0 * 0.2) - 1.0) / (-1.0)
     assert fd == pytest.approx(expect, abs=1e-3)
     assert float(we.dp_w(t)[0]) == pytest.approx(expect, rel=1e-12)
+
+
+def test_mc_agrees_with_closed_form_on_random_points():
+    m = affine_model(alpha=1.0, gamma=1.0, sigma=1.0, b=0.5, horizon_T=0.4)
+    cf = WEvaluator(m)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    hits3, n = 0, 40
+    for _ in range(n):
+        t = rng.uniform(0, 0.35)
+        p = rng.uniform(-2, 2, size=1)
+        val, se = _mc_compensator(m, t, p, rng, n=4000)
+        err = abs(val - float(cf.evaluate(t, p)))
+        assert err <= 4 * se + 1e-4
+        hits3 += err <= 3 * se + 1e-4
+    assert hits3 >= 0.9 * n
 
 
 def test_w_lipschitz_in_p_degrades_linearly_in_time_to_go():
